@@ -31,11 +31,13 @@ sweep in :mod:`repro.engine.parity` remains only as a regression guard.
 
 Indexed placement
 -----------------
-The kernel keeps an :class:`OpenBinIndex` over the open bins — a
-residual-capacity-sorted list plus a max-residual segment tree in
-opening order — so the Any-Fit candidate queries exposed on the facade
-(:meth:`first_fit`, :meth:`best_fit`, :meth:`worst_fit`,
-:meth:`last_fit`) run in O(log n) instead of scanning every open bin.
+The kernel keeps an :class:`OpenBinIndex` over the open bins so the
+Any-Fit candidate queries exposed on the facade (:meth:`first_fit`,
+:meth:`best_fit`, :meth:`worst_fit`, :meth:`last_fit`) run in O(log n)
+instead of scanning every open bin.  Its two structures — a
+residual-sorted list and a max-residual segment tree in opening order —
+are built from the open-bin table by the first query that needs each,
+so an algorithm only pays upkeep for the queries it actually makes.
 Construct with ``indexed=False`` to fall back to the plain linear scans
 (same results; used as the benchmark baseline and as a safety valve).
 
@@ -168,9 +170,10 @@ class ListenerFanout(KernelListener):
 
 
 class OpenBinIndex:
-    """Indexed candidate lookup over the open bins.
+    """Indexed candidate lookup over the open bins, built on demand.
 
-    Two structures, updated on every load change:
+    The index reads the kernel's ``uid -> Bin`` table of open bins,
+    which is in opening order, and keeps up to two structures over it:
 
     - ``_sorted``: ``(residual, uid)`` pairs in ascending order, backing
       O(log n) best-fit (leftmost residual ≥ size) and worst-fit (the
@@ -181,6 +184,15 @@ class OpenBinIndex:
       ``-inf`` leaves behind; the tree compacts itself once dead slots
       outnumber the live ones.
 
+    Neither structure exists until the first query that needs it, which
+    builds it from the open-bin table; from then on :meth:`add`,
+    :meth:`update` and :meth:`remove` maintain only the structures that
+    exist.  A BestFit run therefore never pays for the tree, and an
+    algorithm that keeps its own bin lists (HybridAlgorithm, CDFF,
+    NextFit, ...) pays for neither.  Both structures depend only on the
+    live bins' residuals and opening order, so when one is built cannot
+    change a query's answer.
+
     Thresholds use the same ``LOAD_EPS`` tolerance as :meth:`Bin.fits`;
     the kernel re-verifies every returned candidate with ``fits()`` so a
     one-ulp disagreement between ``load + size ≤ capacity + eps`` and
@@ -189,52 +201,64 @@ class OpenBinIndex:
 
     _MIN_SLOTS = 64
 
-    def __init__(self) -> None:
-        self._sorted: List[Tuple[float, int]] = []
+    def __init__(self, open_bins: dict[int, Bin]) -> None:
+        self._open = open_bins  # the kernel's table, shared, not copied
+        self._sorted: Optional[List[Tuple[float, int]]] = None
         self._key: dict[int, float] = {}  # uid -> key currently in _sorted
-        self._slot_of: dict[int, int] = {}  # uid -> slot (opening order)
+        self._tree: Optional[List[float]] = None
         self._slots: List[Optional[Bin]] = []
-        self._size = self._MIN_SLOTS  # segment-tree leaf count (power of 2)
-        self._tree: List[float] = [_NEG_INF] * (2 * self._size)
+        self._slot_of: dict[int, int] = {}  # uid -> slot (opening order)
+        self._size = 0  # segment-tree leaf count (power of 2)
         self._dead = 0
 
-    # -- maintenance (called by the kernel on every load change) -------- #
+    # -- maintenance: called right after the kernel changes the open-bin
+    # -- table or a bin's load, so the table already shows the change
     def add(self, bin_: Bin) -> None:
-        if len(self._slots) == self._size:
-            self._rebuild()
-        slot = len(self._slots)
-        self._slots.append(bin_)
-        self._slot_of[bin_.uid] = slot
-        res = bin_.residual()
-        self._set_leaf(slot, res)
-        insort(self._sorted, (res, bin_.uid))
-        self._key[bin_.uid] = res
+        if self._sorted is not None:
+            res = bin_.residual()
+            insort(self._sorted, (res, bin_.uid))
+            self._key[bin_.uid] = res
+        if self._tree is not None:
+            if len(self._slots) == self._size:
+                self._build_tree()  # the table already holds bin_
+                return
+            slot = len(self._slots)
+            self._slots.append(bin_)
+            self._slot_of[bin_.uid] = slot
+            self._set_leaf(slot, bin_.residual())
 
     def update(self, bin_: Bin) -> None:
-        uid = bin_.uid
-        old = self._key[uid]
-        new = bin_.residual()
-        if new != old:
-            del self._sorted[bisect_left(self._sorted, (old, uid))]
-            insort(self._sorted, (new, uid))
-            self._key[uid] = new
-            self._set_leaf(self._slot_of[uid], new)
+        sorted_ = self._sorted
+        if sorted_ is not None:
+            uid = bin_.uid
+            old = self._key[uid]
+            new = bin_.residual()
+            if new != old:
+                del sorted_[bisect_left(sorted_, (old, uid))]
+                insort(sorted_, (new, uid))
+                self._key[uid] = new
+        if self._tree is not None:
+            self._set_leaf(self._slot_of[bin_.uid], bin_.residual())
 
     def remove(self, bin_: Bin) -> None:
         uid = bin_.uid
-        old = self._key.pop(uid)
-        del self._sorted[bisect_left(self._sorted, (old, uid))]
-        slot = self._slot_of.pop(uid)
-        self._slots[slot] = None
-        self._set_leaf(slot, _NEG_INF)
-        self._dead += 1
-        if self._dead > max(self._MIN_SLOTS, len(self._slot_of)):
-            self._rebuild()
+        if self._sorted is not None:
+            old = self._key.pop(uid)
+            del self._sorted[bisect_left(self._sorted, (old, uid))]
+        if self._tree is not None:
+            slot = self._slot_of.pop(uid)
+            self._slots[slot] = None
+            self._set_leaf(slot, _NEG_INF)
+            self._dead += 1
+            if self._dead > max(self._MIN_SLOTS, len(self._slot_of)):
+                self._build_tree()
 
     # -- queries (thresholds already include the LOAD_EPS slack) -------- #
     def first_fit(self, threshold: float) -> Optional[Bin]:
         """Earliest-opened bin with residual ≥ ``threshold``."""
         tree = self._tree
+        if tree is None:
+            tree = self._build_tree()
         if tree[1] < threshold:
             return None
         i, size = 1, self._size
@@ -247,6 +271,8 @@ class OpenBinIndex:
     def last_fit(self, threshold: float) -> Optional[Bin]:
         """Latest-opened bin with residual ≥ ``threshold``."""
         tree = self._tree
+        if tree is None:
+            tree = self._build_tree()
         if tree[1] < threshold:
             return None
         i, size = 1, self._size
@@ -258,35 +284,33 @@ class OpenBinIndex:
 
     def best_fit(self, threshold: float) -> Optional[Bin]:
         """Fullest fitting bin: smallest ``(residual, uid)`` ≥ threshold."""
-        i = bisect_left(self._sorted, (threshold,))
-        if i == len(self._sorted):
+        sorted_ = self._sorted
+        if sorted_ is None:
+            sorted_ = self._build_sorted()
+        i = bisect_left(sorted_, (threshold,))
+        if i == len(sorted_):
             return None
-        uid = self._sorted[i][1]
-        return self._slots[self._slot_of[uid]]
+        return self._open[sorted_[i][1]]
 
     def worst_fit(self, threshold: float) -> Optional[Bin]:
         """Emptiest fitting bin; ties broken to the earliest-opened."""
-        if not self._sorted or self._sorted[-1][0] < threshold:
+        sorted_ = self._sorted
+        if sorted_ is None:
+            sorted_ = self._build_sorted()
+        if not sorted_ or sorted_[-1][0] < threshold:
             return None
-        uid = self._sorted[bisect_left(self._sorted, (self._sorted[-1][0],))][1]
-        return self._slots[self._slot_of[uid]]
+        return self._open[sorted_[bisect_left(sorted_, (sorted_[-1][0],))][1]]
 
     # -- internals ------------------------------------------------------ #
-    def _set_leaf(self, slot: int, value: float) -> None:
-        tree = self._tree
-        i = self._size + slot
-        tree[i] = value
-        i >>= 1
-        while i:
-            left, right = tree[2 * i], tree[2 * i + 1]
-            v = left if left >= right else right
-            if tree[i] == v:
-                break
-            tree[i] = v
-            i >>= 1
+    def _build_sorted(self) -> List[Tuple[float, int]]:
+        key = {uid: b.residual() for uid, b in self._open.items()}
+        self._key = key
+        self._sorted = sorted((res, uid) for uid, res in key.items())
+        return self._sorted
 
-    def _rebuild(self) -> None:
-        live = [b for b in self._slots if b is not None]
+    def _build_tree(self) -> List[float]:
+        """(Re)build the tree over the open bins, compacting dead slots."""
+        live = list(self._open.values())
         size = self._MIN_SLOTS
         while size < 2 * len(live) + 1:
             size <<= 1
@@ -296,11 +320,27 @@ class OpenBinIndex:
         self._dead = 0
         tree = [_NEG_INF] * (2 * size)
         for k, b in enumerate(live):
-            tree[size + k] = self._key[b.uid]
+            tree[size + k] = b.residual()
         for i in range(size - 1, 0, -1):
             left, right = tree[2 * i], tree[2 * i + 1]
             tree[i] = left if left >= right else right
         self._tree = tree
+        return tree
+
+    def _set_leaf(self, slot: int, value: float) -> None:
+        tree = self._tree
+        i = self._size + slot
+        if tree[i] == value:
+            return
+        tree[i] = value
+        i >>= 1
+        while i:
+            left, right = tree[2 * i], tree[2 * i + 1]
+            v = left if left >= right else right
+            if tree[i] == v:
+                break
+            tree[i] = v
+            i >>= 1
 
 
 class PlacementKernel:
@@ -323,8 +363,8 @@ class PlacementKernel:
         Additionally keep the ``(time, ±1)`` ON_t open-count deltas in
         :attr:`open_count_events` (grows with the trace).
     indexed:
-        Maintain the :class:`OpenBinIndex` for O(log n) candidate
-        queries; ``False`` falls back to linear scans (identical
+        Answer candidate queries through the :class:`OpenBinIndex`
+        in O(log n); ``False`` falls back to linear scans (identical
         results).
     listener:
         Optional :class:`KernelListener` receiving every event.
@@ -364,7 +404,9 @@ class PlacementKernel:
         self._bin_count: dict[int, int] = {}  # open-bin uid -> items ever
         self._adaptive: set[int] = set()  # uids with unknown departure
         self._pending_bin: Optional[Bin] = None
-        self._index: Optional[OpenBinIndex] = OpenBinIndex() if indexed else None
+        self._index: Optional[OpenBinIndex] = (
+            OpenBinIndex(self._open) if indexed else None
+        )
         if isinstance(listener, (list, tuple)):
             listener = (
                 None
@@ -422,23 +464,20 @@ class PlacementKernel:
 
     @property
     def indexed(self) -> bool:
-        """Whether the O(log n) open-bin index is maintained."""
+        """Whether candidate queries go through the open-bin index."""
         return self._index is not None
 
     def set_indexed(self, flag: bool) -> None:
         """Switch the open-bin index on or off, mid-run.
 
-        Turning it on rebuilds the index over the current open bins in
-        opening order (identical query results from the next placement
-        on); turning it off falls back to linear scans.  The restore
-        paths use this to honour ``--no-index`` on resumed engines,
-        whatever the checkpointed run used.
+        Turning it on attaches a fresh index over the current open bins
+        (identical query results from the next placement on); turning it
+        off falls back to linear scans.  The restore paths use this to
+        honour ``--no-index`` on resumed engines, whatever the
+        checkpointed run used.
         """
         if flag and self._index is None:
-            index = OpenBinIndex()
-            for b in self._open.values():
-                index.add(b)
-            self._index = index
+            self._index = OpenBinIndex(self._open)
         elif not flag:
             self._index = None
 
@@ -885,6 +924,8 @@ class PlacementKernel:
         state = self.__dict__.copy()
         state["_listener"] = None
         state["_facade"] = None
+        # the index is derived state: record only whether there was one
+        state["_index"] = self._index is not None
         # bound-method caches are recomputed on restore, not serialized
         state.pop("_dep_hook", None)
         state.pop("_close_hook", None)
@@ -895,6 +936,14 @@ class PlacementKernel:
         self.__dict__.update(state)
         if self._facade is None:
             self._facade = self
+        # blobs written before the index was demand-built pickle the
+        # index object itself, in a layout without the open-bin table;
+        # either way a fresh index over the restored bins replaces it
+        self._index = (
+            None
+            if state.get("_index") in (None, False)
+            else OpenBinIndex(self._open)
+        )
         # also covers pre-columnar (v2-era) blobs, which lack the caches
         self._masked = self.masks_departures
         self._dep_hook = getattr(self.algorithm, "notify_departure", None)

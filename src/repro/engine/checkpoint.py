@@ -5,9 +5,9 @@ Format
 A checkpoint is a single pickle blob wrapped in a small versioned
 envelope (:class:`Checkpoint`).  The engine's
 :class:`~repro.core.kernel.PlacementKernel` (which owns the clock, the
-open bins, the departure heap, the counters, the adaptive-item set, the
-bin index and record-mode history) and the algorithm object are pickled
-**together** in one object graph: algorithms legitimately hold references
+open bins, the departure heap, the counters, the adaptive-item set and
+record-mode history) and the algorithm object are pickled **together**
+in one object graph: algorithms legitimately hold references
 to live :class:`~repro.core.bins.Bin` objects (CDFF's rows, NextFit's
 active bin), and a joint pickle is what preserves that identity —
 pickling them separately would silently duplicate bins and desynchronise
@@ -15,8 +15,10 @@ the restored run.
 
 What is captured: the kernel (with the algorithm inside it), the
 :class:`~repro.engine.accounting.RunningAccounting`, the ``record`` flag
-and optional metrics.  What is *not*: observers (may close over file
-handles; re-``subscribe`` after restore) and the trace source — the
+and optional metrics.  What is *not*: the kernel's open-bin index
+(derived state; only whether there was one is recorded, and the restored
+kernel gets a fresh index over its open bins), observers (may close over
+file handles; re-``subscribe`` after restore) and the trace source — the
 caller resumes the stream at item index ``checkpoint.arrivals``
 (``repro-dbp replay --resume`` does exactly that, see the CLI).
 

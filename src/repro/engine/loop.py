@@ -411,9 +411,16 @@ class Engine:
     ) -> int:
         """Feed rows ``[start, stop)`` of an :class:`ItemStore` in order.
 
-        Returns the number of rows fed.  The per-arrival work is exactly
-        :meth:`feed_values`, looped over the store's raw columns.
+        Returns the number of rows fed.  Without metrics or observers
+        this is the kernel's :meth:`~repro.core.kernel.PlacementKernel.
+        release_store` loop, the one ``simulate()`` runs; the engine's
+        accounting still sees every event through its listener hooks.
+        With either attached, rows go one by one through
+        :meth:`feed_values`, which times each arrival and emits its
+        :class:`~repro.engine.events.ArrivalEvent`.
         """
+        if self.metrics is None and not self._observers:
+            return self._kernel.release_store(store, start, stop)
         arr, dep, siz, uids, w0, w1 = store.columns()
         lo = w0 + start
         hi = w1 if stop is None else w0 + stop

@@ -8,13 +8,20 @@ placement, commit, masking and departure semantics.  This module remains
 as the regression check that keeps that claim honest (e.g. against a
 future frontend accidentally growing its own semantics, or the engine's
 listener-driven accounting drifting from the kernel's close-order
-summation).  For a given algorithm and instance it asserts that
+summation).  For a given algorithm and instance it feeds the engine
+through each of its feed paths (:data:`LEGS`) and asserts, per leg, that
 
 - final **cost** matches ``simulate()`` bit-for-bit (the check still
   allows a 1e-9 slack so the contract is stated in tolerant terms),
 - **max_open** matches exactly,
 - the item→bin **assignment** matches exactly, and
 - per-bin records (open/close times, members, peak loads) match.
+
+The legs are ``boxed`` (one :class:`~repro.core.item.Item` at a time
+through :meth:`Engine.feed`), ``columnar`` (the whole
+:class:`~repro.core.store.ItemStore` through :meth:`Engine.feed_store`)
+and ``chunked`` (consecutive :meth:`ItemStore.slice` windows, as the
+JSONL/CSV chunk readers deliver them).
 
 :func:`parity_suite` sweeps the full algorithm registry over every
 workload-generator family — general algorithms on the random/cloud
@@ -24,7 +31,7 @@ CI runs it as an explicit step: ``python -m repro.engine.parity``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.instance import Instance
@@ -32,6 +39,7 @@ from ..core.simulation import simulate
 from .loop import Engine
 
 __all__ = [
+    "LEGS",
     "ParityReport",
     "check_parity",
     "parity_suite",
@@ -41,6 +49,11 @@ __all__ = [
 
 #: cost tolerance of the parity contract (observed deltas are exactly 0.0)
 COST_TOL = 1e-9
+
+#: the engine feed paths every parity check drives, in order
+LEGS = ("boxed", "columnar", "chunked")
+#: rows per ``ItemStore.slice`` window on the chunked leg
+CHUNK_ROWS = 17
 
 
 @dataclass(frozen=True)
@@ -56,6 +69,9 @@ class ParityReport:
     max_open_engine: int
     assignment_equal: bool
     bins_equal: bool
+    #: the legs the ``engine_*`` fields describe: every leg run when all
+    #: agreed with batch (fields from the first), else the failing one
+    legs: Tuple[str, ...]
 
     @property
     def cost_delta(self) -> float:
@@ -76,7 +92,8 @@ class ParityReport:
             f"[{flag}] {self.algorithm:20s} on {self.workload:24s} "
             f"n={self.n_items:5d}  cost {self.batch_cost:.6g} vs "
             f"{self.engine_cost:.6g} (Δ={self.cost_delta:.3g})  "
-            f"max_open {self.max_open_batch} vs {self.max_open_engine}"
+            f"max_open {self.max_open_batch} vs {self.max_open_engine}  "
+            f"via {'/'.join(self.legs)}"
         )
 
 
@@ -87,21 +104,43 @@ def check_parity(
     capacity: float = 1.0,
     workload: str = "instance",
 ) -> ParityReport:
-    """Run batch and engine on fresh algorithm instances and compare."""
+    """Run batch, then the engine once per leg, on fresh algorithm
+    instances and compare; the report names the first failing leg."""
     batch = simulate(algorithm_factory(), instance, capacity=capacity)
-    engine = Engine(algorithm_factory(), capacity=capacity, record=True)
-    summary = engine.run(iter(instance))
-    streamed = engine.result()
-    return ParityReport(
-        algorithm=batch.algorithm,
-        workload=workload,
-        n_items=len(instance),
-        batch_cost=batch.cost,
-        engine_cost=summary.cost,
-        max_open_batch=batch.max_open,
-        max_open_engine=summary.max_open,
-        assignment_equal=streamed.assignment == batch.assignment,
-        bins_equal=streamed.bins == batch.bins,
+    first = None
+    for leg in LEGS:
+        engine = Engine(algorithm_factory(), capacity=capacity, record=True)
+        summary = engine.run(_leg_source(instance, leg))
+        streamed = engine.result()
+        report = ParityReport(
+            algorithm=batch.algorithm,
+            workload=workload,
+            n_items=len(instance),
+            batch_cost=batch.cost,
+            engine_cost=summary.cost,
+            max_open_batch=batch.max_open,
+            max_open_engine=summary.max_open,
+            assignment_equal=streamed.assignment == batch.assignment,
+            bins_equal=streamed.bins == batch.bins,
+            legs=(leg,),
+        )
+        if not report.ok:
+            return report
+        first = first or report
+    return replace(first, legs=LEGS)
+
+
+def _leg_source(instance: Instance, leg: str):
+    """What :meth:`Engine.run` consumes on ``leg``."""
+    if leg == "boxed":
+        return iter(instance)
+    store = instance.store
+    if leg == "columnar":
+        return store
+    n = len(store)  # chunked
+    return (
+        store.slice(i, min(i + CHUNK_ROWS, n))
+        for i in range(0, n, CHUNK_ROWS)
     )
 
 

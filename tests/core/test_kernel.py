@@ -12,7 +12,13 @@ import random
 
 import pytest
 
-from repro.algorithms import BestFit, FirstFit, LastFit, WorstFit
+from repro.algorithms import (
+    BestFit,
+    FirstFit,
+    HybridAlgorithm,
+    LastFit,
+    WorstFit,
+)
 from repro.algorithms.base import OnlineAlgorithm, SimulationView
 from repro.core.errors import (
     ClairvoyanceError,
@@ -184,11 +190,60 @@ def _brute(bins, size, eps=1e-9):
     return first, last, best, worst
 
 
+#: index query names, in the order ``_brute`` returns their answers
+_QUERIES = ("first_fit", "last_fit", "best_fit", "worst_fit")
+_SIZES = (0.05, 0.25, 0.5, 0.9, 1.01)
+
+
+def _step(rng, index, bins, uid, p_open, p_update):
+    """One random open / load change / close, table first, as the kernel
+    does; returns the next fresh uid."""
+    op = rng.random()
+    if op < p_open or not bins:
+        b = Bin(uid, 1.0, 0.0)
+        b._load = round(rng.uniform(0.0, 0.99), 3)
+        bins[uid] = b
+        index.add(b)
+        return uid + 1
+    if op < p_open + p_update:
+        b = bins[rng.choice(list(bins))]
+        b._load = round(rng.uniform(0.0, 0.99), 3)
+        index.update(b)
+    else:
+        index.remove(bins.pop(rng.choice(list(bins))))
+    return uid
+
+
+def _check(index, bins, kinds, size):
+    _check_structures(index, bins)
+    residuals = {u: b.residual() for u, b in bins.items()}
+    expected = dict(zip(_QUERIES, _brute(residuals, size)))
+    for kind in kinds:
+        got = getattr(index, kind)(size - 1e-9)
+        assert (got.uid if got else None) == expected[kind], kind
+
+
+def _check_structures(index, bins):
+    """White-box: every built structure holds each live bin exactly once,
+    at its current residual, in opening order."""
+    if index._sorted is not None:
+        assert index._sorted == sorted(
+            (b.residual(), u) for u, b in bins.items()
+        )
+    if index._tree is not None:
+        slots = index._slots
+        assert [b.uid for b in slots if b is not None] == list(bins)
+        leaves = index._tree[index._size : index._size + len(slots)]
+        assert leaves == [
+            float("-inf") if b is None else b.residual() for b in slots
+        ]
+
+
 class TestOpenBinIndex:
     def test_randomised_against_linear_scan(self):
         rng = random.Random(7)
-        index = OpenBinIndex()
         bins = {}  # uid -> Bin, opening order
+        index = OpenBinIndex(bins)
         uid = 0
         for _ in range(3000):
             op = rng.random()
@@ -219,19 +274,70 @@ class TestOpenBinIndex:
             assert (got_worst.uid if got_worst else None) == worst
 
     def test_compaction_survives_mass_closure(self):
-        index = OpenBinIndex()
-        bins = []
+        bins = {}
+        index = OpenBinIndex(bins)
         for uid in range(500):
             b = Bin(uid, 1.0, 0.0)
             b._load = 0.5
-            bins.append(b)
+            bins[uid] = b
             index.add(b)
-        for b in bins[:499]:  # trigger repeated dead-slot compaction
-            index.remove(b)
+        assert index.first_fit(0.25) is bins[0]  # builds the tree
+        for uid in range(499):  # trigger repeated dead-slot compaction
+            index.remove(bins.pop(uid))
         survivor = index.first_fit(0.25)
         assert survivor is bins[499]
         assert index.last_fit(0.25) is bins[499]
         assert index.first_fit(0.75) is None
+
+    @pytest.mark.parametrize("late", _QUERIES)
+    def test_first_query_mid_stream(self, late):
+        """Each structure built late, from a table that has seen opens,
+        load changes, closes and a tree compaction, answers exactly."""
+        rng = random.Random(13)
+        bins = {}
+        index = OpenBinIndex(bins)
+        tree_builds = []
+        build_tree = index._build_tree
+        index._build_tree = lambda: tree_builds.append(1) or build_tree()
+        uid = 0
+        for _ in range(200):
+            uid = _step(rng, index, bins, uid, 0.5, 0.3)
+        assert index._sorted is None and index._tree is None
+        early = [k for k in _QUERIES if k != late]
+        for p_open in (0.6, 0.1):  # grow, then shrink: closes compact
+            for _ in range(400):
+                uid = _step(rng, index, bins, uid, p_open, 0.3)
+                _check(index, bins, early, rng.choice(_SIZES))
+        assert len(tree_builds) >= 2  # first query, then a compaction
+        for p_open in (0.6, 0.1):
+            for _ in range(400):
+                uid = _step(rng, index, bins, uid, p_open, 0.3)
+                _check(index, bins, _QUERIES, rng.choice(_SIZES))
+
+    def test_alternating_query_kinds(self):
+        rng = random.Random(17)
+        bins = {}
+        index = OpenBinIndex(bins)
+        uid = 0
+        for step in range(3000):
+            uid = _step(rng, index, bins, uid, 0.4, 0.35)
+            _check(index, bins, [_QUERIES[step % 4]], rng.choice(_SIZES))
+
+    def test_structures_built_only_on_demand(self, monkeypatch):
+        built = []
+        for name in ("_build_sorted", "_build_tree"):
+            original = getattr(OpenBinIndex, name)
+            monkeypatch.setattr(
+                OpenBinIndex,
+                name,
+                lambda self, _f=original, _n=name: built.append(_n)
+                or _f(self),
+            )
+        inst = uniform_random(400, 32, seed=11)
+        simulate(HybridAlgorithm(), inst)
+        assert built == []  # HA keeps its own bin lists
+        simulate(BestFit(), inst)
+        assert built == ["_build_sorted"]  # no segment tree for BestFit
 
     @pytest.mark.parametrize(
         "factory", [FirstFit, BestFit, WorstFit, LastFit]

@@ -305,3 +305,34 @@ class TestV2Compat:
         s1, s2 = eng.finish(), eng2.finish()
         assert s1.cost == s2.cost == pytest.approx(expected["final_cost"])
         assert s1.bins_opened == s2.bins_opened
+
+
+class TestV3BestFitCompat:
+    """A BestFit v3 checkpoint written before the open-bin index was
+    demand-built restores and finishes identical to ``simulate()``.
+
+    The fixture was written by that earlier kernel: BestFit
+    (``record=True``) fed the first 400 items of
+    ``examples/traces/uniform_1k.jsonl``, then ``save_checkpoint``.  Its
+    blob pickles the old index object, which has no open-bin table; the
+    kernel must replace it with a fresh index over the restored bins.
+    """
+
+    DATA = TestV2Compat.DATA
+    TRACE = TestV2Compat.TRACE
+
+    def test_resume_matches_simulate(self):
+        from repro.algorithms import BestFit
+        from repro.workloads.io import load_jsonl
+
+        instance = load_jsonl(self.TRACE)
+        batch = simulate(BestFit(), instance)
+        eng = load_checkpoint(self.DATA / "checkpoint_v3_bestfit.ckpt")
+        assert eng.accounting.arrivals == 400
+        assert eng.indexed
+        eng.feed_store(instance.store, 400)
+        summary = eng.finish()
+        assert summary.cost == batch.cost
+        assert summary.max_open == batch.max_open
+        assert eng.result().assignment == batch.assignment
+        assert eng.result().bins == batch.bins

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.core.instance import Instance
 from repro.core.simulation import simulate
 from repro.engine import Engine, check_parity, default_parity_cells, parity_suite
-from repro.engine.parity import ALIGNED_ALGORITHMS, GENERAL_ALGORITHMS
+from repro.engine.parity import ALIGNED_ALGORITHMS, GENERAL_ALGORITHMS, LEGS
 from repro.parallel import _registry
 
 sizes = st.floats(min_value=0.01, max_value=1.0, allow_nan=False)
@@ -51,6 +51,30 @@ class TestParitySweep:
             [("FirstFit", "binary-ish", default_parity_cells(seed=1)[0][2])]
         )
         assert len(reports) == 1 and reports[0].ok
+
+    def test_every_cell_covers_every_feed_path(self):
+        instance = default_parity_cells(seed=0)[0][2]
+        report = check_parity(_registry()["BestFit"], instance)
+        assert report.ok and report.legs == LEGS == (
+            "boxed",
+            "columnar",
+            "chunked",
+        )
+
+    def test_columnar_defect_is_caught_and_named(self, monkeypatch):
+        """A feed_store that loses each window's last row fails the
+        columnar leg, which the boxed leg alone would never notice."""
+        feed_store = Engine.feed_store
+
+        def lossy(self, store, start=0, stop=None):
+            stop = len(store) if stop is None else stop
+            return feed_store(self, store, start, stop - 1)
+
+        monkeypatch.setattr(Engine, "feed_store", lossy)
+        instance = default_parity_cells(seed=0)[0][2]
+        report = check_parity(_registry()["FirstFit"], instance)
+        # legs run in order, so the boxed leg passed before this one
+        assert not report.ok and report.legs == ("columnar",)
 
     def test_registry_fully_covered(self):
         from repro.parallel import ALGORITHM_REGISTRY
