@@ -43,13 +43,13 @@ class SimulationView(Protocol):
     """The facade every frontend hands to ``place()`` and the notify hooks.
 
     This is the formal contract between algorithms/adversaries and the
-    simulation they run inside.  Three objects satisfy it — the
-    :class:`~repro.core.kernel.PlacementKernel` itself (adversaries drive
-    it directly), the batch
-    :class:`~repro.core.simulation.IncrementalSimulation`, and the
-    streaming :class:`~repro.engine.loop.Engine` — and because the latter
-    two are thin adapters over the former, every method has exactly one
-    implementation of its semantics.
+    simulation they run inside.  Two objects satisfy it — the
+    :class:`~repro.core.kernel.PlacementKernel` itself (what
+    ``simulate()``, the streaming :class:`~repro.engine.loop.Engine` and
+    the adversaries hand algorithms) and the batch
+    :class:`~repro.core.simulation.IncrementalSimulation`, a thin adapter
+    over it — so every method has exactly one implementation of its
+    semantics.
 
     The candidate queries (:meth:`first_fit` … :meth:`fitting_bins`)
     mirror the classical Any-Fit rules and run in O(log n) via the

@@ -237,7 +237,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "replay",
         help="stream a trace through the constant-memory engine",
         description="Replay a JSONL/CSV trace through the streaming "
-        "engine (repro.engine): constant memory, incremental accounting, "
+        "engine (repro.engine): constant memory, O(1) running totals, "
         "optional checkpointing and metrics.",
     )
     replayp.add_argument(
@@ -744,7 +744,7 @@ def _replay(args) -> int:
         if monitor is not None:
             engine.invariants = monitor
             engine.attach_listener(monitor)
-        skip = engine.accounting.arrivals
+        skip = engine.kernel.arrivals
         print(
             f"resumed from {args.resume}: {skip} items already fed, "
             f"t={engine.time:g}, cost so far {engine.cost_so_far:g}"
@@ -815,7 +815,7 @@ def _replay(args) -> int:
     elapsed = _time.perf_counter() - t0
     profile_info = _finish_sampler(sampler, args, f"{args.trace}.prof.json")
 
-    events = summary.items + engine.accounting.departures
+    events = summary.items + engine.kernel.departures
     rate = events / elapsed if elapsed > 0 else float("inf")
     print(
         f"{args.trace}: {summary.items} items replayed "
@@ -947,7 +947,7 @@ def _serve(args) -> int:
         gc.set_threshold(50_000, 50, 50)
         resumed = [
             s.shard_id for s in server.shards
-            if s.engine.accounting.arrivals > 0
+            if s.engine.kernel.arrivals > 0
         ]
         print(
             f"serving {config.algorithm} on {config.host}:{server.port} "

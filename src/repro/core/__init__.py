@@ -29,7 +29,7 @@ from .intervals import (
 from .item import Item, UNKNOWN_DEPARTURE, item_view
 from .kernel import KernelListener, OpenBinIndex, PlacementKernel
 from .objectives import max_bins, momentary_ratio, optimal_bins_profile, usage_time
-from .profile import LoadProfile, load_profile
+from .profile import LoadProfile, load_profile, open_count_profile
 from .result import PackingResult
 from .simulation import IncrementalSimulation, simulate
 from .store import ItemStore, validate_item_values
@@ -52,6 +52,7 @@ __all__ = [
     "gaps",
     "LoadProfile",
     "load_profile",
+    "open_count_profile",
     "usage_time",
     "max_bins",
     "momentary_ratio",

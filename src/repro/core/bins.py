@@ -29,7 +29,8 @@ LOAD_EPS = 1e-9
 class Bin:
     """A live bin inside a running simulation."""
 
-    __slots__ = ("uid", "capacity", "tag", "opened_at", "_contents", "_load")
+    __slots__ = ("uid", "capacity", "tag", "opened_at", "_contents", "_load",
+                 "peak_load", "items_held")
 
     def __init__(
         self,
@@ -44,6 +45,8 @@ class Bin:
         self.opened_at = opened_at
         self._contents: Dict[int, Item] = {}
         self._load = 0.0
+        self.peak_load = 0.0  #: highest load reached so far
+        self.items_held = 0  #: items ever packed into this bin
 
     # -- read API (what algorithms may use) ----------------------------- #
     @property
@@ -86,7 +89,11 @@ class Bin:
                 f"{self.uid} (load {self._load:.6g}/{self.capacity})"
             )
         self._contents[item.uid] = item
-        self._load += item.size
+        load = self._load + item.size
+        self._load = load
+        if load > self.peak_load:
+            self.peak_load = load
+        self.items_held += 1
 
     def _remove(self, uid: int) -> Item:
         try:

@@ -19,8 +19,12 @@ Section-4 adaptive adversaries, and the streaming
   see (:attr:`PlacementKernel.masks_departures`);
 - the **departure heap** and the adaptive-item set (items released with
   unknown departures, departed explicitly by adversaries);
-- per-bin **usage/peak accounting** and the O(1) running-cost identity
-  ``Σ_open (t - opened_at) = |open|·t - Σ_open opened_at``;
+- the run's **totals**, kept inline at the sites that change state
+  (commit, departure, close, clock move): per-bin usage in close order
+  and the O(1) running-cost identity
+  ``Σ_open (t - opened_at) = |open|·t - Σ_open opened_at``, plus
+  arrivals, departures, bins opened, peak open count, the active load
+  ``S_t``, its peak and its integral ``∫ S_t dt``;
 - the optional **ON_t event log** (``(time, ±1)`` open-count deltas)
   and record-mode history from which :meth:`result` builds an audited
   :class:`~repro.core.result.PackingResult`.
@@ -45,14 +49,16 @@ Frontends integrate through two hooks passed at construction:
 
 ``facade``
     The object handed to ``algorithm.place(view, facade)`` and the
-    notify hooks; defaults to the kernel itself.  Adapters pass
-    themselves so algorithms keep seeing the familiar ``sim`` surface
-    (the :class:`~repro.algorithms.base.SimulationView` protocol).
+    notify hooks; defaults to the kernel itself, which satisfies the
+    :class:`~repro.algorithms.base.SimulationView` protocol (``simulate()``
+    and the streaming engine both use that default).
+    :class:`~repro.core.simulation.IncrementalSimulation` passes itself.
 ``listener``
     Receives ``on_advance`` / ``on_open`` / ``on_arrival`` /
-    ``on_departure`` / ``on_close`` callbacks in exact event order; the
-    streaming engine uses this to drive its incremental accounting,
-    metrics and observer events without re-implementing any semantics.
+    ``on_departure`` / ``on_close`` callbacks in exact event order.  The
+    totals never depend on it: the streaming engine attaches only while
+    it has per-event work (metrics, observers), and observability
+    listeners (tracing, invariant monitors) ride alongside.
 """
 
 from __future__ import annotations
@@ -83,13 +89,25 @@ __all__ = [
 _NEG_INF = float("-inf")
 
 
+def _own_hook(algorithm, name: str):
+    """``algorithm``'s bound ``name`` hook, or ``None`` when it is the
+    :class:`~repro.algorithms.base.OnlineAlgorithm` no-op it inherits
+    (so the kernel skips one call per departure or close)."""
+    from ..algorithms.base import OnlineAlgorithm
+
+    hook = getattr(algorithm, name, None)
+    if getattr(hook, "__func__", None) is getattr(OnlineAlgorithm, name):
+        return None
+    return hook
+
+
 class KernelListener:
     """Callback protocol for frontends observing kernel events.
 
     All methods are optional no-ops; the streaming engine overrides them
-    to maintain :class:`~repro.engine.accounting.RunningAccounting`,
-    metrics and observer events.  ``timed`` tells the kernel whether to
-    measure per-departure wall time (for latency histograms).
+    to feed its metrics and observer events (the run's totals live in
+    the kernel itself).  ``timed`` tells the kernel whether to measure
+    per-departure wall time (for latency histograms).
     """
 
     timed: bool = False
@@ -126,7 +144,7 @@ class ListenerFanout(KernelListener):
     Pure dispatch — callbacks run in registration order and no event is
     reordered or filtered, so attaching an observability listener (e.g.
     :class:`repro.obs.trace.TracingListener`) next to a frontend's own
-    accounting listener can never change semantics.  ``timed`` is the OR
+    listener can never change semantics.  ``timed`` is the OR
     over members: one latency-hungry listener is enough to make the
     kernel measure per-departure wall time.
     """
@@ -395,13 +413,19 @@ class PlacementKernel:
             [] if record_events else None
         )
         self._sum_opened_at = 0.0
+        # run totals (bins_closed is derived: bins_opened - open bins)
+        self.arrivals = 0
+        self.departures = 0
+        self.bins_opened = 0
+        self.max_open = 0
+        self.load = 0.0  #: total size of active items, S_t
+        self.peak_load = 0.0  #: max_t S_t so far
+        self.util_area = 0.0  #: ∫ S_t dt — space-time demand served
         self._bin_uid = 0
         self._seq = 0
         self._open: dict[int, Bin] = {}
         self._departures: List[Tuple[float, int, int]] = []  # (t, seq, uid)
         self._item_bin: dict[int, Bin] = {}
-        self._peak: dict[int, float] = {}  # open-bin uid -> peak load
-        self._bin_count: dict[int, int] = {}  # open-bin uid -> items ever
         self._adaptive: set[int] = set()  # uids with unknown departure
         self._pending_bin: Optional[Bin] = None
         self._index: Optional[OpenBinIndex] = (
@@ -427,8 +451,8 @@ class PlacementKernel:
         algorithm.reset()
         # hot-path caches (recomputed on unpickle; see __setstate__)
         self._masked = self.masks_departures
-        self._dep_hook = getattr(algorithm, "notify_departure", None)
-        self._close_hook = getattr(algorithm, "notify_close", None)
+        self._dep_hook = _own_hook(algorithm, "notify_departure")
+        self._close_hook = _own_hook(algorithm, "notify_close")
 
     # ------------------------------------------------------------------ #
     # The facade surface (SimulationView protocol)
@@ -449,6 +473,10 @@ class PlacementKernel:
         return self.closed_usage + len(self._open) * t - self._sum_opened_at
 
     @property
+    def bins_closed(self) -> int:
+        return self.bins_opened - len(self._open)
+
+    @property
     def masks_departures(self) -> bool:
         """Whether this run hides departure times from the algorithm.
 
@@ -456,11 +484,6 @@ class PlacementKernel:
         simulator and the streaming engine see items through this flag.
         """
         return not getattr(self.algorithm, "clairvoyant", True)
-
-    @property
-    def has_active(self) -> bool:
-        """Whether any item is still inside a bin."""
-        return bool(self._item_bin)
 
     @property
     def indexed(self) -> bool:
@@ -676,6 +699,8 @@ class PlacementKernel:
             if dq and dq[0][0] <= arrival:
                 advance(arrival)
             elif arrival > self.time:  # _advance's no-departure tail
+                if self.time != _NEG_INF:
+                    self.util_area += self.load * (arrival - self.time)
                 if self._listener is not None:
                     self._listener.on_advance(arrival)
                 self.time = arrival
@@ -801,6 +826,8 @@ class PlacementKernel:
             heapq.heappop(dq)
             self._do_departure(uid, t)
         if until > self.time:
+            if self.time != _NEG_INF:
+                self.util_area += self.load * (until - self.time)
             if self._listener is not None:
                 self._listener.on_advance(until)
             self.time = until
@@ -810,6 +837,8 @@ class PlacementKernel:
         timed = listener is not None and listener.timed
         t0 = _time.perf_counter() if timed else 0.0
         if t > self.time:
+            if self.time != _NEG_INF:
+                self.util_area += self.load * (t - self.time)
             if listener is not None:
                 listener.on_advance(t)
             self.time = t
@@ -817,12 +846,16 @@ class PlacementKernel:
         if bin_ is None:
             return  # already departed (duplicate schedule), ignore
         removed = bin_._remove(uid)
+        self.departures += 1
+        self.load -= removed.size
+        if not self._item_bin:
+            self.load = 0.0  # kill floating residue when idle
         if self.record:
             self._departed_at[uid] = t
         hook = self._dep_hook
         if hook is not None:
             hook(removed, bin_, self._facade)
-        closed = bin_.n_items == 0
+        closed = not bin_._contents
         if closed:
             self._close(bin_, t)
         elif self._index is not None:
@@ -841,8 +874,7 @@ class PlacementKernel:
         del self._open[bin_.uid]
         if self._index is not None:
             self._index.remove(bin_)
-        peak = self._peak.pop(bin_.uid, 0.0)
-        n_items = self._bin_count.pop(bin_.uid, 0)
+        peak = bin_.peak_load
         usage = t - bin_.opened_at
         self.closed_usage += usage
         self._sum_opened_at -= bin_.opened_at
@@ -862,7 +894,7 @@ class PlacementKernel:
                 )
             )
         if self._listener is not None:
-            self._listener.on_close(bin_, t, usage, peak, n_items)
+            self._listener.on_close(bin_, t, usage, peak, bin_.items_held)
         hook = self._close_hook
         if hook is not None:
             hook(bin_, self._facade)
@@ -886,6 +918,10 @@ class PlacementKernel:
             chosen._add(view)
             self._open[uid] = chosen
             self._sum_opened_at += chosen.opened_at
+            self.bins_opened += 1
+            n_open = len(self._open)
+            if n_open > self.max_open:
+                self.max_open = n_open
             if self._index is not None:
                 self._index.add(chosen)
             if self.open_count_events is not None:
@@ -900,12 +936,11 @@ class PlacementKernel:
             chosen._add(view)
             if self._index is not None:
                 self._index.update(chosen)
-        load = chosen.load
-        peak = self._peak
-        if load > peak.get(uid, 0.0):
-            peak[uid] = load
-        counts = self._bin_count
-        counts[uid] = counts.get(uid, 0) + 1
+        self.arrivals += 1
+        load = self.load + view.size
+        self.load = load
+        if load > self.peak_load:
+            self.peak_load = load
         self._item_bin[item.uid] = chosen
         if self.record:
             self._assignment[item.uid] = uid
@@ -933,7 +968,15 @@ class PlacementKernel:
         return state
 
     def __setstate__(self, state):
+        # blobs written before bins tracked their own peak and item count
+        # keep both in per-uid dicts; only open bins still need them
+        peak = state.pop("_peak", None)
+        counts = state.pop("_bin_count", None)
         self.__dict__.update(state)
+        if peak is not None:
+            for uid, bin_ in self._open.items():
+                bin_.peak_load = peak.get(uid, 0.0)
+                bin_.items_held = counts.get(uid, 0)
         if self._facade is None:
             self._facade = self
         # blobs written before the index was demand-built pickle the
@@ -946,8 +989,8 @@ class PlacementKernel:
         )
         # also covers pre-columnar (v2-era) blobs, which lack the caches
         self._masked = self.masks_departures
-        self._dep_hook = getattr(self.algorithm, "notify_departure", None)
-        self._close_hook = getattr(self.algorithm, "notify_close", None)
+        self._dep_hook = _own_hook(self.algorithm, "notify_departure")
+        self._close_hook = _own_hook(self.algorithm, "notify_close")
 
     def __repr__(self) -> str:
         name = getattr(self.algorithm, "name", type(self.algorithm).__name__)

@@ -24,7 +24,12 @@ from .errors import InvalidInstanceError
 from .instance import Instance
 from .item import Item
 
-__all__ = ["LoadProfile", "load_profile", "step_function_integral"]
+__all__ = [
+    "LoadProfile",
+    "load_profile",
+    "open_count_profile",
+    "step_function_integral",
+]
 
 _EPS = 1e-12
 
@@ -133,6 +138,29 @@ def load_profile(items: Iterable[Item] | Instance) -> LoadProfile:
     values = np.cumsum(sums)[:-1]
     # kill floating noise around zero so support_measure is exact
     values[np.abs(values) < _EPS] = 0.0
+    return LoadProfile(bps, values)
+
+
+def open_count_profile(events) -> LoadProfile:
+    """``ON_t`` from ``(time, ±1)`` bin open/close deltas, in any order.
+
+    ``events`` is a :class:`~repro.core.kernel.PlacementKernel`'s
+    ``open_count_events`` log (or an ``(n, 2)`` array of the same pairs);
+    ``None`` — a kernel built without ``record_events`` — is an error.
+    """
+    if events is None:
+        raise ValueError(
+            "no open-count events were recorded: build the kernel with "
+            "record_events=True (Engine: record_profile=True)"
+        )
+    ev = np.asarray(events, dtype=float).reshape(-1, 2)
+    if not len(ev):
+        return LoadProfile(np.asarray([0.0]), np.zeros(0))
+    order = np.argsort(ev[:, 0], kind="stable")
+    times, deltas = ev[order, 0], ev[order, 1]
+    bps, start_idx = np.unique(times, return_index=True)
+    sums = np.add.reduceat(deltas, start_idx)
+    values = np.round(np.cumsum(sums)[:-1])  # counts are integral
     return LoadProfile(bps, values)
 
 

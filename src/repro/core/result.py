@@ -18,7 +18,7 @@ import numpy as np
 from .bins import BinRecord
 from .errors import PackingError
 from .item import Item
-from .profile import LoadProfile
+from .profile import LoadProfile, open_count_profile
 
 __all__ = ["PackingResult"]
 
@@ -82,24 +82,15 @@ class PackingResult:
     # ------------------------------------------------------------------ #
     def open_bins_profile(self) -> LoadProfile:
         """``ON_t`` — number of open bins as a step function of time."""
-        if not self.bins:
-            return LoadProfile(np.asarray([0.0]), np.zeros(0))
+        n = len(self.bins)
         times = np.concatenate(
             [
                 np.asarray([rec.opened_at for rec in self.bins]),
                 np.asarray([rec.closed_at for rec in self.bins]),
             ]
         )
-        deltas = np.concatenate(
-            [np.ones(len(self.bins)), -np.ones(len(self.bins))]
-        )
-        order = np.argsort(times, kind="stable")
-        times, deltas = times[order], deltas[order]
-        bps, start_idx = np.unique(times, return_index=True)
-        sums = np.add.reduceat(deltas, start_idx)
-        values = np.cumsum(sums)[:-1]
-        values = np.round(values)  # counts are integral
-        return LoadProfile(bps, values)
+        deltas = np.concatenate([np.ones(n), -np.ones(n)])
+        return open_count_profile(np.column_stack([times, deltas]))
 
     def open_bins_at(self, t: float) -> int:
         """Number of bins open at time ``t`` (right-continuous)."""

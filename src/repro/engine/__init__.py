@@ -3,9 +3,10 @@
 Where :func:`repro.core.simulation.simulate` needs the whole instance in
 memory and keeps full history, this subsystem replays traces of any
 length through the shared :class:`~repro.core.kernel.PlacementKernel`
-with **incremental accounting** (cost and ``ON_t`` queryable mid-stream
-in O(1)), **constant memory** (peak RSS independent of trace length),
-**checkpoint/restore**, and an **observability layer**.  Batch and
+with **kernel-owned running totals** (cost, ``max_open``, load and its
+integral queryable mid-stream in O(1)), **constant memory** (peak RSS
+independent of trace length), **checkpoint/restore**, and an
+**observability layer**.  Batch and
 stream run the *same* kernel, so they agree bit-for-bit by construction
 (:mod:`repro.engine.parity` keeps the regression guard).
 
@@ -23,7 +24,6 @@ or from the shell::
     repro-dbp replay trace.jsonl --algo HybridAlgorithm --metrics m.json
 """
 
-from .accounting import RunningAccounting
 from .checkpoint import (
     Checkpoint,
     CheckpointError,
@@ -66,7 +66,6 @@ __all__ = [
     "Engine",
     "EngineSummary",
     "replay",
-    "RunningAccounting",
     "Event",
     "EventKind",
     "ArrivalEvent",

@@ -13,14 +13,16 @@ active bin), and a joint pickle is what preserves that identity —
 pickling them separately would silently duplicate bins and desynchronise
 the restored run.
 
-What is captured: the kernel (with the algorithm inside it), the
-:class:`~repro.engine.accounting.RunningAccounting`, the ``record`` flag
-and optional metrics.  What is *not*: the kernel's open-bin index
+What is captured: the kernel (with the algorithm inside it, and the
+run's totals — cost, arrivals, departures, bins opened, ``max_open``,
+load, peak load, load integral — which the kernel owns), the ``record``
+flag and optional metrics.  What is *not*: the kernel's open-bin index
 (derived state; only whether there was one is recorded, and the restored
 kernel gets a fresh index over its open bins), observers (may close over
-file handles; re-``subscribe`` after restore) and the trace source — the
-caller resumes the stream at item index ``checkpoint.arrivals``
-(``repro-dbp replay --resume`` does exactly that, see the CLI).
+file handles; re-``subscribe`` after restore), listeners and the trace
+source — the caller resumes the stream at item index
+``checkpoint.arrivals`` (``repro-dbp replay --resume`` does exactly
+that, see the CLI).
 
 Version history: **v1** pickled the pre-kernel engine's flat attribute
 dict (PR 1); **v2** pickles the kernel-backed state; **v3** (current)
@@ -30,7 +32,12 @@ object graph into four struct-of-arrays columns stored next to the blob
 blob shrinks to pure kernel/algorithm state and restoring rebuilds each
 distinct item exactly once.  v2 files remain loadable (the columns field
 is simply absent); v1 files are rejected with an explicit error rather
-than a pickle/attribute failure.
+than a pickle/attribute failure.  Blobs written while the engine still
+kept its own copy of the totals carry an extra ``accounting`` entry (a
+pickled ``repro.engine.accounting.RunningAccounting``, a class that no
+longer exists): the unpickler maps it to :class:`_LegacyAccounting`,
+:func:`restore` seeds the kernel's totals from it, and the kernel moves
+their per-bin peak/item-count dicts onto the restored open bins.
 
 Restoring never calls ``algorithm.reset()`` — the algorithm continues
 from its pickled private state.  The parity guarantee carries over: a
@@ -69,10 +76,20 @@ COMPAT_VERSIONS = (2, 3)
 
 #: engine attributes captured in a snapshot, in a stable order
 _STATE_ATTRS = (
-    "_kernel",  # owns algorithm, bins, heap, counters, record history
+    "_kernel",  # owns algorithm, bins, heap, totals, record history
     "record",
-    "accounting",
     "metrics",
+)
+
+#: kernel totals an old blob's ``accounting`` entry seeds on restore
+_LEGACY_TOTALS = (
+    "arrivals",
+    "departures",
+    "bins_opened",
+    "max_open",
+    "load",
+    "peak_load",
+    "util_area",
 )
 
 _NAN = math.nan
@@ -117,12 +134,26 @@ class _ColumnPickler(pickle.Pickler):
         return (self.arrivals, self.departures, self.sizes, self.uids)
 
 
+class _LegacyAccounting:
+    """Unpickling stand-in for the engine's former ``RunningAccounting``.
+
+    Carries only the pickled state dict, whose totals :func:`restore`
+    copies into the kernel.
+    """
+
+    def __setstate__(self, state: dict) -> None:
+        self.state = state
+
+
 class _ColumnUnpickler(pickle.Unpickler):
-    """Rebuild extracted items from their columns, one object per row."""
+    """Rebuild extracted items from their columns, one object per row.
+
+    ``columns`` is ``None`` for v2 blobs, which carry their items inline.
+    """
 
     def __init__(self, buf, columns) -> None:
         super().__init__(buf)
-        arrivals, departures, sizes, uids = columns
+        arrivals, departures, sizes, uids = columns or ((), (), (), ())
         self._items = [
             item_view(
                 arrivals[k],
@@ -132,6 +163,11 @@ class _ColumnUnpickler(pickle.Unpickler):
             )
             for k in range(len(arrivals))
         ]
+
+    def find_class(self, module, name):
+        if (module, name) == ("repro.engine.accounting", "RunningAccounting"):
+            return _LegacyAccounting
+        return super().find_class(module, name)
 
     def persistent_load(self, pid):
         try:
@@ -213,9 +249,9 @@ def snapshot(engine: Engine) -> Checkpoint:
     pickler.dump(state)
     return Checkpoint(
         version=CHECKPOINT_VERSION,
-        arrivals=engine.accounting.arrivals,
+        arrivals=engine.kernel.arrivals,
         time=engine.time,
-        cost_so_far=engine.accounting.cost_at(engine.time),
+        cost_so_far=engine.cost_so_far,
         blob=buf.getvalue(),
         columns=pickler.columns(),
     )
@@ -227,22 +263,18 @@ def restore(checkpoint: Checkpoint) -> Engine:
     The result is fully independent of the engine that produced the
     snapshot (the blob round-trip deep-copies everything), with no
     observers, no tracer, no extra listeners, and whatever metrics were
-    captured.  The kernel's listener and facade hooks (dropped at pickle
-    time) are re-wired to the new engine; re-attach observability via
+    captured.  The kernel is its own facade again after unpickling; the
+    engine rejoins its listeners only when metrics came back with it.
+    Re-attach observability via
     :meth:`~repro.engine.loop.Engine.attach_tracer` /
     :meth:`~repro.engine.loop.Engine.attach_listener`.
     """
     # v3 blobs reference item rows via persistent ids; v2 blobs (from
-    # before the columnar data plane) carry their items inline and
-    # unpickle with the plain loader — the upgrade path is read-only
+    # before the columnar data plane) carry their items inline — the
+    # upgrade path is read-only
     columns = getattr(checkpoint, "columns", None)
     try:
-        if columns is not None:
-            state = _ColumnUnpickler(
-                io.BytesIO(checkpoint.blob), columns
-            ).load()
-        else:
-            state = pickle.loads(checkpoint.blob)
+        state = _ColumnUnpickler(io.BytesIO(checkpoint.blob), columns).load()
     except CheckpointError:
         raise
     except Exception as exc:
@@ -255,17 +287,20 @@ def restore(checkpoint: Checkpoint) -> Engine:
             "checkpoint blob does not contain engine state "
             f"(expected keys {_STATE_ATTRS})"
         )
+    kernel = state["_kernel"]
+    legacy = state.get("accounting")
+    if legacy is not None:
+        for name in _LEGACY_TOTALS:
+            setattr(kernel, name, legacy.state[name])
     engine = object.__new__(Engine)
-    for name, value in state.items():
-        setattr(engine, name, value)
+    engine._kernel = kernel
+    engine.record = state["record"]
     engine._observers = []
     engine._last_opened = False
-    engine._last_item = None
+    engine._listening = False
     engine.tracer = None
     engine.invariants = None  # monitors, like observers, are re-attached
-    kernel = engine._kernel
-    kernel._listener = engine
-    kernel._facade = engine
+    engine.metrics = state["metrics"]  # rejoins the listeners if metered
     return engine
 
 

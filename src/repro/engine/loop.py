@@ -5,17 +5,17 @@
 and drives an **unmodified** :class:`~repro.algorithms.base.
 OnlineAlgorithm` over the combined event sequence.  It is a thin adapter
 over the shared :class:`~repro.core.kernel.PlacementKernel` — the same
-kernel the batch ``simulate()`` runs on — so event semantics (departures
+kernel the batch ``simulate()`` runs on, handed to the algorithm as its
+``sim`` exactly as ``simulate()`` does — so event semantics (departures
 before arrivals at equal times, release-order tie-breaks, bins close the
 moment they empty, clairvoyance enforced by masking) are *identical by
 construction*, not by mirroring.  What the engine layers on top:
 
-- **Incremental accounting.**  The engine registers as the kernel's
-  listener and folds every event into
-  :class:`~repro.engine.accounting.RunningAccounting` in O(1) per event
-  (O(log n) including the heap), so ``ON_t``, cost, load and utilisation
-  are queryable at any moment mid-stream — no whole-instance
-  recomputation, no stored history.
+- **Running totals, read off the kernel.**  The kernel keeps cost,
+  arrivals, departures, bins opened, ``max_open``, the active load, its
+  peak and its integral inline at the sites that change state, so they
+  are queryable at any moment mid-stream in O(1) — no whole-instance
+  recomputation, no stored history, and no per-event engine callback.
 - **Constant memory.**  By default nothing proportional to the trace is
   retained: resident state is the open bins and the pending-departure
   heap.  Pass ``record=True`` to additionally keep items, records and the
@@ -24,7 +24,8 @@ construction*, not by mirroring.  What the engine layers on top:
   this; it restores the batch path's memory profile).
 - **Observability.**  Optional per-event metrics
   (:class:`~repro.engine.metrics.EngineMetrics`) and observer callbacks
-  receiving typed :class:`~repro.engine.events.Event` records.
+  receiving typed :class:`~repro.engine.events.Event` records.  Only
+  then does the engine join the kernel's listeners.
 
 Per-bin usage is accumulated in close order inside the kernel, so the
 final cost is bit-for-bit equal to ``simulate()``'s (the regression guard
@@ -40,12 +41,11 @@ from typing import Callable, List, Optional
 
 from ..core.bins import Bin, BinRecord
 from ..core.instance import Instance
-from ..core.item import Item
+from ..core.item import Item, item_view
 from ..core.kernel import KernelListener, PlacementKernel
 from ..core.result import PackingResult
 from ..core.store import ItemStore
 from ..obs.trace import Tracer, TracingListener
-from .accounting import RunningAccounting
 from .events import ArrivalEvent, DepartureEvent, Event
 from .metrics import EngineMetrics
 from .stream import ItemSource
@@ -83,7 +83,7 @@ class EngineSummary:
         }
 
 
-class Engine:
+class Engine(KernelListener):
     """Event-driven streaming replacement for batch ``simulate()``.
 
     Parameters
@@ -97,24 +97,27 @@ class Engine:
     metrics:
         Optional :class:`~repro.engine.metrics.EngineMetrics`; updated
         per event when present, at the price of two clock reads per
-        event.
+        event.  Assigning one later (``engine.metrics = ...``) attaches
+        it from the next event on.
     record:
         Keep full history (items, bin records, assignment) so
         :meth:`result` works.  Off by default — on, memory grows with
         the trace exactly like the batch path.
     record_profile:
-        Keep open-count deltas so ``accounting.open_profile()`` can
-        rebuild ``ON_t`` afterwards (also grows with the trace).
+        Keep the kernel's ``(time, ±1)`` open-count deltas in
+        ``engine.kernel.open_count_events`` so
+        :func:`~repro.core.profile.open_count_profile` can rebuild
+        ``ON_t`` afterwards (also grows with the trace).
     indexed:
         Maintain the kernel's O(log n) open-bin index (default).  Pass
         ``False`` for plain linear-scan placement queries.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`; when given (and
         enabled), a :class:`~repro.obs.trace.TracingListener` is fanned
-        in next to the engine's own kernel listener so every kernel
-        event lands in the ring buffer.  A tracer that is *disabled at
-        construction* is not attached at all — tracing off costs
-        nothing (the contract ``benchmarks/bench_obs.py`` freezes).
+        in as a kernel listener so every kernel event lands in the ring
+        buffer.  A tracer that is *disabled at construction* is not
+        attached at all — tracing off costs nothing (the contract
+        ``benchmarks/bench_obs.py`` freezes).
     listeners:
         Extra :class:`~repro.core.kernel.KernelListener` objects to fan
         kernel events out to (e.g. the deterministic
@@ -143,15 +146,16 @@ class Engine:
         listeners: tuple = (),
         invariants=None,
     ) -> None:
-        self.metrics = metrics
+        self._metrics = metrics
         self.record = record
         self.tracer = tracer
         self.invariants = invariants
-        self.accounting = RunningAccounting(record_profile=record_profile)
         self._observers: List[Callable[[Event], None]] = []
         self._last_opened = False
-        self._last_item: Optional[Item] = None
-        extra: List[KernelListener] = list(listeners)
+        # the engine listens only while it has per-event work to do
+        self._listening = metrics is not None
+        extra: List[KernelListener] = [self] if self._listening else []
+        extra.extend(listeners)
         if tracer is not None and tracer.enabled:
             extra.append(TracingListener(tracer))
         if invariants is not None:
@@ -162,14 +166,29 @@ class Engine:
             algorithm,
             capacity=capacity,
             record=record,
+            record_events=record_profile,
             indexed=indexed,
-            listener=self if not extra else [self, *extra],
-            facade=self,
+            listener=extra,
         )
 
     # ------------------------------------------------------------------ #
-    # The `sim` facade algorithms see (SimulationView protocol)
+    # State (the kernel owns it; these are read-throughs)
     # ------------------------------------------------------------------ #
+    @property
+    def kernel(self) -> PlacementKernel:
+        """The kernel this engine drives; it owns the run's totals."""
+        return self._kernel
+
+    @property
+    def metrics(self) -> Optional[EngineMetrics]:
+        return self._metrics
+
+    @metrics.setter
+    def metrics(self, metrics: Optional[EngineMetrics]) -> None:
+        self._metrics = metrics
+        if metrics is not None:
+            self._listen()
+
     @property
     def algorithm(self):
         return self._kernel.algorithm
@@ -194,7 +213,7 @@ class Engine:
     @property
     def cost_so_far(self) -> float:
         """Closed usage plus open bins' usage up to the current clock."""
-        return self.accounting.cost_at(self._kernel.time)
+        return self._kernel.cost_so_far
 
     @property
     def indexed(self) -> bool:
@@ -204,30 +223,6 @@ class Engine:
     def set_indexed(self, flag: bool) -> None:
         """Switch the kernel's open-bin index on or off (see the kernel)."""
         self._kernel.set_indexed(flag)
-
-    def is_open(self, uid: int) -> bool:
-        """Whether bin ``uid`` is currently open (O(1))."""
-        return self._kernel.is_open(uid)
-
-    def open_bin(self, tag=None) -> Bin:
-        """Called by the algorithm inside ``place()`` to open a fresh bin."""
-        return self._kernel.open_bin(tag)
-
-    # indexed candidate queries (delegated to the kernel's bin index)
-    def first_fit(self, item: Item) -> Optional[Bin]:
-        return self._kernel.first_fit(item)
-
-    def best_fit(self, item: Item) -> Optional[Bin]:
-        return self._kernel.best_fit(item)
-
-    def worst_fit(self, item: Item) -> Optional[Bin]:
-        return self._kernel.worst_fit(item)
-
-    def last_fit(self, item: Item) -> Optional[Bin]:
-        return self._kernel.last_fit(item)
-
-    def fitting_bins(self, item: Item) -> list[Bin]:
-        return self._kernel.fitting_bins(item)
 
     # record-mode history lives in the kernel; exposed for tests/tools
     @property
@@ -252,6 +247,13 @@ class Engine:
         file handles); re-subscribe after a restore.
         """
         self._observers.append(observer)
+        self._listen()
+
+    def _listen(self) -> None:
+        """Join the kernel's listeners, once, on the first per-event work."""
+        if not self._listening:
+            self._listening = True
+            self._kernel.add_listener(self)
 
     def _emit(self, event: Event) -> None:
         for obs in self._observers:
@@ -276,23 +278,12 @@ class Engine:
             self.attach_listener(TracingListener(tracer))
 
     # ------------------------------------------------------------------ #
-    # Kernel listener callbacks: fold events into accounting/metrics
+    # Kernel listener callbacks (attached only for metrics/observers)
     # ------------------------------------------------------------------ #
     @property
     def timed(self) -> bool:
         """Whether the kernel should time departures (for metrics)."""
-        return self.metrics is not None
-
-    def on_advance(self, t: float) -> None:
-        self.accounting.advance(t)
-
-    def on_open(self, bin_: Bin) -> None:
-        self.accounting.on_open(bin_.opened_at)
-
-    def on_arrival(self, item: Item, bin_: Bin, opened: bool) -> None:
-        self.accounting.on_arrival(item.size)
-        self._last_opened = opened
-        self._last_item = item
+        return self._metrics is not None
 
     def on_departure(
         self,
@@ -303,16 +294,13 @@ class Engine:
         closed: bool,
         elapsed: float,
     ) -> None:
-        self.accounting.on_departure(
-            removed.size, any_active=self._kernel.has_active
-        )
-        if self.metrics is not None:
-            self.metrics.on_departure(elapsed)
+        if self._metrics is not None:
+            self._metrics.on_departure(elapsed)
         if self._observers:
             self._emit(
                 DepartureEvent(
                     time=t,
-                    seq=self.accounting.departures,
+                    seq=self._kernel.departures,
                     uid=uid,
                     bin_uid=bin_.uid,
                     size=removed.size,
@@ -323,9 +311,8 @@ class Engine:
     def on_close(
         self, bin_: Bin, t: float, usage: float, peak: float, n_items: int
     ) -> None:
-        self.accounting.on_close(bin_.opened_at, t)
-        if self.metrics is not None:
-            self.metrics.on_bin_close(
+        if self._metrics is not None:
+            self._metrics.on_bin_close(
                 n_items=n_items,
                 peak_load=peak,
                 capacity=self.capacity,
@@ -341,27 +328,11 @@ class Engine:
         Processes all scheduled departures up to the item's arrival
         first — the kernel's semantics, shared with the batch simulator.
         """
-        t0 = _time.perf_counter() if self.metrics is not None else 0.0
-        self._last_opened = False
-        bin_ = self._kernel.release(item)
-        if self.metrics is not None:
-            capacity = bin_.capacity
-            self.metrics.on_arrival(
-                _time.perf_counter() - t0,
-                opened=self._last_opened,
-                residual=bin_.residual() / capacity if capacity else 0.0,
-                open_bins=self._kernel.open_bin_count,
-            )
-        if self._observers:
-            self._emit(
-                ArrivalEvent(
-                    time=self._kernel.time,
-                    seq=self.accounting.arrivals,
-                    item=item,
-                    bin_uid=bin_.uid,
-                    opened=self._last_opened,
-                )
-            )
+        kernel = self._kernel
+        t0 = _time.perf_counter() if self._metrics is not None else 0.0
+        opened_before = kernel.bins_opened
+        bin_ = kernel.release(item)
+        self._arrived(item, bin_, opened_before, t0)
         return bin_
 
     def feed_values(
@@ -376,30 +347,45 @@ class Engine:
         Identical semantics and accounting; the kernel builds the single
         boxed view itself (store rows are pre-validated), so the serve
         shards and the chunked replay path never allocate caller-side
-        :class:`Item` objects.
+        :class:`Item` objects (observers aside: their
+        :class:`~repro.engine.events.ArrivalEvent` carries one).
         """
-        t0 = _time.perf_counter() if self.metrics is not None else 0.0
-        self._last_opened = False
-        bin_ = self._kernel.release_values(arrival, departure, size, uid)
-        if self.metrics is not None:
+        kernel = self._kernel
+        t0 = _time.perf_counter() if self._metrics is not None else 0.0
+        opened_before = kernel.bins_opened
+        bin_ = kernel.release_values(arrival, departure, size, uid)
+        item = (
+            item_view(arrival, departure, size, uid)
+            if self._observers
+            else None
+        )
+        self._arrived(item, bin_, opened_before, t0)
+        return bin_
+
+    def _arrived(
+        self, item: Optional[Item], bin_: Bin, opened_before: int, t0: float
+    ) -> None:
+        """Per-arrival engine work shared by :meth:`feed`/:meth:`feed_values`."""
+        kernel = self._kernel
+        opened = self._last_opened = kernel.bins_opened != opened_before
+        if self._metrics is not None:
             capacity = bin_.capacity
-            self.metrics.on_arrival(
+            self._metrics.on_arrival(
                 _time.perf_counter() - t0,
-                opened=self._last_opened,
+                opened=opened,
                 residual=bin_.residual() / capacity if capacity else 0.0,
-                open_bins=self._kernel.open_bin_count,
+                open_bins=kernel.open_bin_count,
             )
         if self._observers:
             self._emit(
                 ArrivalEvent(
-                    time=self._kernel.time,
-                    seq=self.accounting.arrivals,
-                    item=self._last_item,
+                    time=kernel.time,
+                    seq=kernel.arrivals,
+                    item=item,
                     bin_uid=bin_.uid,
-                    opened=self._last_opened,
+                    opened=opened,
                 )
             )
-        return bin_
 
     def feed_row(self, store: ItemStore, i: int) -> Bin:
         """Feed row ``i`` of an :class:`ItemStore` (window-relative)."""
@@ -413,13 +399,12 @@ class Engine:
 
         Returns the number of rows fed.  Without metrics or observers
         this is the kernel's :meth:`~repro.core.kernel.PlacementKernel.
-        release_store` loop, the one ``simulate()`` runs; the engine's
-        accounting still sees every event through its listener hooks.
-        With either attached, rows go one by one through
-        :meth:`feed_values`, which times each arrival and emits its
-        :class:`~repro.engine.events.ArrivalEvent`.
+        release_store` loop, the one ``simulate()`` runs, and the engine
+        does no per-row work at all.  With either attached, rows go one
+        by one through :meth:`feed_values`, which times each arrival and
+        emits its :class:`~repro.engine.events.ArrivalEvent`.
         """
-        if self.metrics is None and not self._observers:
+        if self._metrics is None and not self._observers:
             return self._kernel.release_store(store, start, stop)
         arr, dep, siz, uids, w0, w1 = store.columns()
         lo = w0 + start
@@ -478,20 +463,19 @@ class Engine:
     # Results
     # ------------------------------------------------------------------ #
     def summary(self) -> EngineSummary:
-        acc = self.accounting
         kernel = self._kernel
         return EngineSummary(
             algorithm=getattr(
                 kernel.algorithm, "name", type(kernel.algorithm).__name__
             ),
             capacity=kernel.capacity,
-            items=acc.arrivals,
-            cost=acc.cost_at(kernel.time),
-            bins_opened=acc.bins_opened,
-            bins_closed=acc.bins_closed,
-            max_open=acc.max_open,
-            peak_load=acc.peak_load,
-            util_area=acc.util_area,
+            items=kernel.arrivals,
+            cost=kernel.cost_so_far,
+            bins_opened=kernel.bins_opened,
+            bins_closed=kernel.bins_closed,
+            max_open=kernel.max_open,
+            peak_load=kernel.peak_load,
+            util_area=kernel.util_area,
             final_time=kernel.time if math.isfinite(kernel.time) else None,
         )
 
@@ -506,8 +490,7 @@ class Engine:
         )
         return (
             f"Engine(algorithm={name!r}, t={kernel.time:g}, "
-            f"open={kernel.open_bin_count}, "
-            f"cost={self.accounting.cost_at(kernel.time):.6g})"
+            f"open={kernel.open_bin_count}, cost={kernel.cost_so_far:.6g})"
         )
 
 

@@ -6,16 +6,18 @@ Since the kernel refactor, ``simulate()`` and the streaming
 holds **by construction** — there is exactly one implementation of the
 placement, commit, masking and departure semantics.  This module remains
 as the regression check that keeps that claim honest (e.g. against a
-future frontend accidentally growing its own semantics, or the engine's
-listener-driven accounting drifting from the kernel's close-order
-summation).  For a given algorithm and instance it feeds the engine
-through each of its feed paths (:data:`LEGS`) and asserts, per leg, that
+future frontend accidentally growing its own semantics, or one of the
+kernel's inline total updates going missing on one release path).  For a
+given algorithm and instance it feeds the engine through each of its
+feed paths (:data:`LEGS`) and asserts, per leg, that
 
 - final **cost** matches ``simulate()`` bit-for-bit (the check still
   allows a 1e-9 slack so the contract is stated in tolerant terms),
 - **max_open** matches exactly,
 - the item→bin **assignment** matches exactly, and
-- per-bin records (open/close times, members, peak loads) match.
+- per-bin records (open/close times, members, peak loads) match, and
+- the streamed totals the checks above do not cover — ``peak_load``,
+  ``util_area`` and ``bins_closed`` — equal the boxed leg's exactly.
 
 The legs are ``boxed`` (one :class:`~repro.core.item.Item` at a time
 through :meth:`Engine.feed`), ``columnar`` (the whole
@@ -69,6 +71,8 @@ class ParityReport:
     max_open_engine: int
     assignment_equal: bool
     bins_equal: bool
+    #: ``(peak_load, util_area, bins_closed)`` equal the boxed leg's
+    totals_equal: bool
     #: the legs the ``engine_*`` fields describe: every leg run when all
     #: agreed with batch (fields from the first), else the failing one
     legs: Tuple[str, ...]
@@ -84,6 +88,7 @@ class ParityReport:
             and self.max_open_batch == self.max_open_engine
             and self.assignment_equal
             and self.bins_equal
+            and self.totals_equal
         )
 
     def __str__(self) -> str:
@@ -93,6 +98,7 @@ class ParityReport:
             f"n={self.n_items:5d}  cost {self.batch_cost:.6g} vs "
             f"{self.engine_cost:.6g} (Δ={self.cost_delta:.3g})  "
             f"max_open {self.max_open_batch} vs {self.max_open_engine}  "
+            f"{'' if self.totals_equal else 'totals differ from boxed  '}"
             f"via {'/'.join(self.legs)}"
         )
 
@@ -108,10 +114,14 @@ def check_parity(
     instances and compare; the report names the first failing leg."""
     batch = simulate(algorithm_factory(), instance, capacity=capacity)
     first = None
+    boxed_totals = None
     for leg in LEGS:
         engine = Engine(algorithm_factory(), capacity=capacity, record=True)
         summary = engine.run(_leg_source(instance, leg))
         streamed = engine.result()
+        totals = (summary.peak_load, summary.util_area, summary.bins_closed)
+        if boxed_totals is None:  # the first leg is the boxed one
+            boxed_totals = totals
         report = ParityReport(
             algorithm=batch.algorithm,
             workload=workload,
@@ -122,6 +132,7 @@ def check_parity(
             max_open_engine=summary.max_open,
             assignment_equal=streamed.assignment == batch.assignment,
             bins_equal=streamed.bins == batch.bins,
+            totals_equal=totals == boxed_totals,
             legs=(leg,),
         )
         if not report.ok:

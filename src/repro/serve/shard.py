@@ -430,7 +430,7 @@ class PlacementShard:
                 f"adaptive item id {req.id!r} is still active on this shard",
                 seq=req.seq, id=req.id, shard=self.shard_id,
             )
-        uid = self.engine.accounting.arrivals  # sequential per shard
+        uid = self.engine.kernel.arrivals  # sequential per shard
         scratch = self._scratch
         if len(scratch) >= _SCRATCH_ROWS:
             scratch.clear()
@@ -514,16 +514,16 @@ class PlacementShard:
     # Introspection (safe between event-loop steps: one thread, no locks)
     # ------------------------------------------------------------------ #
     def stats(self) -> dict:
-        acc = self.engine.accounting
+        kernel = self.engine.kernel
         return {
             "shard": self.shard_id,
             "indexed": self.engine.indexed,
-            "items": acc.arrivals,
-            "departures": acc.departures,
-            "open_bins": self.engine.open_bin_count,
-            "bins_opened": acc.bins_opened,
-            "max_open": acc.max_open,
-            "cost": acc.cost_at(self.engine.time),
+            "items": kernel.arrivals,
+            "departures": kernel.departures,
+            "open_bins": kernel.open_bin_count,
+            "bins_opened": kernel.bins_opened,
+            "max_open": kernel.max_open,
+            "cost": kernel.cost_so_far,
             "time": self._clock(),
             "accepted": self.accepted,
             "rejected": self.rejected,
@@ -607,13 +607,13 @@ class PlacementShard:
                 for client, seq, reply in (meta.get("applied") or [])
             }
         else:
-            shard.accepted = engine.accounting.arrivals
+            shard.accepted = engine.kernel.arrivals
         return shard
 
     def __repr__(self) -> str:
         return (
             f"PlacementShard(id={self.shard_id}, items="
-            f"{self.engine.accounting.arrivals}, "
+            f"{self.engine.kernel.arrivals}, "
             f"open={self.engine.open_bin_count}, "
             f"queue={self.queue.qsize()})"
         )

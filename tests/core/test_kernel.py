@@ -428,7 +428,7 @@ class TestListener:
 class TestFrontendsAreAdapters:
     def test_both_frontends_satisfy_simulation_view(self):
         assert isinstance(IncrementalSimulation(FirstFit()), SimulationView)
-        assert isinstance(Engine(FirstFit()), SimulationView)
+        assert isinstance(Engine(FirstFit()).kernel._facade, SimulationView)
         assert isinstance(PlacementKernel(FirstFit()), SimulationView)
 
     def test_incremental_simulation_passes_itself_as_facade(self):
@@ -443,7 +443,7 @@ class TestFrontendsAreAdapters:
         sim.release(Item(0.0, 1.0, 0.5, uid=0))
         assert seen[0] is sim
 
-    def test_engine_passes_itself_as_facade(self):
+    def test_engine_passes_its_kernel_as_facade(self):
         seen = []
 
         class Probe(FirstFit):
@@ -453,7 +453,7 @@ class TestFrontendsAreAdapters:
 
         eng = Engine(Probe())
         eng.feed(Item(0.0, 1.0, 0.5, uid=0))
-        assert seen[0] is eng
+        assert seen[0] is eng.kernel
 
     def test_is_open(self):
         sim = IncrementalSimulation(FirstFit())

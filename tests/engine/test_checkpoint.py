@@ -22,6 +22,19 @@ from repro.engine.checkpoint import CHECKPOINT_VERSION
 from repro.workloads import binary_input, uniform_random
 
 
+def _totals(summary):
+    """Every run total a resumed engine must reproduce bit for bit."""
+    return (
+        summary.items,
+        summary.bins_opened,
+        summary.bins_closed,
+        summary.max_open,
+        summary.peak_load,
+        summary.util_area,
+        summary.cost,
+    )
+
+
 @pytest.mark.parametrize(
     "factory,instance",
     [
@@ -52,6 +65,7 @@ def test_restore_reaches_identical_final_cost(factory, instance, cut):
     assert summary.max_open == batch.max_open
     assert resumed.result().assignment == batch.assignment
     assert resumed.result().bins == batch.bins
+    assert _totals(summary) == _totals(Engine(factory()).run(iter(items)))
 
 
 def test_snapshot_is_independent_of_live_engine():
@@ -134,18 +148,21 @@ def test_reject_v1_checkpoint_with_clear_message(tmp_path):
 
 def test_restored_kernel_hooks_rewired():
     # the kernel drops its listener/facade at pickle time; restore must
-    # re-attach them so accounting keeps tracking post-resume events
+    # re-wire them (the kernel is its own facade, the engine listens
+    # only when metered) and the kernel's totals keep tracking events
     items = list(uniform_random(40, 8, seed=12))
     eng = Engine(FirstFit())
     for it in items[:20]:
         eng.feed(it)
     resumed = restore(snapshot(eng))
-    assert resumed._kernel._listener is resumed
-    assert resumed._kernel._facade is resumed
-    before = resumed.accounting.arrivals
+    assert resumed._kernel._listener is None
+    assert resumed._kernel._facade is resumed._kernel
+    metered = Engine(FirstFit(), metrics=EngineMetrics())
+    assert restore(snapshot(metered))._kernel._listener is not None
+    before = resumed.kernel.arrivals
     for it in items[20:]:
         resumed.feed(it)
-    assert resumed.accounting.arrivals == before + 20
+    assert resumed.kernel.arrivals == before + 20
 
 
 def test_observers_not_checkpointed():
@@ -306,6 +323,18 @@ class TestV2Compat:
         assert s1.cost == s2.cost == pytest.approx(expected["final_cost"])
         assert s1.bins_opened == s2.bins_opened
 
+    def test_v2_resume_totals_match_uninterrupted_run(self, expected):
+        """The blob's pickled engine accounting seeds the kernel's
+        totals; its bins gain their peak/item-count slots on restore."""
+        from repro.workloads.io import iter_jsonl
+
+        eng = load_checkpoint(self.DATA / "checkpoint_v2_firstfit.ckpt")
+        assert eng.kernel.arrivals == expected["arrivals"]
+        self._resume(eng, expected["arrivals"])
+        resumed = eng.finish()
+        straight = Engine(FirstFit()).run(iter_jsonl(self.TRACE))
+        assert _totals(resumed) == _totals(straight)
+
 
 class TestV3BestFitCompat:
     """A BestFit v3 checkpoint written before the open-bin index was
@@ -328,7 +357,7 @@ class TestV3BestFitCompat:
         instance = load_jsonl(self.TRACE)
         batch = simulate(BestFit(), instance)
         eng = load_checkpoint(self.DATA / "checkpoint_v3_bestfit.ckpt")
-        assert eng.accounting.arrivals == 400
+        assert eng.kernel.arrivals == 400
         assert eng.indexed
         eng.feed_store(instance.store, 400)
         summary = eng.finish()
@@ -336,3 +365,14 @@ class TestV3BestFitCompat:
         assert summary.max_open == batch.max_open
         assert eng.result().assignment == batch.assignment
         assert eng.result().bins == batch.bins
+
+    def test_resume_totals_match_uninterrupted_run(self):
+        from repro.algorithms import BestFit
+        from repro.workloads.io import load_jsonl
+
+        instance = load_jsonl(self.TRACE)
+        eng = load_checkpoint(self.DATA / "checkpoint_v3_bestfit.ckpt")
+        eng.feed_store(instance.store, 400)
+        resumed = eng.finish()
+        straight = Engine(BestFit()).run(instance)
+        assert _totals(resumed) == _totals(straight)

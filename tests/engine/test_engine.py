@@ -1,10 +1,10 @@
-"""Unit tests for the streaming engine core (loop + accounting)."""
+"""Unit tests for the streaming engine core (loop + kernel-owned totals)."""
 
 import math
 
 import pytest
 
-from repro.algorithms import FirstFit, HybridAlgorithm, NextFit
+from repro.algorithms import BestFit, FirstFit, HybridAlgorithm, NextFit
 from repro.core.errors import (
     ClairvoyanceError,
     PackingError,
@@ -17,9 +17,11 @@ from repro.engine import (
     ArrivalEvent,
     DepartureEvent,
     Engine,
-    RunningAccounting,
+    EngineMetrics,
     replay,
 )
+from repro.core.kernel import PlacementKernel
+from repro.core.profile import open_count_profile
 from repro.workloads import uniform_random
 
 
@@ -68,7 +70,7 @@ class TestEngineBasics:
         assert eng.cost_so_far == pytest.approx(3.0 + 2.0)
         assert eng.open_bin_count == 1
         eng.finish()
-        assert eng.accounting.cost == pytest.approx(4.0 + 2.0)
+        assert eng.kernel.closed_usage == pytest.approx(4.0 + 2.0)
 
     def test_constant_memory_keeps_no_history(self):
         inst = uniform_random(200, 16, seed=2)
@@ -149,7 +151,7 @@ class TestObservers:
         times = [e.time for e in events]
         assert times == sorted(times)
         closed = [e for e in events if isinstance(e, DepartureEvent) and e.closed]
-        assert len(closed) == eng.accounting.bins_closed
+        assert len(closed) == eng.kernel.bins_closed
 
     def test_arrival_event_payload(self):
         events = []
@@ -161,54 +163,95 @@ class TestObservers:
         assert ev.bin_uid == bin_.uid and ev.opened
 
 
+class TestListenerWiring:
+    """The engine joins the kernel's listeners only for per-event work."""
+
+    def test_plain_engine_is_not_a_listener(self):
+        eng = Engine(BestFit())
+        assert eng.kernel._listener is None
+        assert eng.kernel._facade is eng.kernel
+
+    def test_metered_engine_listens(self):
+        eng = Engine(BestFit(), metrics=EngineMetrics())
+        assert eng.kernel._listener is eng
+        late = Engine(BestFit())
+        late.metrics = EngineMetrics()
+        assert late.kernel._listener is late
+
+    @pytest.mark.parametrize("path", ["feed", "feed_store"])
+    def test_late_observer_sees_every_later_event(self, path):
+        inst = uniform_random(120, 16, seed=5)
+        items = list(inst)
+        k = 40
+        eng = Engine(BestFit())
+        for it in items[:k]:
+            eng.feed(it)
+        departed_before = eng.kernel.departures
+        events = []
+        eng.subscribe(events.append)
+        assert eng.kernel._listener is eng
+        if path == "feed":
+            for it in items[k:]:
+                eng.feed(it)
+        else:
+            eng.feed_store(inst.store, k)
+        eng.finish()
+        arrivals = [e for e in events if isinstance(e, ArrivalEvent)]
+        departures = [e for e in events if isinstance(e, DepartureEvent)]
+        assert [e.item.uid for e in arrivals] == [it.uid for it in items[k:]]
+        assert [e.seq for e in arrivals] == list(range(k + 1, len(items) + 1))
+        assert len(departures) == len(items) - departed_before
+        assert [e.seq for e in departures] == list(
+            range(departed_before + 1, len(items) + 1)
+        )
+
+
 class TestRunningAccounting:
+    """The run's totals, kept by the kernel (no engine-side copy)."""
+
     def test_cost_identity(self):
-        acc = RunningAccounting()
-        acc.advance(0.0)
-        acc.on_open(0.0)
-        acc.on_open(1.0)
-        assert acc.cost_at(4.0) == pytest.approx(4.0 + 3.0)
-        acc.on_close(0.0, 5.0)
-        acc.on_close(1.0, 5.0)
-        assert acc.cost == pytest.approx(5.0 + 4.0)
-        assert acc.max_open == 2 and acc.open_count == 0
+        k = PlacementKernel(FirstFit())
+        k.release(Item(0.0, 5.0, 0.9, uid=0))
+        k.release(Item(1.0, 5.0, 0.9, uid=1))  # a second bin, opened at 1
+        k.run_until(4.0)
+        assert k.cost_so_far == pytest.approx(4.0 + 3.0)
+        k.drain()
+        assert k.closed_usage == pytest.approx(5.0 + 4.0)
+        assert k.max_open == 2 and k.open_bin_count == 0
 
     def test_util_area_integration(self):
-        acc = RunningAccounting()
-        acc.advance(0.0)
-        acc.on_arrival(0.5)
-        acc.advance(2.0)  # 0.5 * 2
-        acc.on_arrival(0.3)
-        acc.advance(3.0)  # 0.8 * 1
-        assert acc.util_area == pytest.approx(0.5 * 2 + 0.8)
-        assert acc.peak_load == pytest.approx(0.8)
+        k = PlacementKernel(FirstFit())
+        k.release(Item(0.0, 10.0, 0.5, uid=0))
+        k.release(Item(2.0, 10.0, 0.3, uid=1))  # 0.5 * 2
+        k.run_until(3.0)  # 0.8 * 1
+        assert k.util_area == pytest.approx(0.5 * 2 + 0.8)
+        assert k.peak_load == pytest.approx(0.8)
 
     def test_profile_requires_flag(self):
-        acc = RunningAccounting()
+        k = PlacementKernel(FirstFit())
         with pytest.raises(ValueError):
-            acc.open_profile()
+            open_count_profile(k.open_count_events)
 
     def test_open_profile_matches_batch(self):
         inst = uniform_random(80, 8, seed=4)
         batch = simulate(FirstFit(), inst)
         eng = Engine(FirstFit(), record_profile=True)
         eng.run(iter(inst))
-        prof = eng.accounting.open_profile()
+        prof = open_count_profile(eng.kernel.open_count_events)
         expected = batch.open_bins_profile()
         assert prof.integral() == pytest.approx(expected.integral())
         assert int(prof.max()) == batch.max_open
 
     def test_to_dict_snapshot(self):
-        acc = RunningAccounting()
-        snap = acc.to_dict()
-        assert snap["time"] is None and snap["cost_so_far"] == 0.0
+        snap = Engine(FirstFit()).summary().to_dict()
+        assert snap["final_time"] is None and snap["cost"] == 0.0
 
     def test_engine_load_tracks_active_sizes(self):
         eng = Engine(FirstFit())
         eng.feed(Item(0.0, 4.0, 0.5, uid=0))
         eng.feed(Item(1.0, 2.0, 0.25, uid=1))
-        assert eng.accounting.load == pytest.approx(0.75)
+        assert eng.kernel.load == pytest.approx(0.75)
         eng.advance_to(3.0)
-        assert eng.accounting.load == pytest.approx(0.5)
+        assert eng.kernel.load == pytest.approx(0.5)
         eng.finish()
-        assert eng.accounting.load == 0.0
+        assert eng.kernel.load == 0.0

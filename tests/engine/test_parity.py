@@ -76,6 +76,37 @@ class TestParitySweep:
         # legs run in order, so the boxed leg passed before this one
         assert not report.ok and report.legs == ("columnar",)
 
+    def test_missing_total_update_is_caught_and_named(self, monkeypatch):
+        """Drop the ``util_area`` update from ``release_store``'s
+        no-departure clock move: cost, bins and assignment stay intact,
+        so only the totals comparison catches it, on the columnar leg."""
+        import inspect
+        import textwrap
+
+        from repro.core import kernel as kernel_mod
+
+        source = textwrap.dedent(
+            inspect.getsource(kernel_mod.PlacementKernel.release_store)
+        )
+        update = "self.util_area += self.load * (arrival - self.time)"
+        assert source.count(update) == 1
+        namespace: dict = {}
+        exec(
+            compile(source.replace(update, "pass"), kernel_mod.__file__, "exec"),
+            vars(kernel_mod),
+            namespace,
+        )
+        monkeypatch.setattr(
+            kernel_mod.PlacementKernel, "release_store", namespace["release_store"]
+        )
+        instance = default_parity_cells(seed=0)[0][2]
+        report = check_parity(_registry()["BestFit"], instance)
+        assert not report.ok and report.legs == ("columnar",)
+        assert not report.totals_equal
+        assert report.assignment_equal and report.bins_equal
+        assert report.engine_cost == report.batch_cost
+        assert "totals differ" in str(report)
+
     def test_registry_fully_covered(self):
         from repro.parallel import ALGORITHM_REGISTRY
 

@@ -95,7 +95,7 @@ class TestShardApply:
         reply = shard.apply(Request(op="depart", id="job", time=2.0))
         assert reply["ok"]
         assert shard.stats()["live_adaptive"] == 0
-        assert shard.engine.accounting.departures == 1
+        assert shard.engine.kernel.departures == 1
 
     def test_duplicate_live_adaptive_id_rejected(self):
         shard = PlacementShard(0, FirstFit(clairvoyant=False))
