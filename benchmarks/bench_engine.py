@@ -56,10 +56,9 @@ def _child(mode: str, trace: str) -> None:
 
     start = time.perf_counter()
     if mode == "engine":
-        from repro.engine import Engine
-        from repro.workloads import iter_jsonl
+        from repro.engine import Engine, open_trace
 
-        summary = Engine(FirstFit()).run(iter_jsonl(trace))
+        summary = Engine(FirstFit()).run(open_trace(trace))
         items, cost = summary.items, summary.cost
     elif mode == "batch":
         from repro.core.simulation import simulate

@@ -132,10 +132,10 @@ def _child(mode: str, trace: str) -> None:
         )
         items_n, cost = len(result.items), result.cost
     elif mode == "replay":  # streaming engine over bounded column chunks
-        from repro.engine import Engine, open_trace_stores
+        from repro.engine import Engine, open_trace
 
         summary = Engine(BestFit(), indexed=True).run(
-            open_trace_stores(trace)
+            open_trace(trace)
         )
         items_n, cost = summary.items, summary.cost
     else:  # pragma: no cover - driver bug

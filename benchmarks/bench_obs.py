@@ -96,15 +96,14 @@ def _child(frontend: str, variant: str, trace: str) -> None:
         result = simulate(BestFit(), load_jsonl(trace), listener=listener)
         items, cost = len(result.items), result.cost
     elif frontend == "replay":
-        from repro.engine import Engine
-        from repro.workloads import iter_jsonl
+        from repro.engine import Engine, open_trace
 
         engine = Engine(
             BestFit(),
             tracer=tracer,
             listeners=(listener,) if listener is not None else (),
         )
-        summary = engine.run(iter_jsonl(trace))
+        summary = engine.run(open_trace(trace))
         items, cost = summary.items, summary.cost
     else:  # pragma: no cover - driver bug
         raise SystemExit(f"unknown frontend {frontend!r}")

@@ -72,8 +72,7 @@ def _child(variant: str, trace: str) -> None:
     import time
 
     from repro.algorithms import BestFit
-    from repro.engine import Engine
-    from repro.workloads import iter_jsonl
+    from repro.engine import Engine, open_trace
 
     sampler = None
     if variant == "on":
@@ -84,7 +83,7 @@ def _child(variant: str, trace: str) -> None:
 
     start = time.perf_counter()
     engine = Engine(BestFit())
-    summary = engine.run(iter_jsonl(trace))
+    summary = engine.run(open_trace(trace))
     elapsed = time.perf_counter() - start
 
     samples = None

@@ -40,16 +40,16 @@ __all__ = [
 
 @runtime_checkable
 class SimulationView(Protocol):
-    """The facade every frontend hands to ``place()`` and the notify hooks.
+    """The ``sim`` every frontend hands to ``place()`` and the notify hooks.
 
     This is the formal contract between algorithms/adversaries and the
-    simulation they run inside.  Two objects satisfy it — the
-    :class:`~repro.core.kernel.PlacementKernel` itself (what
-    ``simulate()``, the streaming :class:`~repro.engine.loop.Engine` and
-    the adversaries hand algorithms) and the batch
-    :class:`~repro.core.simulation.IncrementalSimulation`, a thin adapter
-    over it — so every method has exactly one implementation of its
-    semantics.
+    simulation they run inside.  One class implements it — the
+    :class:`~repro.core.kernel.PlacementKernel`, which hands itself to
+    the algorithm under ``simulate()``, the streaming
+    :class:`~repro.engine.loop.Engine` and the adversaries'
+    :class:`~repro.core.simulation.IncrementalSimulation` (a recording
+    kernel subclass) — so every method has exactly one implementation of
+    its semantics.
 
     The candidate queries (:meth:`first_fit` … :meth:`fitting_bins`)
     mirror the classical Any-Fit rules and run in O(log n) via the

@@ -692,7 +692,7 @@ def _replay(args) -> int:
         EngineMetrics,
         JSONSink,
         load_checkpoint,
-        open_trace_stores,
+        open_trace,
         save_checkpoint,
     )
     from .parallel import ALGORITHM_REGISTRY, _registry
@@ -761,7 +761,7 @@ def _replay(args) -> int:
         )
         skip = 0
 
-    source = open_trace_stores(args.trace, format=args.format)
+    source = open_trace(args.trace, format=args.format)
     ckpt_path = args.checkpoint or f"{args.trace}.ckpt"
     every = max(0, args.checkpoint_every)
     limit = args.limit or None
@@ -782,16 +782,16 @@ def _replay(args) -> int:
             if fed < skip:  # already applied before the checkpoint
                 i = min(skip - fed, take)
                 fed += i
-            if every:
-                while i < take:
-                    engine.feed_row(chunk, i)
-                    fed += 1
-                    i += 1
-                    if fed % every == 0:
-                        save_checkpoint(engine, ckpt_path)
-            elif i < take:
-                engine.feed_store(chunk, i, take)
-                fed += take - i
+            while i < take:
+                # stop at the next checkpoint boundary, if one is due
+                j = take
+                if every:
+                    j = min(take, i + every - fed % every)
+                engine.feed_store(chunk, i, j)
+                fed += j - i
+                i = j
+                if every and fed % every == 0:
+                    save_checkpoint(engine, ckpt_path)
 
     from .obs.invariants import InvariantViolationError
 

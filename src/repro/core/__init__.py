@@ -3,9 +3,9 @@
 Everything above this package (algorithms, adversaries, offline oracles,
 experiments, the streaming engine) is built on these primitives.  The
 single source of simulation semantics is
-:class:`~repro.core.kernel.PlacementKernel`; ``simulate`` and
-``IncrementalSimulation`` here (and :class:`repro.engine.Engine`) are
-thin frontends over it.
+:class:`~repro.core.kernel.PlacementKernel`: ``simulate`` here (and
+:class:`repro.engine.Engine`) drive one, and ``IncrementalSimulation``
+is one, with recording switched on.
 """
 
 from .bins import Bin, BinRecord, LOAD_EPS

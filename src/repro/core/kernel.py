@@ -3,9 +3,12 @@
 Every frontend that drives an online algorithm — the batch
 :func:`~repro.core.simulation.simulate`, the incremental
 :class:`~repro.core.simulation.IncrementalSimulation` used by the
-Section-4 adaptive adversaries, and the streaming
-:class:`~repro.engine.loop.Engine` — is a thin adapter over one
-:class:`PlacementKernel`.  The kernel owns, in one place:
+Section-4 adaptive adversaries (a recording kernel subclass), and the
+streaming :class:`~repro.engine.loop.Engine` — runs one
+:class:`PlacementKernel`.  Arrivals enter through exactly two doors:
+:meth:`~PlacementKernel.release` for one boxed item and
+:meth:`~PlacementKernel.release_store` for a columnar window.  The
+kernel owns, in one place:
 
 - the **open-bin table** (insertion order = opening order = first-fit
   order) and the **pending-bin open/commit protocol** that validates
@@ -29,14 +32,15 @@ Section-4 adaptive adversaries, and the streaming
   and record-mode history from which :meth:`result` builds an audited
   :class:`~repro.core.result.PackingResult`.
 
-Because both frontends call the same ``release``/``depart``/``advance``
-/``commit`` code, batch/stream parity holds **by construction**; the
-sweep in :mod:`repro.engine.parity` remains only as a regression guard.
+Because every frontend calls the same ``release``/``release_store``/
+``depart``/``advance``/``commit`` code, batch/stream parity holds **by
+construction**; the sweep in :mod:`repro.engine.parity` remains only as
+a regression guard.
 
 Indexed placement
 -----------------
 The kernel keeps an :class:`OpenBinIndex` over the open bins so the
-Any-Fit candidate queries exposed on the facade (:meth:`first_fit`,
+Any-Fit candidate queries algorithms call on ``sim`` (:meth:`first_fit`,
 :meth:`best_fit`, :meth:`worst_fit`, :meth:`last_fit`) run in O(log n)
 instead of scanning every open bin.  Its two structures — a
 residual-sorted list and a max-residual segment tree in opening order —
@@ -45,20 +49,16 @@ so an algorithm only pays upkeep for the queries it actually makes.
 Construct with ``indexed=False`` to fall back to the plain linear scans
 (same results; used as the benchmark baseline and as a safety valve).
 
-Frontends integrate through two hooks passed at construction:
-
-``facade``
-    The object handed to ``algorithm.place(view, facade)`` and the
-    notify hooks; defaults to the kernel itself, which satisfies the
-    :class:`~repro.algorithms.base.SimulationView` protocol (``simulate()``
-    and the streaming engine both use that default).
-    :class:`~repro.core.simulation.IncrementalSimulation` passes itself.
-``listener``
-    Receives ``on_advance`` / ``on_open`` / ``on_arrival`` /
-    ``on_departure`` / ``on_close`` callbacks in exact event order.  The
-    totals never depend on it: the streaming engine attaches only while
-    it has per-event work (metrics, observers), and observability
-    listeners (tracing, invariant monitors) ride alongside.
+The kernel hands itself to ``algorithm.place(view, sim)`` and the notify
+hooks: it satisfies the :class:`~repro.algorithms.base.SimulationView`
+protocol, and :class:`~repro.core.simulation.IncrementalSimulation` is a
+kernel subclass, so ``sim`` is always the object the caller built.
+Frontends observe it through one hook passed at construction,
+``listener``, which receives ``on_advance`` / ``on_open`` /
+``on_arrival`` / ``on_departure`` / ``on_close`` callbacks in exact
+event order.  The totals never depend on it: the streaming engine
+attaches only while it has per-event work (metrics, observers), and
+observability listeners (tracing, invariant monitors) ride alongside.
 """
 
 from __future__ import annotations
@@ -386,9 +386,6 @@ class PlacementKernel:
         results).
     listener:
         Optional :class:`KernelListener` receiving every event.
-    facade:
-        The ``sim`` object algorithms and notify hooks see; defaults to
-        the kernel itself (adversaries drive the kernel directly).
     """
 
     def __init__(
@@ -400,7 +397,6 @@ class PlacementKernel:
         record_events: bool = False,
         indexed: bool = True,
         listener: Optional[KernelListener] = None,
-        facade=None,
     ) -> None:
         if capacity <= 0:
             raise SimulationError(f"capacity must be positive, got {capacity}")
@@ -441,7 +437,6 @@ class PlacementKernel:
             )
         self._listener = listener
         self._bind_listener(listener)
-        self._facade = facade if facade is not None else self
         # record-mode history (stays empty unless record=True)
         self._items: List[Item] = []
         self._records: List[BinRecord] = []
@@ -455,7 +450,7 @@ class PlacementKernel:
         self._close_hook = _own_hook(algorithm, "notify_close")
 
     # ------------------------------------------------------------------ #
-    # The facade surface (SimulationView protocol)
+    # The SimulationView surface algorithms see
     # ------------------------------------------------------------------ #
     @property
     def open_bins(self) -> tuple[Bin, ...]:
@@ -617,117 +612,24 @@ class PlacementKernel:
         """Release ``item`` to the algorithm and return the bin it chose.
 
         Processes all scheduled departures up to the item's arrival
-        first (departures-before-arrivals at equal times).
+        first (departures-before-arrivals at equal times).  A rejected
+        item (out of order, or an unknown departure for a clairvoyant
+        algorithm) leaves the kernel untouched, clock included.
         """
         if item.arrival < self.time:
             raise SimulationError(
                 f"items must be released in arrival order: {item} arrives at "
                 f"{item.arrival} but the clock is at {self.time}"
             )
-        self._advance(item.arrival)
         masked = self._masked
         if item.departure is None and not masked:
             raise ClairvoyanceError(
                 f"clairvoyant algorithm {self.algorithm!r} received an item "
                 "with unknown departure"
             )
+        self._advance(item.arrival)
         view = item.masked() if masked else item
-        return self._finish_release(item, view)
-
-    def release_values(
-        self,
-        arrival: float,
-        departure: Optional[float],
-        size: float,
-        uid: int,
-    ) -> Bin:
-        """Columnar :meth:`release`: the same semantics, from plain scalars.
-
-        The hot path for store-backed frontends — no caller-side
-        :class:`Item` allocation; the kernel builds exactly one
-        (pre-validated) boxed view per arrival, two when masking hides
-        the departure from the algorithm.  Values must already satisfy
-        :class:`Item`'s invariants (store rows are validated on append).
-        """
-        if arrival < self.time:
-            raise SimulationError(
-                "items must be released in arrival order: "
-                f"{item_view(arrival, departure, size, uid)} arrives at "
-                f"{arrival} but the clock is at {self.time}"
-            )
-        self._advance(arrival)
-        masked = self._masked
-        if departure is None and not masked:
-            raise ClairvoyanceError(
-                f"clairvoyant algorithm {self.algorithm!r} received an item "
-                "with unknown departure"
-            )
-        item = item_view(arrival, departure, size, uid)
-        view = item_view(arrival, None, size, uid) if masked else item
-        return self._finish_release(item, view)
-
-    def release_store(self, store, start: int = 0, stop: Optional[int] = None):
-        """Release rows ``[start, stop)`` of an :class:`ItemStore` in order.
-
-        The batch ``simulate()`` loop: :meth:`release_values` semantics,
-        hand-inlined straight over the store's columns — no per-row
-        method dispatch, no ``_advance`` call when no departure is due —
-        and returns the number of rows released.  Decision-for-decision
-        identical to calling :meth:`release` on each row's item.
-        """
-        arr, dep, siz, uids, w0, w1 = store.columns()
-        lo = w0 + start
-        hi = w1 if stop is None else w0 + stop
-        masked = self._masked
-        place = self.algorithm.place
-        facade = self._facade
-        advance = self._advance
-        commit = self._commit
-        dq = self._departures
-        push = heapq.heappush
-        # zip iteration over the raw columns is ~2x cheaper than
-        # per-index array reads; islice bounds it to the window
-        for arrival, d, size, uid in islice(
-            zip(arr, dep, siz, uids), lo, hi
-        ):
-            if arrival < self.time:
-                raise SimulationError(
-                    "items must be released in arrival order: "
-                    f"{item_view(arrival, d if d == d else None, size, uid)} "
-                    f"arrives at {arrival} but the clock is at {self.time}"
-                )
-            if dq and dq[0][0] <= arrival:
-                advance(arrival)
-            elif arrival > self.time:  # _advance's no-departure tail
-                if self.time != _NEG_INF:
-                    self.util_area += self.load * (arrival - self.time)
-                if self._listener is not None:
-                    self._listener.on_advance(arrival)
-                self.time = arrival
-            departure = d if d == d else None
-            if departure is None and not masked:
-                raise ClairvoyanceError(
-                    f"clairvoyant algorithm {self.algorithm!r} received an "
-                    "item with unknown departure"
-                )
-            item = item_view(arrival, departure, size, uid)
-            view = item_view(arrival, None, size, uid) if masked else item
-            chosen = place(view, facade)
-            opened = self._pending_bin is not None
-            bin_ = commit(item, view, chosen, opened)
-            if departure is not None:
-                push(dq, (departure, self._seq, uid))
-                self._seq += 1
-            else:
-                self._adaptive.add(uid)
-            listener = self._listener
-            if listener is not None:
-                listener.on_arrival(item, bin_, opened)
-        return hi - lo
-
-    def _finish_release(self, item: Item, view: Item) -> Bin:
-        """The shared tail of every release: place, commit, schedule."""
-        chosen = self.algorithm.place(view, self._facade)
+        chosen = self.algorithm.place(view, self)
         opened = self._pending_bin is not None
         bin_ = self._commit(item, view, chosen, opened)
         if item.departure is not None:
@@ -740,6 +642,66 @@ class PlacementKernel:
         if self._listener is not None:
             self._listener.on_arrival(item, bin_, opened)
         return bin_
+
+    def release_store(self, store, start: int = 0, stop: Optional[int] = None):
+        """Release rows ``[start, stop)`` of an :class:`ItemStore` in order.
+
+        The columnar :meth:`release`, hand-inlined straight over the
+        store's columns — no per-row method dispatch, no ``_advance``
+        call when no departure is due — returning the number of rows
+        released.  The rows are ``store.slice(start, stop)``'s, so an
+        out-of-window range raises :class:`InvalidInstanceError`.
+        Decision-for-decision identical to calling :meth:`release` on
+        each row's item.
+        """
+        if stop is None:
+            stop = len(store)
+        arr, dep, siz, uids, lo, hi = store.slice(start, stop).columns()
+        masked = self._masked
+        place = self.algorithm.place
+        advance = self._advance
+        commit = self._commit
+        dq = self._departures
+        push = heapq.heappush
+        # zip iteration over the raw columns is ~2x cheaper than
+        # per-index array reads; islice bounds it to the window
+        for arrival, d, size, uid in islice(
+            zip(arr, dep, siz, uids), lo, hi
+        ):
+            departure = d if d == d else None
+            if arrival < self.time:
+                raise SimulationError(
+                    "items must be released in arrival order: "
+                    f"{item_view(arrival, departure, size, uid)} "
+                    f"arrives at {arrival} but the clock is at {self.time}"
+                )
+            if departure is None and not masked:
+                raise ClairvoyanceError(
+                    f"clairvoyant algorithm {self.algorithm!r} received an "
+                    "item with unknown departure"
+                )
+            if dq and dq[0][0] <= arrival:
+                advance(arrival)
+            elif arrival > self.time:  # _advance's no-departure tail
+                if self.time != _NEG_INF:
+                    self.util_area += self.load * (arrival - self.time)
+                if self._listener is not None:
+                    self._listener.on_advance(arrival)
+                self.time = arrival
+            item = item_view(arrival, departure, size, uid)
+            view = item_view(arrival, None, size, uid) if masked else item
+            chosen = place(view, self)
+            opened = self._pending_bin is not None
+            bin_ = commit(item, view, chosen, opened)
+            if departure is not None:
+                push(dq, (departure, self._seq, uid))
+                self._seq += 1
+            else:
+                self._adaptive.add(uid)
+            listener = self._listener
+            if listener is not None:
+                listener.on_arrival(item, bin_, opened)
+        return hi - lo
 
     def depart(self, uid: int, time: float) -> None:
         """Force an adaptive item (unknown departure) out at ``time``.
@@ -854,7 +816,7 @@ class PlacementKernel:
             self._departed_at[uid] = t
         hook = self._dep_hook
         if hook is not None:
-            hook(removed, bin_, self._facade)
+            hook(removed, bin_, self)
         closed = not bin_._contents
         if closed:
             self._close(bin_, t)
@@ -897,7 +859,7 @@ class PlacementKernel:
             self._listener.on_close(bin_, t, usage, peak, bin_.items_held)
         hook = self._close_hook
         if hook is not None:
-            hook(bin_, self._facade)
+            hook(bin_, self)
 
     def _commit(self, item: Item, view: Item, chosen, opened: bool) -> Bin:
         """Validate the algorithm's choice and commit the placement.
@@ -958,7 +920,6 @@ class PlacementKernel:
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_listener"] = None
-        state["_facade"] = None
         # the index is derived state: record only whether there was one
         state["_index"] = self._index is not None
         # bound-method caches are recomputed on restore, not serialized
@@ -972,13 +933,14 @@ class PlacementKernel:
         # keep both in per-uid dicts; only open bins still need them
         peak = state.pop("_peak", None)
         counts = state.pop("_bin_count", None)
+        # blobs from when frontends could substitute the ``sim`` object
+        # pickle the (then always self) facade slot as None
+        state.pop("_facade", None)
         self.__dict__.update(state)
         if peak is not None:
             for uid, bin_ in self._open.items():
                 bin_.peak_load = peak.get(uid, 0.0)
                 bin_.items_held = counts.get(uid, 0)
-        if self._facade is None:
-            self._facade = self
         # blobs written before the index was demand-built pickle the
         # index object itself, in a layout without the open-bin table;
         # either way a fresh index over the restored bins replaces it
@@ -995,6 +957,6 @@ class PlacementKernel:
     def __repr__(self) -> str:
         name = getattr(self.algorithm, "name", type(self.algorithm).__name__)
         return (
-            f"PlacementKernel(algorithm={name!r}, t={self.time:g}, "
+            f"{type(self).__name__}(algorithm={name!r}, t={self.time:g}, "
             f"open={len(self._open)}, cost={self.cost_so_far:.6g})"
         )

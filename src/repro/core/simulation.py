@@ -14,33 +14,33 @@ Two entry points:
 All simulation semantics — half-open intervals, departures-before-arrivals
 at equal ``t``, release-order tie-breaks, bin-closes-when-empty,
 clairvoyance masking, the pending-bin commit protocol — live in
-:class:`~repro.core.kernel.PlacementKernel`; this module only adapts the
-kernel to the batch calling conventions.  The streaming engine
+:class:`~repro.core.kernel.PlacementKernel`; ``IncrementalSimulation`` is
+that kernel with recording switched on, and ``simulate`` drives a
+recording kernel through one instance.  The streaming engine
 (:mod:`repro.engine.loop`) wraps the *same* kernel, so batch/stream parity
 holds by construction.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Optional
+from typing import Iterable
 
-from .bins import Bin
 from .instance import Instance
-from .item import Item
 from .kernel import PlacementKernel
 from .result import PackingResult
 
 __all__ = ["IncrementalSimulation", "simulate", "simulate_many"]
 
 
-class IncrementalSimulation:
+class IncrementalSimulation(PlacementKernel):
     """Drives one online algorithm over a stream of items.
 
-    A thin, fully-recording adapter over
-    :class:`~repro.core.kernel.PlacementKernel`: it keeps complete history
-    (items, bin records, assignment, the ON_t event log) so
-    :meth:`finish` can return an audited
-    :class:`~repro.core.result.PackingResult`.
+    A fully-recording :class:`~repro.core.kernel.PlacementKernel`: it
+    keeps complete history (items, bin records, assignment, the ON_t
+    event log) so :meth:`finish` returns an audited
+    :class:`~repro.core.result.PackingResult`.  Adversaries call the
+    kernel's ``release``/``depart``/``run_until`` and inspect its state
+    between calls; ``place()`` sees this very object as its ``sim``.
 
     Parameters
     ----------
@@ -69,98 +69,14 @@ class IncrementalSimulation:
         indexed: bool = True,
         listener=None,
     ) -> None:
-        self._kernel = PlacementKernel(
+        super().__init__(
             algorithm,
             capacity=capacity,
             record=True,
             record_events=True,
             indexed=indexed,
             listener=listener,
-            facade=self,
         )
-
-    # ------------------------------------------------------------------ #
-    # Inspection API (used by algorithms and adversaries)
-    # ------------------------------------------------------------------ #
-    @property
-    def algorithm(self):
-        return self._kernel.algorithm
-
-    @property
-    def capacity(self) -> float:
-        return self._kernel.capacity
-
-    @property
-    def time(self) -> float:
-        return self._kernel.time
-
-    @property
-    def open_bins(self) -> tuple[Bin, ...]:
-        """Currently open bins, oldest first (first-fit order)."""
-        return self._kernel.open_bins
-
-    @property
-    def open_bin_count(self) -> int:
-        return self._kernel.open_bin_count
-
-    @property
-    def cost_so_far(self) -> float:
-        """Usage time accumulated by closed bins plus open bins up to now."""
-        return self._kernel.cost_so_far
-
-    def is_open(self, uid: int) -> bool:
-        """Whether bin ``uid`` is currently open (O(1))."""
-        return self._kernel.is_open(uid)
-
-    def open_bin(self, tag: Hashable = None) -> Bin:
-        """Called *by the algorithm inside place()* to open a fresh bin.
-
-        The returned bin must be the one ``place`` returns; opening more
-        than one bin per placement is an error.
-        """
-        return self._kernel.open_bin(tag)
-
-    # indexed candidate queries (SimulationView protocol)
-    def first_fit(self, item: Item) -> Optional[Bin]:
-        return self._kernel.first_fit(item)
-
-    def best_fit(self, item: Item) -> Optional[Bin]:
-        return self._kernel.best_fit(item)
-
-    def worst_fit(self, item: Item) -> Optional[Bin]:
-        return self._kernel.worst_fit(item)
-
-    def last_fit(self, item: Item) -> Optional[Bin]:
-        return self._kernel.last_fit(item)
-
-    def fitting_bins(self, item: Item) -> list[Bin]:
-        return self._kernel.fitting_bins(item)
-
-    # ------------------------------------------------------------------ #
-    # Driving API
-    # ------------------------------------------------------------------ #
-    def release(self, item: Item) -> Bin:
-        """Release ``item`` to the algorithm and return the bin it chose."""
-        return self._kernel.release(item)
-
-    def depart(self, uid: int, time: float) -> None:
-        """Force an adaptive item (released with unknown departure) out.
-
-        Used by non-clairvoyant adversaries that decide departure times as a
-        function of the algorithm's behaviour.
-        """
-        self._kernel.depart(uid, time)
-
-    def run_until(self, time: float) -> None:
-        """Advance the clock to ``time``, processing scheduled departures."""
-        self._kernel.run_until(time)
-
-    def finish(self) -> PackingResult:
-        """Process all remaining departures and return the final result."""
-        return self._kernel.finish()
-
-    def __repr__(self) -> str:
-        return f"IncrementalSimulation({self._kernel!r})"
 
 
 def simulate(

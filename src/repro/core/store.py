@@ -16,9 +16,9 @@ view.
 Layering (who holds columns, who holds views)
 ---------------------------------------------
 - **Stores hold columns.**  :class:`~repro.core.instance.Instance`, the
-  trace loaders in :mod:`repro.workloads.io`, the streaming engine's
-  chunked sources and the serve shards' decode scratch all keep their
-  items in an :class:`ItemStore`.
+  trace loaders in :mod:`repro.workloads.io` and the streaming
+  engine's chunked sources all keep their items in an
+  :class:`ItemStore`.
 - **Views are transient.**  Algorithm code keeps receiving real
   :class:`Item` objects — :meth:`ItemStore.item` materializes a lazy,
   already-validated view via :func:`item_view` (which skips
@@ -31,7 +31,7 @@ Slices are **zero-copy**: :meth:`ItemStore.slice` shares the parent's
 column arrays and narrows a ``(start, stop)`` window, so slicing a
 million-item instance allocates four references, not four copies.
 Windowed (sliced) stores are read-only; only a root store accepts
-:meth:`append`/:meth:`pop`/:meth:`clear`/:meth:`sort_by_arrival`.
+:meth:`append`/:meth:`extend_columns`/:meth:`sort_by_arrival`.
 
 Validation mirrors :class:`Item` exactly — same checks, same error
 messages — so loaders report identical diagnostics whichever plane they
@@ -228,26 +228,6 @@ class ItemStore:
         )
         self._uid_rows = None
         return row
-
-    def pop(self) -> None:
-        """Drop the last row (root stores only) — the decode-failure path."""
-        if self._stop is not None or self._start:
-            raise InvalidInstanceError("cannot pop from a sliced ItemStore")
-        self.arrivals.pop()
-        self.departures.pop()
-        self.sizes.pop()
-        self.uids.pop()
-        self._uid_rows = None
-
-    def clear(self) -> None:
-        """Empty a root store in place (scratch-buffer reuse)."""
-        if self._stop is not None or self._start:
-            raise InvalidInstanceError("cannot clear a sliced ItemStore")
-        del self.arrivals[:]
-        del self.departures[:]
-        del self.sizes[:]
-        del self.uids[:]
-        self._uid_rows = None
 
     # ------------------------------------------------------------------ #
     # Shape and access

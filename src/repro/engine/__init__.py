@@ -13,15 +13,20 @@ stream run the *same* kernel, so they agree bit-for-bit by construction
 Quickstart::
 
     from repro import FirstFit
-    from repro.engine import Engine, iter_jsonl
+    from repro.engine import Engine, open_trace
 
     engine = Engine(FirstFit())
-    summary = engine.run(iter_jsonl("trace.jsonl"))
+    summary = engine.run(open_trace("trace.jsonl"))
     print(summary.cost, summary.max_open)
 
 or from the shell::
 
     repro-dbp replay trace.jsonl --algo HybridAlgorithm --metrics m.json
+
+Arrivals reach the kernel through one per-item path,
+:meth:`Engine.feed`, and one columnar path, :meth:`Engine.feed_store`;
+:func:`open_trace` reads a JSONL or CSV trace as bounded columnar
+chunks for the latter.
 """
 
 from .checkpoint import (
@@ -51,13 +56,9 @@ from .metrics import (
 from .parity import ParityReport, check_parity, default_parity_cells, parity_suite
 from .stream import (
     ItemSource,
-    iter_csv,
-    iter_instance,
-    iter_jsonl,
     iter_tuples,
     merge,
     open_trace,
-    open_trace_stores,
     ordered,
     trace_format,
 )
@@ -94,13 +95,9 @@ __all__ = [
     "parity_suite",
     "default_parity_cells",
     "ItemSource",
-    "iter_instance",
-    "iter_jsonl",
-    "iter_csv",
     "iter_tuples",
     "ordered",
     "merge",
     "open_trace",
-    "open_trace_stores",
     "trace_format",
 ]

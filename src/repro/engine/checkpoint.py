@@ -263,8 +263,8 @@ def restore(checkpoint: Checkpoint) -> Engine:
     The result is fully independent of the engine that produced the
     snapshot (the blob round-trip deep-copies everything), with no
     observers, no tracer, no extra listeners, and whatever metrics were
-    captured.  The kernel is its own facade again after unpickling; the
-    engine rejoins its listeners only when metrics came back with it.
+    captured.  The engine rejoins the kernel's listeners only when
+    metrics came back with it.
     Re-attach observability via
     :meth:`~repro.engine.loop.Engine.attach_tracer` /
     :meth:`~repro.engine.loop.Engine.attach_listener`.
@@ -296,7 +296,6 @@ def restore(checkpoint: Checkpoint) -> Engine:
     engine._kernel = kernel
     engine.record = state["record"]
     engine._observers = []
-    engine._last_opened = False
     engine._listening = False
     engine.tracer = None
     engine.invariants = None  # monitors, like observers, are re-attached

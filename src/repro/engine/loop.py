@@ -41,7 +41,7 @@ from typing import Callable, List, Optional
 
 from ..core.bins import Bin, BinRecord
 from ..core.instance import Instance
-from ..core.item import Item, item_view
+from ..core.item import Item
 from ..core.kernel import KernelListener, PlacementKernel
 from ..core.result import PackingResult
 from ..core.store import ItemStore
@@ -151,7 +151,6 @@ class Engine(KernelListener):
         self.tracer = tracer
         self.invariants = invariants
         self._observers: List[Callable[[Event], None]] = []
-        self._last_opened = False
         # the engine listens only while it has per-event work to do
         self._listening = metrics is not None
         extra: List[KernelListener] = [self] if self._listening else []
@@ -327,50 +326,18 @@ class Engine(KernelListener):
 
         Processes all scheduled departures up to the item's arrival
         first — the kernel's semantics, shared with the batch simulator.
+        With metrics attached the arrival is timed; with observers, one
+        :class:`~repro.engine.events.ArrivalEvent` is emitted for it.
         """
         kernel = self._kernel
-        t0 = _time.perf_counter() if self._metrics is not None else 0.0
+        metrics = self._metrics
+        t0 = _time.perf_counter() if metrics is not None else 0.0
         opened_before = kernel.bins_opened
         bin_ = kernel.release(item)
-        self._arrived(item, bin_, opened_before, t0)
-        return bin_
-
-    def feed_values(
-        self,
-        arrival: float,
-        departure: Optional[float],
-        size: float,
-        uid: int,
-    ) -> Bin:
-        """Columnar :meth:`feed`: one arrival from plain scalars.
-
-        Identical semantics and accounting; the kernel builds the single
-        boxed view itself (store rows are pre-validated), so the serve
-        shards and the chunked replay path never allocate caller-side
-        :class:`Item` objects (observers aside: their
-        :class:`~repro.engine.events.ArrivalEvent` carries one).
-        """
-        kernel = self._kernel
-        t0 = _time.perf_counter() if self._metrics is not None else 0.0
-        opened_before = kernel.bins_opened
-        bin_ = kernel.release_values(arrival, departure, size, uid)
-        item = (
-            item_view(arrival, departure, size, uid)
-            if self._observers
-            else None
-        )
-        self._arrived(item, bin_, opened_before, t0)
-        return bin_
-
-    def _arrived(
-        self, item: Optional[Item], bin_: Bin, opened_before: int, t0: float
-    ) -> None:
-        """Per-arrival engine work shared by :meth:`feed`/:meth:`feed_values`."""
-        kernel = self._kernel
-        opened = self._last_opened = kernel.bins_opened != opened_before
-        if self._metrics is not None:
+        opened = kernel.bins_opened != opened_before
+        if metrics is not None:
             capacity = bin_.capacity
-            self._metrics.on_arrival(
+            metrics.on_arrival(
                 _time.perf_counter() - t0,
                 opened=opened,
                 residual=bin_.residual() / capacity if capacity else 0.0,
@@ -386,34 +353,28 @@ class Engine(KernelListener):
                     opened=opened,
                 )
             )
-
-    def feed_row(self, store: ItemStore, i: int) -> Bin:
-        """Feed row ``i`` of an :class:`ItemStore` (window-relative)."""
-        arrival, departure, size, uid = store.row(i)
-        return self.feed_values(arrival, departure, size, uid)
+        return bin_
 
     def feed_store(
         self, store: ItemStore, start: int = 0, stop: Optional[int] = None
     ) -> int:
         """Feed rows ``[start, stop)`` of an :class:`ItemStore` in order.
 
-        Returns the number of rows fed.  Without metrics or observers
-        this is the kernel's :meth:`~repro.core.kernel.PlacementKernel.
-        release_store` loop, the one ``simulate()`` runs, and the engine
-        does no per-row work at all.  With either attached, rows go one
-        by one through :meth:`feed_values`, which times each arrival and
-        emits its :class:`~repro.engine.events.ArrivalEvent`.
+        Returns the number of rows fed; the range must lie inside the
+        store's window (:meth:`ItemStore.slice`'s check).  Without
+        metrics or observers this is the kernel's
+        :meth:`~repro.core.kernel.PlacementKernel.release_store` loop,
+        the one ``simulate()`` runs, and the engine does no per-row work
+        at all.  With either attached, the rows go one by one through
+        :meth:`feed`.
         """
         if self._metrics is None and not self._observers:
             return self._kernel.release_store(store, start, stop)
-        arr, dep, siz, uids, w0, w1 = store.columns()
-        lo = w0 + start
-        hi = w1 if stop is None else w0 + stop
-        feed = self.feed_values
-        for j in range(lo, hi):
-            d = dep[j]
-            feed(arr[j], d if d == d else None, siz[j], uids[j])
-        return hi - lo
+        window = store.slice(start, len(store) if stop is None else stop)
+        feed = self.feed
+        for item in window:
+            feed(item)
+        return len(window)
 
     def depart(self, uid: int, time: float) -> None:
         """Force an adaptive item (unknown departure) out at ``time``."""
@@ -431,7 +392,7 @@ class Engine(KernelListener):
         Instance` or :class:`~repro.core.store.ItemStore` (driven
         columnwise, no boxed iteration), or an iterable of
         :class:`ItemStore` chunks as produced by
-        :func:`repro.workloads.io.iter_jsonl_stores`.
+        :func:`repro.engine.stream.open_trace`.
         """
         if isinstance(source, Instance):
             self.feed_store(source.store)

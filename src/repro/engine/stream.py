@@ -1,54 +1,42 @@
 """Trace sources: constant-memory item streams for the engine.
 
-A *source* is just an iterable of :class:`~repro.core.item.Item` in
-non-decreasing arrival order.  In-memory :class:`~repro.core.instance.
-Instance` objects qualify directly; the helpers here add lazy file-backed
-sources (JSONL/CSV), an order-validating wrapper, a k-way merge for
-recombining shards, and format auto-detection for the CLI.
+A *source* is an iterable of :class:`~repro.core.item.Item` in
+non-decreasing arrival order, or of :class:`~repro.core.store.ItemStore`
+chunks (what :meth:`Engine.run <repro.engine.loop.Engine.run>` drains
+columnwise).  In-memory :class:`~repro.core.instance.Instance` objects
+qualify directly; the helpers here add the file-backed source
+(:func:`open_trace`, one chunked columnar reader per format), an
+order-validating wrapper, a k-way merge for recombining shards, and
+format auto-detection for the CLI.
 
 None of these materialise the trace: a 10⁶-item JSONL file streams
-through :func:`iter_jsonl` with O(1) resident items, which is what lets
-``repro-dbp replay`` keep peak RSS independent of trace length.
+through :func:`open_trace` with at most one chunk of rows resident,
+which is what lets ``repro-dbp replay`` keep peak RSS independent of
+trace length.
 """
 
 from __future__ import annotations
 
-import csv
 import heapq
 import pathlib
 from typing import Iterable, Iterator, Tuple, Union
 
 from ..core.errors import InvalidInstanceError, SimulationError
-from ..core.instance import Instance
 from ..core.item import Item
 from ..core.store import ItemStore
-from ..workloads.io import (
-    CHUNK_ROWS,
-    iter_csv_stores,
-    iter_jsonl,
-    iter_jsonl_stores,
-)
+from ..workloads.io import CHUNK_ROWS, iter_csv_stores, iter_jsonl_stores
 
 __all__ = [
     "ItemSource",
-    "iter_jsonl",
-    "iter_csv",
-    "iter_instance",
     "iter_tuples",
     "ordered",
     "merge",
     "open_trace",
-    "open_trace_stores",
     "trace_format",
 ]
 
 #: Anything the engine can drain: items in non-decreasing arrival order.
 ItemSource = Iterable[Item]
-
-
-def iter_instance(instance: Instance) -> Iterator[Item]:
-    """An in-memory instance as a source (items already release-ordered)."""
-    return iter(instance)
 
 
 def iter_tuples(
@@ -61,41 +49,6 @@ def iter_tuples(
     """
     for uid, (a, d, s) in enumerate(triples):
         yield Item(a, d, s, uid=uid)
-
-
-def iter_csv(path: Union[str, pathlib.Path]) -> Iterator[Item]:
-    """Stream items from a CSV trace (same schema as :func:`load_csv`).
-
-    Lazy row-by-row parse; rows must already be arrival-sorted (the
-    engine rejects regressions via :func:`ordered` semantics anyway).
-    """
-    with pathlib.Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = None
-        uid = 0
-        for lineno, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if header is None:
-                header = [h.strip().lower() for h in row]
-                if header != ["arrival", "departure", "size"]:
-                    raise InvalidInstanceError(
-                        f"expected header ['arrival', 'departure', 'size'], "
-                        f"got {row!r}"
-                    )
-                continue
-            if len(row) != 3:
-                raise InvalidInstanceError(
-                    f"line {lineno}: expected 3 columns, got {len(row)}"
-                )
-            try:
-                item = Item(
-                    float(row[0]), float(row[1]), float(row[2]), uid=uid
-                )
-            except ValueError as exc:
-                raise InvalidInstanceError(f"line {lineno}: {exc}") from exc
-            yield item
-            uid += 1
 
 
 def ordered(source: ItemSource) -> Iterator[Item]:
@@ -144,31 +97,19 @@ def trace_format(path: Union[str, pathlib.Path]) -> str:
 
 
 def open_trace(
-    path: Union[str, pathlib.Path], *, format: str = "auto"
-) -> Iterator[Item]:
-    """A lazy item source for a trace file (JSONL or CSV)."""
-    fmt = trace_format(path) if format == "auto" else format
-    if fmt == "jsonl":
-        return iter_jsonl(path)
-    if fmt == "csv":
-        return iter_csv(path)
-    raise InvalidInstanceError(f"unknown trace format {format!r}")
-
-
-def open_trace_stores(
     path: Union[str, pathlib.Path],
     *,
     format: str = "auto",
     chunk_rows: int = CHUNK_ROWS,
 ) -> Iterator[ItemStore]:
-    """A trace file as bounded columnar chunks (the fast replay path).
+    """A trace file (JSONL or CSV) as lazy, bounded columnar chunks.
 
     Yields root :class:`~repro.core.store.ItemStore` chunks of at most
-    ``chunk_rows`` rows with sequential uids, exactly the items
-    :func:`open_trace` would yield — but decoded straight into columns,
-    so the engine can drain them via
+    ``chunk_rows`` rows, in file order, with sequential uids — decoded
+    straight into columns, so :meth:`Engine.run
+    <repro.engine.loop.Engine.run>` drains them via
     :meth:`~repro.engine.loop.Engine.feed_store` without boxing one
-    :class:`Item` per arrival.
+    :class:`Item` per arrival.  Iterate a chunk for its boxed items.
     """
     fmt = trace_format(path) if format == "auto" else format
     if fmt == "jsonl":

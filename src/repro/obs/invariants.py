@@ -188,7 +188,7 @@ class InvariantMonitor(KernelListener):
         """Attach the run whose O(1) ``cost_so_far`` is cross-checked.
 
         ``source`` is anything exposing ``cost_so_far`` (a
-        :class:`~repro.core.kernel.PlacementKernel` or an engine facade);
+        :class:`~repro.core.kernel.PlacementKernel` or an engine);
         the kernel calls this automatically when the monitor is attached
         as a listener.
 

@@ -23,8 +23,10 @@ the ledger.
 The **regression sentinel** lives here too: :func:`diff_records`
 compares two records' deterministic metrics with per-metric relative
 tolerances, and :func:`regress` matches a ledger directory against a
-frozen baseline (``.ledger/baseline.json``), failing on cost drift or
-new invariant violations.  ``repro-dbp obs diff`` / ``obs regress`` and
+frozen baseline (``.ledger/baseline.json``), failing on cost drift,
+new invariant violations, or a stale baseline record (one whose run a
+current record repeats under a different config).  ``repro-dbp obs
+diff`` / ``obs regress`` and
 the CI gate are thin wrappers over these functions.
 
 Wall-clock sections (``timings``, ``wall_s``, ``peak_rss_kb``, profile
@@ -467,6 +469,10 @@ class RegressReport:
     compared: List[Tuple[RunRecord, RunRecord, List[Drift]]]
     missing: List[RunRecord]  #: baseline keys with no current record
     new: List[RunRecord]  #: current records the baseline doesn't know
+    #: ``(baseline, current, differing config keys)``: a baseline record
+    #: with no exact counterpart whose run a current record repeats
+    #: under another config — it can never gate, so it fails
+    stale: List[Tuple[RunRecord, RunRecord, List[str]]]
 
     @property
     def failures(self) -> List[Tuple[RunRecord, Drift]]:
@@ -479,7 +485,7 @@ class RegressReport:
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return not self.failures and not self.stale
 
     def render(self) -> str:
         lines: List[str] = []
@@ -492,6 +498,13 @@ class RegressReport:
                 f"{status}"
             )
             lines.extend("  " + line for line in render_drifts(bad))
+        for base, cur, keys in self.stale:
+            lines.append(
+                f"{base.kind}/{base.algorithm}/{base.generator} "
+                f"[{config_hash(base.config)}]: STALE baseline — the current "
+                f"run [{config_hash(cur.config)}] differs in config key(s) "
+                f"{', '.join(keys)}; re-freeze the baseline"
+            )
         for rec in self.missing:
             lines.append(
                 f"{rec.kind}/{rec.algorithm}/{rec.generator}: baseline "
@@ -506,7 +519,8 @@ class RegressReport:
             lines.append("nothing to compare (empty ledger and baseline)")
         lines.append(
             "regress: PASS" if self.ok else
-            f"regress: FAIL ({len(self.failures)} metric(s) drifted)"
+            f"regress: FAIL ({len(self.failures)} metric(s) drifted, "
+            f"{len(self.stale)} stale baseline record(s))"
         )
         return "\n".join(lines)
 
@@ -519,9 +533,14 @@ def regress(
     """Match current records against a baseline by identity key.
 
     Records pair up on ``(kind, algorithm, generator, config_hash)``.
-    Matched pairs are compared with :func:`diff_records`; unmatched
-    records on either side are reported but do not gate (adding a new
-    benchmark must not break CI; removing one is visible in review).
+    Matched pairs are compared with :func:`diff_records`.  A baseline
+    record left unmatched while a current record shares its ``(kind,
+    algorithm, generator)`` is *stale* — its config drifted from the
+    run it stands for (e.g. a config key was added), so it would
+    silently gate nothing — and fails, naming the differing keys.  Other
+    unmatched records on either side are reported but do not gate
+    (adding a new benchmark must not break CI; removing one is visible
+    in review).
     """
     by_key: Dict[Tuple, List[RunRecord]] = {}
     for rec in baseline:
@@ -537,13 +556,32 @@ def regress(
         compared.append(
             (matches[0], rec, diff_records(matches[0], rec, tolerances))
         )
-    missing = [
-        rec
-        for key, matches in by_key.items()
-        if key not in seen
-        for rec in matches
-    ]
-    return RegressReport(compared=compared, missing=missing, new=new)
+    runs: Dict[Tuple, List[RunRecord]] = {}
+    for rec in new:
+        runs.setdefault(rec.key[:3], []).append(rec)
+    missing, stale = [], []
+    for key, matches in by_key.items():
+        if key in seen:
+            continue
+        for rec in matches:
+            near = runs.get(key[:3])
+            if not near:
+                missing.append(rec)
+                continue
+            diffs = [(_config_diff(rec.config, cur.config), cur) for cur in near]
+            keys, cur = min(diffs, key=lambda d: len(d[0]))
+            stale.append((rec, cur, keys))
+    return RegressReport(
+        compared=compared, missing=missing, new=new, stale=stale
+    )
+
+
+def _config_diff(a: dict, b: dict) -> List[str]:
+    """The keys on which two config dicts disagree (absent counts)."""
+    absent = object()
+    return sorted(
+        k for k in set(a) | set(b) if a.get(k, absent) != b.get(k, absent)
+    )
 
 
 def render_drifts(drifts: Iterable[Drift]) -> List[str]:

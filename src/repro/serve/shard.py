@@ -35,7 +35,6 @@ from bisect import bisect_right
 from typing import Callable, List, Optional, Tuple, Union
 
 from ..core.errors import ClairvoyanceError, PackingError, SimulationError
-from ..core.store import ItemStore
 from ..engine.checkpoint import (
     Checkpoint,
     load_checkpoint,
@@ -52,10 +51,6 @@ __all__ = ["HashRing", "PlacementShard", "stable_hash"]
 
 #: sentinel that stops a shard worker (queue-ordered, after pending work)
 _STOP = object()
-
-#: decode-scratch recycling threshold, in rows (28 B each) — the bound
-#: that keeps per-shard memory independent of the request count
-_SCRATCH_ROWS = 4096
 
 #: bound of the ``(client, seq) → reply`` retry-dedup cache, in entries
 #: (FIFO eviction; must exceed any client's in-flight × retry window)
@@ -164,10 +159,6 @@ class PlacementShard:
         self.telemetry = None
         self._narrator = None
         self._adaptive_uids: dict[str, int] = {}  # live unknown-departure ids
-        #: columnar decode buffer: arrive payloads land here as store
-        #: rows (validated once, no boxed Item per request) before the
-        #: engine reads them off; recycled so memory stays O(1)
-        self._scratch = ItemStore()
         self._task: Optional[asyncio.Task] = None
         self._now = clock if clock is not None else _time.perf_counter
         #: at-most-once retry dedup: ``(client, seq) → ok reply``.  The
@@ -351,7 +342,6 @@ class PlacementShard:
             (client, seq): reply
             for client, seq, reply in (meta.get("applied") or [])
         }
-        self._scratch = ItemStore()
         self._durable = None
         self.crashed = False
         self._task = None
@@ -430,25 +420,22 @@ class PlacementShard:
                 f"adaptive item id {req.id!r} is still active on this shard",
                 seq=req.seq, id=req.id, shard=self.shard_id,
             )
-        uid = self.engine.kernel.arrivals  # sequential per shard
-        scratch = self._scratch
-        if len(scratch) >= _SCRATCH_ROWS:
-            scratch.clear()
-        row = scratch.append(req.arrival, req.departure, req.size, uid)
+        kernel = self.engine.kernel
+        uid = kernel.arrivals  # sequential per shard
+        item = req.to_item(uid)
+        opened_before = kernel.bins_opened
         t0 = self._now()
         try:
-            bin_ = self.engine.feed_row(scratch, row)
+            bin_ = self.engine.feed(item)
         except ClairvoyanceError as exc:
             # an adaptive item needs a non-clairvoyant algorithm — a
             # client mistake, not a server fault
-            scratch.pop()  # the row never reached the kernel
             self.rejected += 1
             return error_reply(
                 "bad-item", str(exc),
                 seq=req.seq, id=req.id, shard=self.shard_id,
             )
         except SimulationError as exc:
-            scratch.pop()
             self.rejected += 1
             return error_reply(
                 "out-of-order", str(exc),
@@ -464,7 +451,7 @@ class PlacementShard:
             id=req.id,
             uid=uid,  # per-shard apply order — the chaos oracle's key
             bin=bin_.uid,
-            opened=self.engine._last_opened,
+            opened=kernel.bins_opened != opened_before,
             shard=self.shard_id,
             latency_us=round(1e6 * (self._now() - t0), 3),
         )

@@ -14,7 +14,7 @@ from .io import (
     dump_jsonl,
     dumps_csv,
     dumps_jsonl,
-    iter_jsonl,
+    iter_jsonl_stores,
     load_csv,
     load_jsonl,
     loads_csv,
@@ -45,7 +45,7 @@ __all__ = [
     "load_jsonl",
     "dumps_jsonl",
     "loads_jsonl",
-    "iter_jsonl",
+    "iter_jsonl_stores",
     "overlay",
     "periodic",
     "perturb_sizes",

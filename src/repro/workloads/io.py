@@ -9,15 +9,15 @@ instances through two formats:
       0.0,4.0,0.5
 
 - JSON Lines, one object per item (the streaming engine's native
-  format — ``repro.engine.stream.iter_jsonl`` replays these files in
-  constant memory)::
+  format — :func:`iter_jsonl_stores` replays these files in constant
+  memory)::
 
       {"arrival": 0.0, "departure": 4.0, "size": 0.5}
 
 Rows are re-sorted by arrival on (whole-file) load — stable, preserving
 file order for ties, since the simultaneous-arrival order is part of the
-input's semantics.  :func:`iter_jsonl` does **not** sort: it yields items
-in file order so that traces never need to fit in RAM; writers are
+input's semantics.  The streaming readers do **not** sort: they yield
+rows in file order so that traces never need to fit in RAM; writers are
 expected to emit arrival-ordered lines (both :func:`dump_jsonl` and the
 generators do).
 
@@ -26,9 +26,10 @@ columns — no per-line :class:`Item` dataclass is materialized, which is
 where whole-file loading gets its speed and its flat memory profile.
 Validation happens on the store append, so a bad row still raises
 :class:`InvalidInstanceError` carrying the 1-based line number with the
-same message the boxed loaders produced.  :func:`iter_jsonl_stores` and
-:func:`iter_csv_stores` stream a large trace as bounded column chunks —
-the engine's constant-memory columnar sources.
+same message a line-at-a-time decoder would give.
+:func:`iter_jsonl_stores` and :func:`iter_csv_stores` — the one
+streaming reader per format — yield a large trace as bounded column
+chunks, the engine's constant-memory sources.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from typing import Iterator, Optional, Union
 
 from ..core.errors import InvalidInstanceError, InvalidItemError
 from ..core.instance import Instance
-from ..core.item import Item, item_view
-from ..core.store import ItemStore, validate_item_values
+from ..core.item import Item
+from ..core.store import ItemStore
 
 __all__ = [
     "save_csv",
@@ -53,7 +54,6 @@ __all__ = [
     "load_jsonl",
     "dumps_jsonl",
     "loads_jsonl",
-    "iter_jsonl",
     "iter_jsonl_stores",
     "iter_csv_stores",
 ]
@@ -136,14 +136,6 @@ def _decode_obj(obj: dict, lineno: int):
     if departure is not None:
         departure = float(departure)
     return arrival, departure, size
-
-
-def _obj_to_item(obj: dict, lineno: int, uid: int) -> Item:
-    arrival, departure, size = _decode_obj(obj, lineno)
-    try:
-        return Item(arrival, departure, size, uid=uid)
-    except InvalidItemError as exc:
-        raise InvalidInstanceError(f"line {lineno}: {exc}") from exc
 
 
 def _parse_jsonl_batch(batch):
@@ -264,34 +256,6 @@ def load_jsonl(path: Union[str, pathlib.Path]) -> Instance:
     return loads_jsonl(pathlib.Path(path).read_text())
 
 
-def iter_jsonl(path: Union[str, pathlib.Path]) -> Iterator[Item]:
-    """Stream items from a JSON Lines file in **file order**, lazily.
-
-    Memory stays constant in the trace length — this is what
-    ``repro-dbp replay`` and the streaming engine consume.  Items get
-    sequential uids in file order, which coincides with
-    :class:`Instance` uids whenever the file is arrival-sorted (as
-    :func:`dump_jsonl` output always is).
-    """
-    with pathlib.Path(path).open() as fh:
-        uid = 0
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InvalidInstanceError(f"line {lineno}: {exc}") from exc
-            arrival, departure, size = _decode_obj(obj, lineno)
-            try:
-                validate_item_values(arrival, departure, size)
-            except InvalidItemError as exc:
-                raise InvalidInstanceError(f"line {lineno}: {exc}") from exc
-            yield item_view(arrival, departure, size, uid)
-            uid += 1
-
-
 def iter_jsonl_stores(
     path: Union[str, pathlib.Path],
     *,
@@ -300,11 +264,12 @@ def iter_jsonl_stores(
 ) -> Iterator[ItemStore]:
     """Stream a JSONL trace as bounded :class:`ItemStore` chunks.
 
-    The columnar twin of :func:`iter_jsonl`: file order, sequential uids
-    (starting at ``uid_start``), constant memory — at most ``chunk_rows``
-    rows are resident per chunk.  Feeding every chunk to
+    File order, sequential uids (starting at ``uid_start``), constant
+    memory — at most ``chunk_rows`` rows are resident per chunk.
+    Feeding every chunk to
     :meth:`Engine.feed_store <repro.engine.loop.Engine.feed_store>`
-    replays the trace with the exact decisions of the item-wise path.
+    replays the trace with the exact decisions of ``simulate()`` on the
+    loaded instance (for an arrival-sorted file).
     """
     if chunk_rows < 1:
         raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")

@@ -22,6 +22,7 @@ from repro.algorithms import (
 from repro.algorithms.base import OnlineAlgorithm, SimulationView
 from repro.core.errors import (
     ClairvoyanceError,
+    InvalidInstanceError,
     PackingError,
     SimulationError,
 )
@@ -29,6 +30,7 @@ from repro.core.bins import Bin
 from repro.core.item import Item
 from repro.core.kernel import OpenBinIndex, PlacementKernel
 from repro.core.simulation import IncrementalSimulation, simulate
+from repro.core.store import ItemStore
 from repro.engine import Engine
 from repro.workloads import uniform_random
 
@@ -103,6 +105,66 @@ class TestKernelDriving:
             PlacementKernel(FirstFit(), capacity=0.0)
 
 
+def _state(k):
+    return (k.time, k.departures, k.arrivals, k.open_bin_count, k.cost_so_far)
+
+
+class TestRejectedRelease:
+    """A rejected arrival leaves the kernel exactly as it found it."""
+
+    @pytest.mark.parametrize("path", ["release", "release_store"])
+    def test_clairvoyance_error_leaves_clock_and_bins(self, path):
+        k = PlacementKernel(FirstFit())
+        k.release(Item(0.0, 2.0, 0.5, uid=0))
+        k.release(Item(1.0, 8.0, 0.6, uid=1))
+        before = _state(k)
+        with pytest.raises(ClairvoyanceError):
+            if path == "release":
+                k.release(Item(5.0, None, 0.5, uid=2))
+            else:
+                store = ItemStore()
+                store.append(5.0, None, 0.5, uid=2)
+                k.release_store(store)
+        # no departure ran (item 0 would have left at t=2), no clock move
+        assert _state(k) == before
+        assert k.time == 1.0 and k.departures == 0 and k.open_bin_count == 2
+        # ...so an arrival before the rejected one's time is still legal
+        k.release(Item(1.5, 3.0, 0.5, uid=3))
+        assert k.arrivals == 3
+
+
+class TestReleaseStoreWindow:
+    """``release_store`` ranges are relative to, and bounded by, the
+    store's own window — :meth:`ItemStore.slice`'s contract."""
+
+    @staticmethod
+    def _root():
+        store = ItemStore()
+        for i in range(10):
+            store.append(float(i), float(i) + 0.5, 0.1, uid=i)
+        return store
+
+    def test_range_past_a_view_is_rejected(self):
+        view = self._root().slice(2, 5)
+        k = PlacementKernel(FirstFit(), record=True)
+        with pytest.raises(InvalidInstanceError, match="out of range"):
+            k.release_store(view, 0, 8)  # 5 rows past the view
+        assert k.arrivals == 0
+
+    def test_oversized_stop_is_rejected_not_truncated(self):
+        view = self._root().slice(2, 5)
+        k = PlacementKernel(FirstFit())
+        with pytest.raises(InvalidInstanceError):
+            k.release_store(view, 0, 100)
+        assert k.arrivals == 0
+
+    def test_range_is_view_relative(self):
+        view = self._root().slice(2, 5)
+        k = PlacementKernel(FirstFit(), record=True)
+        assert k.release_store(view, 1) == 2
+        assert [it.uid for it in k.finish().items] == [3, 4]
+
+
 # ---------------------------------------------------------------------- #
 # One masking site, one commit site
 # ---------------------------------------------------------------------- #
@@ -124,6 +186,17 @@ class PeeksDepartures(OnlineAlgorithm):
                     self.leaks.append(("visible", it.uid, it.departure))
         found = sim.first_fit(item)
         return found if found is not None else sim.open_bin()
+
+
+class RecordsSim(FirstFit):
+    """FirstFit that records the ``sim`` every placement is handed."""
+
+    def reset(self):
+        self.seen = []
+
+    def place(self, item, sim):
+        self.seen.append(sim)
+        return super().place(item, sim)
 
 
 class TestMaskingSingleSite:
@@ -412,12 +485,12 @@ class TestListener:
         import pickle
 
         tape = _Tape()
-        k = PlacementKernel(FirstFit(), listener=tape)
+        k = PlacementKernel(RecordsSim(), listener=tape)
         k.release(Item(0.0, 2.0, 0.5, uid=0))
         clone = pickle.loads(pickle.dumps(k))
         assert clone._listener is None
-        assert clone._facade is clone  # self-facade restored
         clone.release(Item(1.0, 3.0, 0.5, uid=1))
+        assert clone.algorithm.seen[-1] is clone  # place() sees the clone
         clone.drain()
         assert clone.cost_so_far == pytest.approx(3.0)
 
@@ -428,7 +501,7 @@ class TestListener:
 class TestFrontendsAreAdapters:
     def test_both_frontends_satisfy_simulation_view(self):
         assert isinstance(IncrementalSimulation(FirstFit()), SimulationView)
-        assert isinstance(Engine(FirstFit()).kernel._facade, SimulationView)
+        assert isinstance(Engine(FirstFit()).kernel, SimulationView)
         assert isinstance(PlacementKernel(FirstFit()), SimulationView)
 
     def test_incremental_simulation_passes_itself_as_facade(self):

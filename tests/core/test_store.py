@@ -189,8 +189,7 @@ class TestSlicing:
         view = filled(FOUR_ROWS).slice(0, 2)
         for mutate in (
             lambda: view.append(9.0, 10.0, 0.5),
-            view.pop,
-            view.clear,
+            lambda: view.extend_columns([9.0], [10.0], [0.5]),
             view.sort_by_arrival,
             view.assign_sequential_uids,
         ):

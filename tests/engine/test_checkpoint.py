@@ -14,6 +14,7 @@ from repro.engine import (
     Engine,
     EngineMetrics,
     load_checkpoint,
+    open_trace,
     restore,
     save_checkpoint,
     snapshot,
@@ -147,22 +148,30 @@ def test_reject_v1_checkpoint_with_clear_message(tmp_path):
 
 
 def test_restored_kernel_hooks_rewired():
-    # the kernel drops its listener/facade at pickle time; restore must
-    # re-wire them (the kernel is its own facade, the engine listens
-    # only when metered) and the kernel's totals keep tracking events
+    # the kernel drops its listener at pickle time; restore must re-wire
+    # it (the engine listens only when metered), place() must see the
+    # restored kernel itself, and the kernel's totals keep tracking events
     items = list(uniform_random(40, 8, seed=12))
     eng = Engine(FirstFit())
     for it in items[:20]:
         eng.feed(it)
     resumed = restore(snapshot(eng))
     assert resumed._kernel._listener is None
-    assert resumed._kernel._facade is resumed._kernel
     metered = Engine(FirstFit(), metrics=EngineMetrics())
     assert restore(snapshot(metered))._kernel._listener is not None
+    seen = []
+    place = resumed.algorithm.place
+
+    def probe(item, sim):
+        seen.append(sim)
+        return place(item, sim)
+
+    resumed.algorithm.place = probe
     before = resumed.kernel.arrivals
     for it in items[20:]:
         resumed.feed(it)
     assert resumed.kernel.arrivals == before + 20
+    assert seen and all(sim is resumed._kernel for sim in seen)
 
 
 def test_observers_not_checkpointed():
@@ -286,9 +295,8 @@ class TestV2Compat:
         )
 
     def _resume(self, engine, skip):
-        from repro.workloads.io import iter_jsonl
-
-        for i, item in enumerate(iter_jsonl(self.TRACE)):
+        items = (item for chunk in open_trace(self.TRACE) for item in chunk)
+        for i, item in enumerate(items):
             if i >= skip:
                 engine.feed(item)
 
@@ -326,13 +334,11 @@ class TestV2Compat:
     def test_v2_resume_totals_match_uninterrupted_run(self, expected):
         """The blob's pickled engine accounting seeds the kernel's
         totals; its bins gain their peak/item-count slots on restore."""
-        from repro.workloads.io import iter_jsonl
-
         eng = load_checkpoint(self.DATA / "checkpoint_v2_firstfit.ckpt")
         assert eng.kernel.arrivals == expected["arrivals"]
         self._resume(eng, expected["arrivals"])
         resumed = eng.finish()
-        straight = Engine(FirstFit()).run(iter_jsonl(self.TRACE))
+        straight = Engine(FirstFit()).run(open_trace(self.TRACE))
         assert _totals(resumed) == _totals(straight)
 
 

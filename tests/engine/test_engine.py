@@ -7,6 +7,7 @@ import pytest
 from repro.algorithms import BestFit, FirstFit, HybridAlgorithm, NextFit
 from repro.core.errors import (
     ClairvoyanceError,
+    InvalidInstanceError,
     PackingError,
     SimulationError,
 )
@@ -163,13 +164,35 @@ class TestObservers:
         assert ev.bin_uid == bin_.uid and ev.opened
 
 
+class TestFeedStoreWindow:
+    @pytest.mark.parametrize("metered", [False, True])
+    def test_inverted_or_oversized_range_is_rejected(self, metered):
+        store = small_instance().store
+        eng = Engine(FirstFit(), metrics=EngineMetrics() if metered else None)
+        with pytest.raises(InvalidInstanceError):
+            eng.feed_store(store, 5, 3)  # used to return -2
+        with pytest.raises(InvalidInstanceError):
+            eng.feed_store(store.slice(1, 3), 0, len(store))
+        assert eng.kernel.arrivals == 0
+        assert eng.feed_store(store, 1, 3) == 2
+        assert eng.kernel.arrivals == 2
+
+
 class TestListenerWiring:
     """The engine joins the kernel's listeners only for per-event work."""
 
     def test_plain_engine_is_not_a_listener(self):
-        eng = Engine(BestFit())
+        seen = []
+
+        class Probe(BestFit):
+            def place(self, item, sim):
+                seen.append(sim)
+                return super().place(item, sim)
+
+        eng = Engine(Probe())
         assert eng.kernel._listener is None
-        assert eng.kernel._facade is eng.kernel
+        eng.feed(Item(0.0, 1.0, 0.5, uid=0))
+        assert seen == [eng.kernel]
 
     def test_metered_engine_listens(self):
         eng = Engine(BestFit(), metrics=EngineMetrics())

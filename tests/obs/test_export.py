@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro import FirstFit, uniform_random
-from repro.engine import Engine, EngineMetrics, iter_instance
+from repro.engine import Engine, EngineMetrics
 from repro.obs import (
     CallbackSink,
     ConsoleSink,
@@ -77,7 +77,7 @@ class TestRenderSummary:
     def test_timings_section(self):
         metrics = EngineMetrics()
         Engine(FirstFit(), metrics=metrics).run(
-            iter_instance(uniform_random(40, 8, seed=2))
+            iter(uniform_random(40, 8, seed=2))
         )
         text = render_summary(metrics.snapshot())
         assert "timings:" in text

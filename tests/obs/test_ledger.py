@@ -1,6 +1,7 @@
 """The run ledger and the regression sentinel (repro.obs.ledger)."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -256,6 +257,30 @@ class TestRegress:
         text = report.render()
         assert "not gated" in text
 
+    def test_stale_config_baseline_fails_naming_the_keys(self):
+        # the baseline predates a config key the current run now records
+        current = make_record(config={"capacity": 1.0, "resumed": False})
+        report = regress([current], [make_record()])
+        assert not report.ok
+        assert not report.compared and not report.missing
+        ((base, cur, keys),) = report.stale
+        assert keys == ["resumed"] and cur is current
+        text = report.render()
+        assert "STALE" in text and "resumed" in text
+        assert "regress: FAIL" in text
+
+    def test_stale_names_every_differing_key(self):
+        current = make_record(config={"capacity": 2.0, "limit": 5})
+        report = regress([current], [make_record()])
+        assert report.stale[0][2] == ["capacity", "limit"]
+
+    def test_matched_baseline_is_not_stale(self):
+        # a second current run under another config is just new
+        other = make_record(config={"capacity": 1.0, "resumed": True})
+        report = regress([make_record(), other], [make_record()])
+        assert report.ok and not report.stale
+        assert report.new == [other]
+
     def test_empty_everything_passes(self):
         report = regress([], [])
         assert report.ok
@@ -284,6 +309,60 @@ class TestRegress:
         assert any(
             d.metric == "invariants.n_violations" for _, d in report.failures
         )
+
+
+class TestFrozenBaseline:
+    """The committed ``.ledger/baseline.json`` against the CI sentinel's
+    own replays: both records gate, and the gate can fail."""
+
+    ROOT = pathlib.Path(__file__).resolve().parents[2]
+    TRACE = ROOT / "examples" / "traces" / "uniform_1k.jsonl"
+    BASELINE = ROOT / ".ledger" / "baseline.json"
+
+    @pytest.fixture(scope="class")
+    def ledger(self, tmp_path_factory):
+        from repro.cli import main
+
+        led = tmp_path_factory.mktemp("sentinel")
+        for algorithm in ("FirstFit", "HybridAlgorithm"):
+            assert main(
+                ["replay", str(self.TRACE), "-a", algorithm, "--invariants",
+                 "--ledger-dir", str(led)]
+            ) == 0
+        return led
+
+    def _regress(self, ledger, baseline, capsys):
+        from repro.cli import main
+
+        capsys.readouterr()
+        rc = main(["obs", "regress", "--ledger-dir", str(ledger),
+                   "--baseline", str(baseline)])
+        return rc, capsys.readouterr().out
+
+    def test_exact_match_passes_and_gates_both_records(self, ledger):
+        report = regress(read_ledger(ledger), read_baseline(self.BASELINE))
+        assert report.ok, report.render()
+        assert len(report.compared) == 2
+        assert not (report.missing or report.new or report.stale)
+
+    def test_drifted_cost_fails(self, ledger, tmp_path, capsys):
+        base = json.loads(self.BASELINE.read_text())
+        base["records"][0]["metrics"]["cost"] += 1.0
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(base))
+        rc, out = self._regress(ledger, path, capsys)
+        assert rc == 1
+        assert "metrics.cost" in out and "regress: FAIL" in out
+
+    def test_stale_config_key_fails(self, ledger, tmp_path, capsys):
+        base = json.loads(self.BASELINE.read_text())
+        for rec in base["records"]:
+            del rec["config"]["resumed"]  # as frozen before the key existed
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(base))
+        rc, out = self._regress(ledger, path, capsys)
+        assert rc == 1
+        assert out.count("STALE") == 2 and "resumed" in out
 
 
 class TestParseTolerances:

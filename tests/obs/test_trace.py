@@ -7,7 +7,7 @@ import pytest
 
 from repro import FirstFit, simulate, uniform_random
 from repro.core.kernel import PlacementKernel
-from repro.engine import Engine, iter_instance
+from repro.engine import Engine
 from repro.obs import DEFAULT_CAPACITY, TraceEvent, Tracer, TracingListener, read_trace
 
 
@@ -142,7 +142,7 @@ class TestTracingListener:
         inst = uniform_random(50, 8, seed=4)
         tr = Tracer(enabled=False)
         eng = Engine(FirstFit(), tracer=tr)
-        eng.run(iter_instance(inst))
+        eng.run(iter(inst))
         # construct-time switch: no listener attached, nothing recorded
         assert tr.total == 0
         assert eng._kernel._listener is None
@@ -151,7 +151,7 @@ class TestTracingListener:
         inst = uniform_random(50, 8, seed=4)
         tr = Tracer()
         eng = Engine(FirstFit(), tracer=tr)
-        summary = eng.run(iter_instance(inst))
+        summary = eng.run(iter(inst))
         places = sum(1 for e in tr.events() if e.name == "kernel.place")
         opens = sum(1 for e in tr.events() if e.name == "kernel.open")
         assert places == summary.items == 50

@@ -2,7 +2,7 @@
 
 A Hypothesis :class:`RuleBasedStateMachine` drives a root
 :class:`ItemStore` through arbitrary interleavings of ``append``,
-``extend_columns``, ``pop``, ``clear``, ``sort_by_arrival``, and
+``extend_columns``, ``sort_by_arrival``, and
 zero-copy slicing, mirroring every step in a plain Python list of
 ``(arrival, departure, size, uid)`` tuples.  Invariants compare the
 two after every step.
@@ -99,19 +99,6 @@ class ItemStoreMachine(RuleBasedStateMachine):
         assert err.value.row == bad_index
         assert self._materialize(self.store) == self.model
 
-    @precondition(lambda self: self.model)
-    @rule()
-    def pop(self):
-        self.store.pop()
-        self.model.pop()
-        self.views.clear()  # windows may now dangle past the columns
-
-    @rule()
-    def clear(self):
-        self.store.clear()
-        self.model.clear()
-        self.views.clear()
-
     @rule()
     def sort_by_arrival(self):
         self.store.sort_by_arrival()
@@ -203,10 +190,6 @@ class ItemStoreMachine(RuleBasedStateMachine):
                 view.append(0.0, 1.0, 0.5)
             with pytest.raises(InvalidInstanceError):
                 view.extend_columns([0.0], [1.0], [0.5])
-            with pytest.raises(InvalidInstanceError):
-                view.pop()
-            with pytest.raises(InvalidInstanceError):
-                view.clear()
             with pytest.raises(InvalidInstanceError):
                 view.sort_by_arrival()
             with pytest.raises(InvalidInstanceError):

@@ -60,8 +60,10 @@ def arrive(id, arrival, departure, size, seq=None) -> Request:
 
 
 class TestShardApply:
-    def test_arrive_places_and_reports_bin(self):
-        shard = PlacementShard(0, FirstFit())
+    @pytest.mark.parametrize("metrics", [True, False])
+    def test_arrive_places_and_reports_bin(self, metrics):
+        # ``opened`` is the shard's own bins_opened delta, metered or not
+        shard = PlacementShard(0, FirstFit(), metrics=metrics)
         r1 = shard.apply(arrive(1, 0.0, 4.0, 0.6, seq=11))
         r2 = shard.apply(arrive(2, 0.0, 4.0, 0.6))
         assert r1["ok"] and r1["opened"] and r1["seq"] == 11
@@ -87,6 +89,17 @@ class TestShardApply:
         reply = shard.apply(arrive("job", 0.0, None, 0.5))
         assert reply["error"] == "bad-item"
         assert "unknown departure" in reply["message"]
+
+    def test_rejected_adaptive_arrive_leaves_the_clock(self):
+        shard = PlacementShard(0, FirstFit())  # clairvoyant
+        assert shard.apply(arrive("a", 0.0, 1.0, 0.5))["ok"]
+        reply = shard.apply(arrive("b", 5.0, None, 0.5))
+        assert reply["error"] == "bad-item"
+        stats = shard.stats()
+        assert stats["time"] == 0.0  # the rejected arrive moved nothing
+        assert stats["departures"] == 0 and stats["open_bins"] == 1
+        # an arrival between the two is still in order
+        assert shard.apply(arrive("c", 2.0, 3.0, 0.5))["ok"]
 
     def test_adaptive_arrive_then_explicit_depart(self):
         shard = PlacementShard(0, FirstFit(clairvoyant=False))

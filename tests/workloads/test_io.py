@@ -10,7 +10,7 @@ from repro.workloads.io import (
     dump_jsonl,
     dumps_csv,
     dumps_jsonl,
-    iter_jsonl,
+    iter_jsonl_stores,
     load_csv,
     load_jsonl,
     loads_csv,
@@ -100,6 +100,16 @@ class TestJsonlRoundTrip:
         )
 
 
+def iter_rows(path, chunk_rows=3):
+    """Every item :func:`iter_jsonl_stores` yields, across its chunks
+    (small chunks, so uid continuity across boundaries is exercised)."""
+    return [
+        item
+        for chunk in iter_jsonl_stores(path, chunk_rows=chunk_rows)
+        for item in chunk
+    ]
+
+
 class TestIterJsonl:
     def test_streaming_matches_load(self, tmp_path):
         from repro.workloads.random_general import uniform_random
@@ -107,7 +117,7 @@ class TestIterJsonl:
         inst = uniform_random(50, 8, seed=1)
         path = tmp_path / "t.jsonl"
         dump_jsonl(inst, path)
-        assert list(iter_jsonl(path)) == list(load_jsonl(path))
+        assert iter_rows(path) == list(load_jsonl(path))
 
     def test_file_order_not_sorted(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -115,13 +125,13 @@ class TestIterJsonl:
             '{"arrival": 5.0, "departure": 6.0, "size": 0.5}\n'
             '{"arrival": 1.0, "departure": 2.0, "size": 0.5}\n'
         )
-        arrivals = [it.arrival for it in iter_jsonl(path)]
+        arrivals = [it.arrival for it in iter_rows(path)]
         assert arrivals == [5.0, 1.0]  # streaming never reorders
 
     def test_uids_sequential(self, tmp_path, tiny_instance):
         path = tmp_path / "t.jsonl"
         dump_jsonl(tiny_instance, path)
-        assert [it.uid for it in iter_jsonl(path)] == list(
+        assert [it.uid for it in iter_rows(path)] == list(
             range(len(tiny_instance))
         )
 
@@ -132,7 +142,7 @@ class TestIterJsonl:
             '   \n'
             '{"arrival": 2.0, "departure": 3.0, "size": 0.5}\n\n'
         )
-        items = list(iter_jsonl(path))
+        items = iter_rows(path)
         assert [it.uid for it in items] == [0, 1]
         assert [it.arrival for it in items] == [0.0, 2.0]
 
@@ -142,7 +152,7 @@ class TestIterJsonl:
             '{"arrival": 0.0, "departure": 1.0, "size": 0.5}\n'
             '{"arrival": 2.0, "departure": 3.0, "size": 0.5}'
         )
-        assert len(list(iter_jsonl(path))) == 2
+        assert len(iter_rows(path)) == 2
 
 
 class TestJsonlErrors:
@@ -166,7 +176,7 @@ class TestJsonlErrors:
         path = tmp_path / "t.jsonl"
         path.write_text('{"arrival": 0.0, "departure": 1.0, "size": 0.5}\nnope\n')
         with pytest.raises(InvalidInstanceError, match="line 2"):
-            list(iter_jsonl(path))
+            iter_rows(path)
 
     def test_invalid_item_reports_line_number(self):
         # departs before it arrives: an Item-level failure that must
@@ -183,7 +193,7 @@ class TestJsonlErrors:
             '\n{"arrival": 0.0, "departure": 1.0, "size": 0.0}\n'
         )
         with pytest.raises(InvalidInstanceError, match="line 2"):
-            list(iter_jsonl(path))
+            iter_rows(path)
 
 
 class TestErrors:
