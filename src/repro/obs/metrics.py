@@ -29,6 +29,7 @@ produce identical snapshots — the obs parity property test pins this.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Iterable, Optional, Sequence
 
 from ..core.bins import Bin
@@ -158,14 +159,9 @@ class Histogram:
         self.sum = 0.0
 
     def observe(self, x: float) -> None:
-        lo, hi = 0, len(self.edges)
-        while lo < hi:  # bisect_left over edges
-            mid = (lo + hi) // 2
-            if self.edges[mid] < x:
-                lo = mid + 1
-            else:
-                hi = mid
-        self.counts[lo] += 1
+        # C bisect compares ``edge < x`` like the docstring's rule, so
+        # NaN lands in bucket 0 and +inf in the overflow bucket
+        self.counts[bisect_left(self.edges, x)] += 1
         self.total += 1
         self.sum += x
 

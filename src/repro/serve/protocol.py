@@ -53,10 +53,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
 
 from ..core.errors import InvalidItemError
-from ..core.item import Item
 from ..core.store import validate_item_values
 
 __all__ = [
@@ -115,9 +115,14 @@ class ProtocolError(Exception):
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Request:
-    """One validated client request (the parsed form of a wire line)."""
+    """One validated client request (the parsed form of a wire line).
+
+    An ``arrive`` request from :func:`parse_request` carries item values
+    that already passed :func:`~repro.core.store.validate_item_values`,
+    so the shard builds its kernel item without checking them again.
+    """
 
     op: str
     seq: Optional[Union[int, str]] = None
@@ -148,10 +153,6 @@ class Request:
     def routing_key(self) -> str:
         """Consistent-hash key: the tenant when given, else the item id."""
         return self.tenant if self.tenant is not None else (self.id or "")
-
-    def to_item(self, uid: int) -> Item:
-        """The kernel :class:`Item` this arrive request describes."""
-        return Item(self.arrival, self.departure, self.size, uid=uid)
 
 
 def _number(obj: dict, field: str, seq, *, required: bool = True):
@@ -290,8 +291,41 @@ def error_reply(code: str, message: str, *, seq=None, **fields) -> dict:
     return reply
 
 
+#: key order of the canonical ``arrive`` ok reply (see :func:`encode`)
+_ARRIVE_KEYS = (
+    "ok", "op", "seq", "id", "uid", "bin", "opened", "shard", "latency_us",
+)
+
+
 def encode(obj: dict) -> bytes:
-    """One reply/request as a wire line (compact JSON + newline)."""
+    """One reply/request as a wire line (compact JSON + newline).
+
+    The canonical ``arrive`` ok reply — the one nearly every request
+    gets — is written from a template; its bytes equal ``json.dumps``'s
+    (ids escaped by the same ASCII escaper, floats by ``repr``).  Every
+    other shape, including one with a ``trace`` key or a non-int
+    ``seq``, goes through ``json.dumps``.
+    """
+    if len(obj) == 9 and tuple(obj) == _ARRIVE_KEYS:
+        ok, op, seq, id_, uid, bin_, opened, shard, latency = obj.values()
+        if (
+            ok is True
+            and op == "arrive"
+            and type(seq) is int
+            and type(id_) is str
+            and type(uid) is int
+            and type(bin_) is int
+            and type(opened) is bool
+            and type(shard) is int
+            and type(latency) is float
+            and -math.inf < latency < math.inf
+        ):
+            return (
+                f'{{"ok":true,"op":"arrive","seq":{seq},'
+                f'"id":{encode_basestring_ascii(id_)},"uid":{uid},'
+                f'"bin":{bin_},"opened":{"true" if opened else "false"},'
+                f'"shard":{shard},"latency_us":{latency!r}}}\n'
+            ).encode()
     return (
         json.dumps(obj, separators=(",", ":"), default=float) + "\n"
     ).encode("utf-8")

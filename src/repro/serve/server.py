@@ -18,7 +18,9 @@ Every stage is explicit about overload and failure:
 
 Replies are written by one writer coroutine per connection and carry the
 request's ``seq``, so pipelined clients see interleaved (cross-shard)
-replies and can still correlate them.
+replies and can still correlate them.  A shard hands each reply to a
+:class:`_ReplySlot`, which queues it on the connection's writer at
+once, with no Future or event-loop hop per request.
 
 Lifecycle
 ---------
@@ -95,7 +97,50 @@ class _Connection:
 
     writer: asyncio.StreamWriter
     out: asyncio.Queue = field(default_factory=asyncio.Queue)
-    pending: set = field(default_factory=set)
+    pending: int = 0  #: shard requests not yet answered
+    #: set when ``pending`` reaches 0 (created only when a close waits)
+    idle: Optional[asyncio.Event] = None
+
+
+class _ReplySlot:
+    """Where a shard delivers one request's reply, in place of a Future.
+
+    The shard calls only ``done()`` and ``set_result()`` on the second
+    slot of a job, so this stands in for an ``asyncio.Future`` and does
+    the server's reply bookkeeping inside ``set_result`` itself: no
+    Future, no done-callback and no extra event-loop hop per request.
+    """
+
+    __slots__ = ("server", "conn", "shard", "ctx", "_done")
+
+    def __init__(self, server, conn: _Connection, shard, ctx) -> None:
+        self.server = server
+        self.conn = conn
+        self.shard = shard
+        self.ctx = ctx
+        self._done = False
+
+    def done(self) -> bool:
+        return self._done
+
+    def set_result(self, reply: dict) -> None:
+        self._done = True
+        conn = self.conn
+        conn.pending -= 1
+        if not conn.pending and conn.idle is not None:
+            conn.idle.set()
+        self.shard.inflight -= 1
+        ok = reply.get("ok")
+        if ok is False:
+            self.server._count_error(reply.get("error", "internal"))
+        ctx = self.ctx
+        if type(ctx) is float:
+            conn.out.put_nowait(reply)
+        else:
+            ctx.t_done = self.server._now()
+            ctx.status = "ok" if ok else reply.get("error", "internal")
+            reply["trace"] = ctx.trace
+            conn.out.put_nowait((reply, ctx))
 
 
 class PlacementServer:
@@ -418,7 +463,8 @@ class PlacementServer:
                 await self._dispatch(line, conn)
         finally:
             if conn.pending:
-                await asyncio.gather(*conn.pending, return_exceptions=True)
+                conn.idle = asyncio.Event()
+                await conn.idle.wait()
             conn.out.put_nowait(None)
             await writer_task
             self._connections.discard(conn)
@@ -532,7 +578,6 @@ class PlacementServer:
                 )
             )
             return
-        future = asyncio.get_running_loop().create_future()
         # with telemetry off the job's third slot is the bare t_recv
         # float (the pre-telemetry wire format, zero extra allocation);
         # with it on, a RequestContext carrying the same t_recv
@@ -541,46 +586,19 @@ class PlacementServer:
             ctx = telemetry.begin(req, shard_id, t_recv)
             telemetry.shards[shard_id].queue_depth.set(shard.queue.qsize())
         shard.inflight += 1
-        self._track(future, conn, shard, ctx)
+        conn.pending += 1
+        slot = _ReplySlot(self, conn, shard, ctx)
         if req.op == "depart":
             # ordering: a depart must see every arrival submitted before
             # it, so the shard's pending micro-batch flushes first
             await self.batchers[shard_id].flush()
             if telemetry is not None:
                 ctx.t_enqueued = ctx.t_queued = self._now()
-            await shard.queue.put([(req, future, ctx)])
+            await shard.queue.put([(req, slot, ctx)])
         else:
             if telemetry is not None:
                 ctx.t_enqueued = self._now()
-            await self.batchers[shard_id].add((req, future, ctx))
-
-    def _track(
-        self,
-        future: asyncio.Future,
-        conn: _Connection,
-        shard: PlacementShard,
-        ctx,
-    ) -> None:
-        conn.pending.add(future)
-
-        def _done(fut: asyncio.Future) -> None:
-            conn.pending.discard(fut)
-            shard.inflight -= 1
-            reply = fut.result()
-            if reply.get("ok") is False:
-                self._count_error(reply.get("error", "internal"))
-            if type(ctx) is float:
-                conn.out.put_nowait(reply)
-            else:
-                ctx.t_done = self._now()
-                ctx.status = (
-                    "ok" if reply.get("ok")
-                    else reply.get("error", "internal")
-                )
-                reply["trace"] = ctx.trace
-                conn.out.put_nowait((reply, ctx))
-
-        future.add_done_callback(_done)
+            await self.batchers[shard_id].add((req, slot, ctx))
 
     async def _broadcast_advance(
         self, req: Request, conn: _Connection

@@ -14,9 +14,10 @@ request's routing key (tenant, falling back to item id), built on
 SHA-256 rather than Python's per-process-salted ``hash()`` so placement
 of keys onto shards is stable across runs and machines.  Requests
 sharing a key always reach the same shard; a key's sub-stream is
-therefore processed in submission order.
+therefore processed in submission order.  Routing is a pure function of
+the key, so the ring memoises recent keys in a bounded LRU.
 
-Checkpointing writes the engine's **v2 checkpoint**
+Checkpointing writes the engine's **v3 checkpoint**
 (:mod:`repro.engine.checkpoint` — the joint kernel+algorithm pickle)
 plus a small JSON sidecar holding the shard's service-level state (the
 live adaptive-item id map).  :meth:`PlacementShard.restore` rebuilds a
@@ -32,9 +33,11 @@ import json
 import pathlib
 import time as _time
 from bisect import bisect_right
+from functools import lru_cache, partial
 from typing import Callable, List, Optional, Tuple, Union
 
 from ..core.errors import ClairvoyanceError, PackingError, SimulationError
+from ..core.item import item_view
 from ..engine.checkpoint import (
     Checkpoint,
     load_checkpoint,
@@ -47,7 +50,7 @@ from ..engine.metrics import EngineMetrics
 from ..obs.metrics import LATENCY_EDGES, Histogram
 from .protocol import Request, error_reply, ok_reply
 
-__all__ = ["HashRing", "PlacementShard", "stable_hash"]
+__all__ = ["HashRing", "PlacementShard", "stable_hash", "ROUTE_MEMO_CAP"]
 
 #: sentinel that stops a shard worker (queue-ordered, after pending work)
 _STOP = object()
@@ -55,6 +58,10 @@ _STOP = object()
 #: bound of the ``(client, seq) → reply`` retry-dedup cache, in entries
 #: (FIFO eviction; must exceed any client's in-flight × retry window)
 _DEDUP_CAP = 65536
+
+#: bound of a :class:`HashRing`'s key → shard memo, in keys (LRU
+#: eviction; tenant-less requests route by item id, one key per item)
+ROUTE_MEMO_CAP = 4096
 
 
 def stable_hash(key: str) -> int:
@@ -83,17 +90,23 @@ class HashRing:
             for replica in range(replicas):
                 points.append((stable_hash(f"shard{shard}:{replica}"), shard))
         points.sort()
-        self._hashes = [h for h, _ in points]
-        self._shards = [s for _, s in points]
+        # the memo closes over the point lists, not the ring, so it
+        # holds no reference cycle
+        self._memo = lru_cache(maxsize=ROUTE_MEMO_CAP)(partial(
+            _ring_lookup, [h for h, _ in points], [s for _, s in points]
+        ))
 
     def shard_for(self, key: str) -> int:
-        """The shard owning ``key`` (O(log(shards·replicas)))."""
+        """The shard owning ``key``; memoised, a miss is O(log(ring points))."""
         if self.n_shards == 1:
             return 0
-        i = bisect_right(self._hashes, stable_hash(key))
-        if i == len(self._hashes):
-            i = 0
-        return self._shards[i]
+        return self._memo(key)
+
+
+def _ring_lookup(hashes: List[int], shards: List[int], key: str) -> int:
+    """The shard owning the first ring point clockwise of ``key``'s hash."""
+    i = bisect_right(hashes, stable_hash(key))
+    return shards[i if i < len(hashes) else 0]
 
 
 class PlacementShard:
@@ -150,9 +163,9 @@ class PlacementShard:
         self.request_latency = Histogram(LATENCY_EDGES)
         self.accepted = 0  # arrive requests committed into the kernel
         self.rejected = 0  # requests answered with a structured error
-        #: tracked request futures currently outstanding on this shard
-        #: (incremented by the server at enqueue, decremented when the
-        #: reply future resolves) — surfaced per shard by ``stats``
+        #: requests currently outstanding on this shard (incremented by
+        #: the server at enqueue, decremented when the reply is
+        #: delivered) — surfaced per shard by ``stats``
         self.inflight = 0
         #: telemetry plane hooks (None = telemetry off, zero overhead):
         #: the shard's RED registry and the gated kernel-event narrator
@@ -422,7 +435,8 @@ class PlacementShard:
             )
         kernel = self.engine.kernel
         uid = kernel.arrivals  # sequential per shard
-        item = req.to_item(uid)
+        # parse_request already validated these values
+        item = item_view(req.arrival, req.departure, req.size, uid)
         opened_before = kernel.bins_opened
         t0 = self._now()
         try:
@@ -521,7 +535,7 @@ class PlacementShard:
         }
 
     # ------------------------------------------------------------------ #
-    # Checkpoint / restore (v2 engine checkpoint + service sidecar)
+    # Checkpoint / restore (v3 engine checkpoint + service sidecar)
     # ------------------------------------------------------------------ #
     def _meta(self) -> dict:
         """Service-level sidecar state (JSON-serializable)."""

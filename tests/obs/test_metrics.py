@@ -1,11 +1,15 @@
 """Metric primitives: bucket edges, gauges, merging, and the
 deterministic MetricsListener."""
 
+import math
 import pickle
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import FirstFit, HybridAlgorithm, simulate, uniform_random
+from repro.obs import metrics as obs_metrics
 from repro.obs import (
     BINS_OPEN_EDGES,
     Counter,
@@ -15,6 +19,7 @@ from repro.obs import (
     Timing,
     merge_metrics,
 )
+from repro.serve.telemetry import BATCH_SIZE_EDGES, DURATION_EDGES
 
 
 class TestCounter:
@@ -132,6 +137,73 @@ class TestHistogram:
         assert a.counts == [2, 0, 1, 1]
         assert a.total == 4
         assert a.mean == pytest.approx((0.25 + 0.75 + 3.0 + 9.0) / 4)
+
+
+#: every bucket-edge tuple the package defines
+ALL_EDGES = [
+    value for name, value in sorted(vars(obs_metrics).items())
+    if name.endswith("_EDGES")
+] + [BATCH_SIZE_EDGES, DURATION_EDGES]
+
+
+def reference_bucket(edges, x) -> int:
+    """The hand-written bisect_left loop ``Histogram.observe`` once ran."""
+    lo, hi = 0, len(edges)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if edges[mid] < x:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+#: the awkward points: every edge exactly, zeros, NaN and both infinities
+SPECIAL_VALUES = sorted(
+    {float(e) for edges in ALL_EDGES for e in edges}
+    | {0.0, -0.0, -1.0, 1e-300, 1e300}
+) + [math.nan, math.inf, -math.inf]
+
+observations = st.one_of(
+    st.sampled_from(SPECIAL_VALUES),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-10**6, max_value=10**6),
+)
+
+
+class TestObserveMatchesReferenceLoop:
+    def test_six_edge_tuples_plus_the_telemetry_ones(self):
+        assert len(ALL_EDGES) == 8
+
+    @given(
+        edges=st.sampled_from(ALL_EDGES),
+        xs=st.lists(observations, max_size=40),
+    )
+    def test_same_buckets_total_and_sum(self, edges, xs):
+        h = Histogram(edges)
+        counts = [0] * (len(edges) + 1)
+        total, acc = 0, 0.0
+        for x in xs:
+            h.observe(x)
+            counts[reference_bucket(h.edges, x)] += 1
+            total += 1
+            acc += x
+        assert h.counts == counts
+        assert h.total == total
+        assert h.sum == acc or (math.isnan(h.sum) and math.isnan(acc))
+
+    @pytest.mark.parametrize("edges", ALL_EDGES)
+    def test_every_special_value(self, edges):
+        for x in SPECIAL_VALUES:
+            h = Histogram(edges)
+            h.observe(x)
+            assert h.counts[reference_bucket(h.edges, x)] == 1, x
+
+    def test_nan_lands_in_the_first_bucket_and_inf_overflows(self):
+        h = Histogram((1, 2))
+        for x in (math.nan, math.inf, -math.inf):
+            h.observe(x)
+        assert h.counts == [2, 0, 1]
 
 
 class TestTiming:

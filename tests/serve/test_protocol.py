@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.core.item import Item, item_view
+from repro.serve import protocol
 from repro.serve.protocol import (
     ERROR_CODES,
     OPS,
@@ -63,11 +68,13 @@ class TestParseValid:
         req = parse_request(arrive_line(v=PROTOCOL_VERSION))
         assert req.op == "arrive"
 
-    def test_to_item_carries_the_uid(self):
-        item = parse_request(arrive_line()).to_item(41)
-        assert (item.uid, item.arrival, item.departure, item.size) == (
-            41, 0.0, 4.0, 0.5,
-        )
+    def test_item_view_carries_the_uid(self):
+        # the shard builds its kernel item unchecked from the values
+        # parse_request validated: it must equal the checked constructor's
+        req = parse_request(arrive_line())
+        item = item_view(req.arrival, req.departure, req.size, 41)
+        assert item == Item(0.0, 4.0, 0.5, uid=41)
+        assert item.uid == 41
 
 
 class TestRoutingKey:
@@ -193,3 +200,133 @@ class TestReplies:
             "arrive", "depart", "advance", "stats", "ping", "telemetry",
             "profile",
         }
+
+
+def reference_encode(obj: dict) -> bytes:
+    """What :func:`encode` wrote before it had a template fast path."""
+    return (
+        json.dumps(obj, separators=(",", ":"), default=float) + "\n"
+    ).encode()
+
+
+ids = st.one_of(
+    st.text(),
+    st.sampled_from([
+        "", '"', "\\", "a\"b\\c", "\x00", "\x1f\n\t\r", "\x7f",
+        "é", "漢字", "\U0001f600", "\ud800", "</script>",
+    ]),
+)
+ints = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from([0, -1, 2**63, -(2**63), 10**100, -(10**200)]),
+)
+latencies = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e-7, 1e16, 1e22, 38.4, 5e-324]),
+)
+#: any JSON-encodable value of any type, finite or not
+anything = st.one_of(
+    st.none(), st.booleans(), ints, st.floats(), st.text(),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def arrive_replies(draw) -> dict:
+    """A canonical ``arrive`` ok reply, as the shard builds it."""
+    return ok_reply(
+        "arrive",
+        seq=draw(ints),
+        id=draw(ids),
+        uid=draw(ints),
+        bin=draw(ints),
+        opened=draw(st.booleans()),
+        shard=draw(ints),
+        latency_us=draw(latencies),
+    )
+
+
+@st.composite
+def off_template_replies(draw) -> dict:
+    """A canonical reply bent into a shape the template must not take."""
+    reply = draw(arrive_replies())
+    keys = list(reply)
+    how = draw(st.sampled_from(
+        ["trace", "drop", "retype", "nonfinite", "reorder", "swap", "extra"]
+    ))
+    if how == "trace":
+        reply["trace"] = draw(ids)
+    elif how == "drop":
+        del reply[draw(st.sampled_from(keys))]
+    elif how == "retype":
+        reply[draw(st.sampled_from(keys))] = draw(anything)
+    elif how == "nonfinite":
+        reply["latency_us"] = draw(st.sampled_from(
+            [math.inf, -math.inf, math.nan]
+        ))
+    elif how == "reorder":
+        key = draw(st.sampled_from(keys[:-1]))
+        reply[key] = reply.pop(key)  # same keys, moved to the end
+    elif how == "swap":  # same keys and types, two positions exchanged
+        i, j = draw(st.sampled_from([(2, 4), (4, 5), (4, 7), (5, 7)]))
+        keys[i], keys[j] = keys[j], keys[i]
+        reply = {key: reply[key] for key in keys}
+    else:
+        del reply[draw(st.sampled_from(keys))]
+        reply[draw(st.text(max_size=4))] = draw(anything)
+    return reply
+
+
+other_replies = st.one_of(
+    st.builds(
+        error_reply, st.sampled_from(ERROR_CODES), st.text(),
+        seq=st.one_of(st.none(), ints, st.text()),
+        retry_after=st.floats(min_value=0, max_value=1),
+    ),
+    st.builds(
+        lambda op, seq, id_, shard: ok_reply(op, seq=seq, id=id_,
+                                             shard=shard),
+        st.sampled_from(["depart", "advance", "ping", "stats"]),
+        st.one_of(st.none(), ints, st.text()),
+        ids, ints,
+    ),
+    st.builds(
+        lambda seq, id_, lat: ok_reply(
+            "arrive", seq=seq, id=id_, uid=1, bin=2, opened=True,
+            shard=0, latency_us=lat,
+        ),
+        st.one_of(st.none(), st.text(), st.booleans(), st.floats()),
+        st.one_of(ids, ints),
+        st.one_of(latencies, st.sampled_from([math.inf, -math.inf,
+                                              math.nan, 7])),
+    ),
+)
+
+
+class TestEncodeMatchesJsonDumps:
+    @given(arrive_replies())
+    def test_canonical_arrive_reply(self, reply):
+        assert encode(reply) == reference_encode(reply)
+
+    @given(off_template_replies())
+    def test_bent_arrive_replies(self, reply):
+        assert encode(reply) == reference_encode(reply)
+
+    @given(other_replies)
+    def test_every_other_reply_shape(self, reply):
+        assert encode(reply) == reference_encode(reply)
+
+    def test_canonical_reply_skips_json_dumps(self, monkeypatch):
+        reply = ok_reply("arrive", seq=1, id="7", uid=0, bin=3,
+                         opened=False, shard=0, latency_us=38.4)
+        expected = reference_encode(reply)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.dumps on the template path")
+
+        monkeypatch.setattr(protocol.json, "dumps", refuse)
+        assert encode(reply) == expected
+        reply["trace"] = "t-1"  # a traced reply leaves the template
+        with pytest.raises(AssertionError):
+            encode(reply)

@@ -519,6 +519,41 @@ class TestStatsQueueFields:
         run(main())
 
 
+class TestConnectionClose:
+    def test_half_closed_client_still_gets_every_pending_reply(self):
+        # the client stops writing while its requests sit in a stalled
+        # shard: the server must hold the connection open until each
+        # of them is answered, then close it
+        async def main():
+            server = await started(ServeConfig())
+            loop = asyncio.get_running_loop()
+            server.shards[0].stall(loop.time() + 0.2)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            for k in range(3):
+                writer.write(encode({
+                    "op": "arrive", "id": k, "seq": k, "arrival": 0.0,
+                    "departure": 1.0, "size": 0.25,
+                }))
+            writer.write_eof()
+            await writer.drain()
+            lines = []
+            while line := await asyncio.wait_for(reader.readline(), 5):
+                lines.append(json.loads(line))
+            writer.close()
+            await asyncio.sleep(0)
+            inflight = server.shards[0].inflight
+            open_connections = len(server._connections)
+            await server.drain()
+            return lines, inflight, open_connections
+
+        lines, inflight, open_connections = run(main())
+        assert [r["seq"] for r in lines] == [0, 1, 2]
+        assert all(r["ok"] for r in lines)
+        assert inflight == 0 and open_connections == 0
+
+
 class TestProfileVerb:
     """The continuous-profiling admin plane: live verb + drain artifact."""
 

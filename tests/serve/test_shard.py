@@ -4,12 +4,20 @@ from __future__ import annotations
 
 import asyncio
 import collections
+import json
+import random
 
 import pytest
 
 from repro import FirstFit
+from repro.serve.loadgen import shard_affine_tenants
 from repro.serve.protocol import Request, parse_request
-from repro.serve.shard import HashRing, PlacementShard, stable_hash
+from repro.serve.shard import (
+    ROUTE_MEMO_CAP,
+    HashRing,
+    PlacementShard,
+    stable_hash,
+)
 
 
 class TestStableHash:
@@ -52,6 +60,59 @@ class TestHashRing:
     def test_rejects_zero_shards(self):
         with pytest.raises(ValueError):
             HashRing(0)
+
+
+class UnmemoisedRing:
+    """The ring's routing rule written out plainly, with no memo."""
+
+    def __init__(self, n_shards: int, replicas: int = 64) -> None:
+        self.points = sorted(
+            (stable_hash(f"shard{s}:{r}"), s)
+            for s in range(n_shards) for r in range(replicas)
+        )
+
+    def shard_for(self, key: str) -> int:
+        h = stable_hash(key)
+        # the first point strictly clockwise of the key, wrapping around
+        return next((s for p, s in self.points if p > h), self.points[0][1])
+
+
+class TestRoutingMemo:
+    def test_memo_agrees_with_the_unmemoised_ring(self):
+        ring, plain = HashRing(4), UnmemoisedRing(4)
+        rng = random.Random(7)
+        keys = [
+            "".join(rng.choices("abcdef0123456789-:é", k=rng.randint(0, 12)))
+            for _ in range(10_000)
+        ]
+        keys += keys[:2000]  # repeats are answered from the memo
+        assert [ring.shard_for(k) for k in keys] == [
+            plain.shard_for(k) for k in keys
+        ]
+
+    def test_affine_tenants_route_to_their_shards(self):
+        ring, plain = HashRing(4), UnmemoisedRing(4)
+        tenants = shard_affine_tenants(4, 4)
+        for _ in range(3):  # cold, then from the memo
+            assert [ring.shard_for(t) for t in tenants] == [0, 1, 2, 3]
+        assert [plain.shard_for(t) for t in tenants] == [0, 1, 2, 3]
+
+    def test_tenantless_traffic_leaves_the_memo_at_its_cap(self):
+        # without a tenant a request routes by its item id: one new key
+        # per item, so an unbounded memo would grow with the stream
+        ring, plain = HashRing(4), UnmemoisedRing(4)
+        n = 3 * ROUTE_MEMO_CAP
+        for i in range(n):
+            req = parse_request(json.dumps({
+                "op": "arrive", "id": i, "arrival": 0.0,
+                "departure": 1.0, "size": 0.5,
+            }))
+            assert req.tenant is None
+            ring.shard_for(req.routing_key)
+        assert ring._memo.cache_info().currsize == ROUTE_MEMO_CAP
+        # evicted and retained keys alike still route correctly
+        for key in ("0", "1", str(n // 2), str(n - 1)):
+            assert ring.shard_for(key) == plain.shard_for(key)
 
 
 def arrive(id, arrival, departure, size, seq=None) -> Request:
