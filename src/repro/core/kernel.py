@@ -56,7 +56,9 @@ kernel subclass, so ``sim`` is always the object the caller built.
 Frontends observe it through one hook passed at construction,
 ``listener``, which receives ``on_advance`` / ``on_open`` /
 ``on_arrival`` / ``on_departure`` / ``on_close`` callbacks in exact
-event order.  The totals never depend on it: the streaming engine
+event order.  Each callback is resolved once per attach, and one the
+listener only inherits as a :class:`KernelListener` no-op is never
+called.  The totals never depend on it: the streaming engine
 attaches only while it has per-event work (metrics, observers), and
 observability listeners (tracing, invariant monitors) ride alongside.
 """
@@ -87,6 +89,13 @@ __all__ = [
 ]
 
 _NEG_INF = float("-inf")
+
+#: per-event listener callbacks and the ``timed`` flag, resolved on
+#: attach (see ``PlacementKernel.rebind_listeners``); never pickled
+_HOOK_ATTRS = (
+    "_on_advance", "_on_open", "_on_arrival", "_on_departure", "_on_close",
+    "_timed",
+)
 
 
 def _own_hook(algorithm, name: str):
@@ -144,9 +153,12 @@ class ListenerFanout(KernelListener):
     Pure dispatch — callbacks run in registration order and no event is
     reordered or filtered, so attaching an observability listener (e.g.
     :class:`repro.obs.trace.TracingListener`) next to a frontend's own
-    listener can never change semantics.  ``timed`` is the OR
-    over members: one latency-hungry listener is enough to make the
-    kernel measure per-departure wall time.
+    listener can never change semantics.  The kernel calls the members
+    through :meth:`hook`, so a member is called only for the events it
+    overrides; the ``on_*`` methods broadcast to every member for
+    callers that dispatch by hand.  ``timed`` is the OR over members: one latency-hungry
+    listener is enough to make the kernel measure per-departure wall
+    time.
     """
 
     def __init__(self, listeners) -> None:
@@ -185,6 +197,40 @@ class ListenerFanout(KernelListener):
     ) -> None:
         for listener in self.listeners:
             listener.on_close(bin_, t, usage, peak, n_items)
+
+    def hook(self, name: str):
+        """The members' own ``name`` callbacks as one callable, or
+        ``None`` when no member overrides it (what the kernel calls; a
+        direct ``on_*`` call still reaches every member).  A member
+        appended to ``listeners`` by hand is seen by the kernel only
+        after its ``rebind_listeners()``; ``add_listener`` does that."""
+        hooks = [
+            hook
+            for hook in (_listener_hook(m, name) for m in self.listeners)
+            if hook is not None
+        ]
+        if len(hooks) <= 1:
+            return hooks[0] if hooks else None
+
+        def fan_out(*args) -> None:
+            for hook in hooks:
+                hook(*args)
+
+        return fan_out
+
+
+def _listener_hook(listener, name: str):
+    """``listener``'s ``name`` callback, or ``None`` when calling it
+    would do nothing: no listener, or only the :class:`KernelListener`
+    no-op it inherits."""
+    if listener is None:
+        return None
+    if isinstance(listener, ListenerFanout):
+        return listener.hook(name)
+    hook = getattr(listener, name, None)
+    if getattr(hook, "__func__", None) is getattr(KernelListener, name):
+        return None
+    return hook
 
 
 class OpenBinIndex:
@@ -437,6 +483,7 @@ class PlacementKernel:
             )
         self._listener = listener
         self._bind_listener(listener)
+        self.rebind_listeners()
         # record-mode history (stays empty unless record=True)
         self._items: List[Item] = []
         self._records: List[BinRecord] = []
@@ -517,6 +564,24 @@ class PlacementKernel:
         else:
             self._listener = ListenerFanout([self._listener, listener])
         self._bind_listener(listener)
+        self.rebind_listeners()
+
+    def rebind_listeners(self) -> None:
+        """Resolve the listener callbacks and ``timed`` once.
+
+        Each event gets one attribute: the bound callback, or ``None``
+        when no listener overrides the :class:`KernelListener` no-op
+        (the event then costs one ``None`` check).  Runs on every
+        attach; a frontend whose listener changes whether it is
+        ``timed`` (the engine when metrics come or go) calls it again.
+        """
+        listener = self._listener
+        self._on_advance = _listener_hook(listener, "on_advance")
+        self._on_open = _listener_hook(listener, "on_open")
+        self._on_arrival = _listener_hook(listener, "on_arrival")
+        self._on_departure = _listener_hook(listener, "on_departure")
+        self._on_close = _listener_hook(listener, "on_close")
+        self._timed = listener is not None and bool(listener.timed)
 
     def _bind_listener(self, listener) -> None:
         """Hand listeners that want it a back-reference to this kernel.
@@ -639,8 +704,8 @@ class PlacementKernel:
             self._seq += 1
         else:
             self._adaptive.add(item.uid)
-        if self._listener is not None:
-            self._listener.on_arrival(item, bin_, opened)
+        if self._on_arrival is not None:
+            self._on_arrival(item, bin_, opened)
         return bin_
 
     def release_store(self, store, start: int = 0, stop: Optional[int] = None):
@@ -685,8 +750,8 @@ class PlacementKernel:
             elif arrival > self.time:  # _advance's no-departure tail
                 if self.time != _NEG_INF:
                     self.util_area += self.load * (arrival - self.time)
-                if self._listener is not None:
-                    self._listener.on_advance(arrival)
+                if self._on_advance is not None:
+                    self._on_advance(arrival)
                 self.time = arrival
             item = item_view(arrival, departure, size, uid)
             view = item_view(arrival, None, size, uid) if masked else item
@@ -698,9 +763,9 @@ class PlacementKernel:
                 self._seq += 1
             else:
                 self._adaptive.add(uid)
-            listener = self._listener
-            if listener is not None:
-                listener.on_arrival(item, bin_, opened)
+            on_arrival = self._on_arrival
+            if on_arrival is not None:
+                on_arrival(item, bin_, opened)
         return hi - lo
 
     def depart(self, uid: int, time: float) -> None:
@@ -790,19 +855,18 @@ class PlacementKernel:
         if until > self.time:
             if self.time != _NEG_INF:
                 self.util_area += self.load * (until - self.time)
-            if self._listener is not None:
-                self._listener.on_advance(until)
+            if self._on_advance is not None:
+                self._on_advance(until)
             self.time = until
 
     def _do_departure(self, uid: int, t: float) -> None:
-        listener = self._listener
-        timed = listener is not None and listener.timed
+        timed = self._timed
         t0 = _time.perf_counter() if timed else 0.0
         if t > self.time:
             if self.time != _NEG_INF:
                 self.util_area += self.load * (t - self.time)
-            if listener is not None:
-                listener.on_advance(t)
+            if self._on_advance is not None:
+                self._on_advance(t)
             self.time = t
         bin_ = self._item_bin.pop(uid, None)
         if bin_ is None:
@@ -822,8 +886,9 @@ class PlacementKernel:
             self._close(bin_, t)
         elif self._index is not None:
             self._index.update(bin_)
-        if listener is not None:
-            listener.on_departure(
+        on_departure = self._on_departure
+        if on_departure is not None:
+            on_departure(
                 uid,
                 removed,
                 bin_,
@@ -855,8 +920,8 @@ class PlacementKernel:
                     peak_load=peak,
                 )
             )
-        if self._listener is not None:
-            self._listener.on_close(bin_, t, usage, peak, bin_.items_held)
+        if self._on_close is not None:
+            self._on_close(bin_, t, usage, peak, bin_.items_held)
         hook = self._close_hook
         if hook is not None:
             hook(bin_, self)
@@ -888,8 +953,8 @@ class PlacementKernel:
                 self._index.add(chosen)
             if self.open_count_events is not None:
                 self.open_count_events.append((self.time, +1))
-            if self._listener is not None:
-                self._listener.on_open(chosen)
+            if self._on_open is not None:
+                self._on_open(chosen)
         else:
             if uid not in self._open:
                 raise PackingError(
@@ -926,6 +991,8 @@ class PlacementKernel:
         state.pop("_dep_hook", None)
         state.pop("_close_hook", None)
         state.pop("_masked", None)
+        for name in _HOOK_ATTRS:
+            state.pop(name, None)
         return state
 
     def __setstate__(self, state):
@@ -953,6 +1020,7 @@ class PlacementKernel:
         self._masked = self.masks_departures
         self._dep_hook = _own_hook(self.algorithm, "notify_departure")
         self._close_hook = _own_hook(self.algorithm, "notify_close")
+        self.rebind_listeners()  # the listener was dropped: no hooks
 
     def __repr__(self) -> str:
         name = getattr(self.algorithm, "name", type(self.algorithm).__name__)

@@ -187,6 +187,8 @@ class Engine(KernelListener):
         self._metrics = metrics
         if metrics is not None:
             self._listen()
+        if self._listening:  # the kernel reads ``timed`` once per attach
+            self._kernel.rebind_listeners()
 
     @property
     def algorithm(self):

@@ -15,8 +15,9 @@ slot then carries the whole burst, so a shard pays one scheduling
 round-trip per batch instead of per request.
 
 Degenerate configurations short-circuit: ``max_batch=1`` or
-``max_delay=0`` means every ``add`` flushes immediately (batching off —
-the default, and what the parity harness uses).
+``max_delay=0`` means every :meth:`~MicroBatcher.add_nowait` reports the
+batch due at once (batching off — the default, and what the parity
+harness uses).
 
 The batcher never reorders or drops work, and :meth:`aclose` flushes the
 remainder — the server's drain path calls it so a SIGTERM cannot strand
@@ -79,8 +80,14 @@ class MicroBatcher:
     def __len__(self) -> int:
         return len(self._pending)
 
-    async def add(self, work) -> None:
-        """Buffer one piece of work; may flush (and await the sink)."""
+    def add_nowait(self, work) -> bool:
+        """Buffer one piece of work without awaiting anything.
+
+        Returns ``True`` when the batch is due (full, or batching off):
+        the caller then awaits ``flush(cause="size")`` itself.  A caller
+        with many pieces at hand buffers them all this way and awaits
+        only on the flushes.
+        """
         if self._closed:
             raise RuntimeError("batcher is closed")
         self._pending.append(work)
@@ -89,10 +96,11 @@ class MicroBatcher:
             len(self._pending) >= self.max_batch
             or self.max_delay == 0.0
         ):
-            await self.flush(cause="size")
-        elif self._timer is None:
+            return True
+        if self._timer is None:
             loop = asyncio.get_running_loop()
             self._timer = loop.call_later(self.max_delay, self._fire)
+        return False
 
     def _fire(self) -> None:
         """Timer callback: flush from a task (timers can't await)."""

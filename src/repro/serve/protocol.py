@@ -52,9 +52,11 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 from ..core.errors import InvalidItemError
 from ..core.store import validate_item_values
@@ -70,6 +72,7 @@ __all__ = [
     "ok_reply",
     "error_reply",
     "encode",
+    "encode_arrive_ok",
     "decode",
 ]
 
@@ -200,7 +203,21 @@ def parse_request(line: Union[str, bytes]) -> Request:
     Raises :class:`ProtocolError` — never a raw ``json`` or item
     exception — so the server can always turn a bad line into a reply
     instead of a dropped connection.
+
+    A ``bytes`` line holding the flat ``arrive`` object clients send
+    takes a fast path (:func:`_parse_arrive`); every other line, and
+    every line the fast path declines, is parsed strictly by
+    ``json.loads``.  Both give the same :class:`Request`.
     """
+    if type(line) is bytes:
+        req = _parse_arrive(line)
+        if req is not None:
+            return req
+    return _parse_strict(line)
+
+
+def _parse_strict(line: Union[str, bytes]) -> Request:
+    """:func:`parse_request` by ``json.loads`` and field-by-field checks."""
     if isinstance(line, bytes):
         try:
             line = line.decode("utf-8")
@@ -273,6 +290,124 @@ def parse_request(line: Union[str, bytes]) -> Request:
     return Request(op=op, seq=seq, trace=trace)
 
 
+# ---------------------------------------------------------------------- #
+# The fast ``arrive`` parse
+# ---------------------------------------------------------------------- #
+# A line is accepted only when one regular expression, built for its key
+# order, matches all of it; the grammar pieces are strict subsets of
+# JSON's.  Anything outside them is declined and parsed strictly:
+# escapes, non-ASCII, duplicate or unknown keys (``v``, ``client``,
+# ``trace``, ...), ``true``/``false``/``null``, ids or tenants that are
+# not strings or integers, the integer ``-0`` (which JSON reads as 0),
+# whitespace other than one space after ``:`` or ``,`` (``json.dumps``'s
+# default separators) or at the end, and values that fail validation.
+# Possessive quantifiers (``*+``) spare the matcher backtracking state.
+_INT = rb"(?:-?[1-9][0-9]*+|0)"
+#: a JSON number other than the integer ``-0``
+_NUMBER = (
+    rb"((?:-?[1-9][0-9]*+|-?0(?=[.eE])|0)(?:\.[0-9]++)?+"
+    rb"(?:[eE][-+]?[0-9]++)?+)"
+)
+#: a string of printable ASCII without escapes, or an integer
+_IDENT = rb'(?:"([ !#-\[\]-~]*+)"|(' + _INT + rb"))"
+#: value pattern and groups (string, integer or number) per key
+_ARRIVE_FIELDS = {
+    b"op": (rb'"arrive"', ()),
+    b"id": (_IDENT, ("id", "id_int")),
+    b"tenant": (_IDENT, ("tenant", "tenant_int")),
+    b"seq": (_IDENT, ("seq", "seq_int")),
+    b"arrival": (_NUMBER, ("arrival",)),
+    b"departure": (_NUMBER, ("departure",)),
+    b"size": (_NUMBER, ("size",)),
+}
+_ARRIVE_REQUIRED = frozenset((b"op", b"id", b"arrival", b"size"))
+#: the groups :func:`_parse_arrive` reads, in its order
+_ARRIVE_GROUPS = (
+    "id", "id_int", "tenant", "tenant_int", "seq", "seq_int", "arrival",
+    "departure", "size",
+)
+#: the keys of a line, in order (a key is any quoted text before a colon)
+_KEYS = re.compile(rb'"([^"\\]*)"[ \t\r]*:')
+#: longer lines are parsed strictly: no integer in a shorter one reaches
+#: the digit limit past which ``json`` refuses to convert integers
+_FAST_MAX_LINE = 4096
+
+#: the plan of the last key order that matched, tried first (clients
+#: keep their order); a memo: which plan it holds never changes a result
+_last_plan = None
+
+
+@lru_cache(maxsize=64)
+def _arrive_plan(keys: Tuple[bytes, ...]):
+    """``(regex, group numbers)`` for ``arrive`` lines with ``keys`` in
+    this order, or ``None`` when those keys are not a fast-path
+    ``arrive`` (unknown, duplicate or missing keys)."""
+    fields = set(keys)
+    if (
+        len(fields) != len(keys)
+        or not _ARRIVE_REQUIRED <= fields
+        or not fields <= _ARRIVE_FIELDS.keys()
+    ):
+        return None
+    parts, number = [], {}
+    for key in keys:
+        pattern, groups = _ARRIVE_FIELDS[key]
+        parts.append(b'"' + key + b'": ?' + pattern)
+        for name in groups:
+            number[name] = len(number) + 1
+    # a last group that never takes part: where absent keys point
+    regex = re.compile(
+        rb"\{" + b", ?".join(parts) + rb"\}[ \t\r\n]*+(?:()(?!))?"
+    )
+    absent = len(number) + 1
+    return regex, tuple(number.get(name, absent) for name in _ARRIVE_GROUPS)
+
+
+def _parse_arrive(line: bytes) -> Optional[Request]:
+    """The fast path of :func:`parse_request`: an ``arrive`` line parsed
+    by one regular expression, or ``None`` when the line is anything
+    else and must be parsed strictly.
+
+    An accepted line gives the :class:`Request` the strict path gives,
+    validated item values included.
+    """
+    global _last_plan
+    if len(line) > _FAST_MAX_LINE:
+        return None
+    plan = _last_plan
+    match = plan[0].fullmatch(line) if plan is not None else None
+    if match is None:
+        plan = _arrive_plan(tuple(_KEYS.findall(line)))
+        if plan is None:
+            return None
+        match = plan[0].fullmatch(line)
+        if match is None:
+            return None
+        _last_plan = plan
+    (id_, id_int, tenant, tenant_int, seq, seq_int, arrival, departure,
+     size) = match.group(*plan[1])
+    if id_ is None:  # an integer id is named by its decimal form
+        id_ = id_int
+    if tenant is None:
+        tenant = tenant_int
+    if tenant is not None:
+        tenant = tenant.decode()
+    if seq is not None:
+        seq = seq.decode()
+    elif seq_int is not None:
+        seq = int(seq_int)
+    arrival = float(arrival)
+    size = float(size)
+    if departure is not None:
+        departure = float(departure)
+    try:  # an invalid item gets the strict path's error
+        validate_item_values(arrival, departure, size)
+    except InvalidItemError:
+        return None
+    return Request("arrive", seq, id_.decode(), tenant, arrival,
+                   departure, size)
+
+
 def ok_reply(op: str, *, seq=None, **fields) -> dict:
     """A successful reply envelope (``seq`` echoed only when present)."""
     reply = {"ok": True, "op": op}
@@ -295,37 +430,74 @@ def error_reply(code: str, message: str, *, seq=None, **fields) -> dict:
 _ARRIVE_KEYS = (
     "ok", "op", "seq", "id", "uid", "bin", "opened", "shard", "latency_us",
 )
+#: ... and of a traced one, which carries its trace id last
+_TRACED_ARRIVE_KEYS = _ARRIVE_KEYS + ("trace",)
+
+
+def encode_arrive_ok(
+    seq: int,
+    id_: str,
+    uid: int,
+    bin_: int,
+    opened: bool,
+    shard: int,
+    latency_us: float,
+    trace: Optional[str] = None,
+) -> bytes:
+    """The canonical ``arrive`` ok reply, written straight to its wire line.
+
+    Equals ``encode(ok_reply("arrive", seq=seq, id=id_, uid=uid,
+    bin=bin_, opened=opened, shard=shard, latency_us=latency_us))``
+    (plus ``trace`` last when given) for an int ``seq``, ``uid``,
+    ``bin_`` and ``shard``, str ``id_`` and ``trace``, and a finite
+    float ``latency_us``: strings go through ``json``'s own ASCII
+    escaper and the float through ``repr``, as ``json.dumps`` does.
+    """
+    traced = "" if trace is None else (
+        f',"trace":{encode_basestring_ascii(trace)}'
+    )
+    return (
+        f'{{"ok":true,"op":"arrive","seq":{seq},'
+        f'"id":{encode_basestring_ascii(id_)},"uid":{uid},'
+        f'"bin":{bin_},"opened":{"true" if opened else "false"},'
+        f'"shard":{shard},"latency_us":{latency_us!r}{traced}}}\n'
+    ).encode()
 
 
 def encode(obj: dict) -> bytes:
     """One reply/request as a wire line (compact JSON + newline).
 
     The canonical ``arrive`` ok reply — the one nearly every request
-    gets — is written from a template; its bytes equal ``json.dumps``'s
-    (ids escaped by the same ASCII escaper, floats by ``repr``).  Every
-    other shape, including one with a ``trace`` key or a non-int
-    ``seq``, goes through ``json.dumps``.
+    gets, traced (a str ``trace`` key last) or not — is written by
+    :func:`encode_arrive_ok`; its bytes equal ``json.dumps``'s.  Every
+    other shape, including one with a non-int ``seq``, goes through
+    ``json.dumps``.
     """
-    if len(obj) == 9 and tuple(obj) == _ARRIVE_KEYS:
+    n = len(obj)
+    if n == 9 and tuple(obj) == _ARRIVE_KEYS:
         ok, op, seq, id_, uid, bin_, opened, shard, latency = obj.values()
-        if (
-            ok is True
-            and op == "arrive"
-            and type(seq) is int
-            and type(id_) is str
-            and type(uid) is int
-            and type(bin_) is int
-            and type(opened) is bool
-            and type(shard) is int
-            and type(latency) is float
-            and -math.inf < latency < math.inf
-        ):
-            return (
-                f'{{"ok":true,"op":"arrive","seq":{seq},'
-                f'"id":{encode_basestring_ascii(id_)},"uid":{uid},'
-                f'"bin":{bin_},"opened":{"true" if opened else "false"},'
-                f'"shard":{shard},"latency_us":{latency!r}}}\n'
-            ).encode()
+        trace = None
+    elif n == 10 and tuple(obj) == _TRACED_ARRIVE_KEYS:
+        ok, op, seq, id_, uid, bin_, opened, shard, latency, trace = (
+            obj.values()
+        )
+    else:
+        ok = None
+    if (
+        ok is True
+        and op == "arrive"
+        and type(seq) is int
+        and type(id_) is str
+        and type(uid) is int
+        and type(bin_) is int
+        and type(opened) is bool
+        and type(shard) is int
+        and type(latency) is float
+        and -math.inf < latency < math.inf
+        and (trace is None or type(trace) is str)
+    ):
+        return encode_arrive_ok(seq, id_, uid, bin_, opened, shard,
+                                latency, trace)
     return (
         json.dumps(obj, separators=(",", ":"), default=float) + "\n"
     ).encode("utf-8")

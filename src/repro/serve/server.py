@@ -5,6 +5,15 @@ Request path
 ``connection reader → parse → consistent-hash route → per-shard
 micro-batcher → bounded shard queue → shard worker (kernel) → reply``
 
+The path is paid per micro-batch where it can be.  The reader parses
+and routes every complete line the stream already holds before it
+yields (``readline`` does not suspend while a whole line is buffered);
+it awaits only where the route must (a due batcher flush, a full shard queue, a ``depart``'s enqueue
+or an ``advance`` broadcast).  A flushed micro-batch is one shard job:
+the worker applies it in one loop, writes canonical ``arrive`` ok
+replies straight to wire bytes, and completes it once through one
+:class:`_ReplySlot`, which queues one chunk per connection.
+
 Every stage is explicit about overload and failure:
 
 - a malformed line produces a structured error reply on the same
@@ -18,9 +27,8 @@ Every stage is explicit about overload and failure:
 
 Replies are written by one writer coroutine per connection and carry the
 request's ``seq``, so pipelined clients see interleaved (cross-shard)
-replies and can still correlate them.  A shard hands each reply to a
-:class:`_ReplySlot`, which queues it on the connection's writer at
-once, with no Future or event-loop hop per request.
+replies and can still correlate them; the writer coalesces every chunk
+queued at once into one write.
 
 Lifecycle
 ---------
@@ -40,7 +48,8 @@ import pathlib
 import signal
 import time as _time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from operator import itemgetter
+from typing import Awaitable, Callable, Dict, List, Optional, Union
 
 from ..engine.metrics import EngineMetrics
 from ..obs.metrics import LATENCY_EDGES, Histogram
@@ -91,56 +100,94 @@ class ServeConfig:
         return pathlib.Path(self.checkpoint_dir) / f"shard-{shard_id}.ckpt"
 
 
+#: a micro-batch entry is ``(arrival, request, connection, ctx)``
+_ARRIVAL = itemgetter(0)
+
+
 @dataclass(eq=False)
 class _Connection:
     """Book-keeping for one client connection."""
 
     writer: asyncio.StreamWriter
+    #: encoded replies for the writer: ``bytes`` (one or more lines),
+    #: ``(bytes, telemetry contexts)``, or ``None`` to close
     out: asyncio.Queue = field(default_factory=asyncio.Queue)
     pending: int = 0  #: shard requests not yet answered
     #: set when ``pending`` reaches 0 (created only when a close waits)
     idle: Optional[asyncio.Event] = None
 
+    def send(self, reply: dict) -> None:
+        """Queue one reply for the writer."""
+        self.out.put_nowait(encode(reply))
+
+    def answered(self, n: int) -> None:
+        """``n`` shard requests got their replies."""
+        self.pending -= n
+        if not self.pending and self.idle is not None:
+            self.idle.set()
+
 
 class _ReplySlot:
-    """Where a shard delivers one request's reply, in place of a Future.
+    """Where a shard delivers one job's replies, in place of a Future.
 
-    The shard calls only ``done()`` and ``set_result()`` on the second
-    slot of a job, so this stands in for an ``asyncio.Future`` and does
-    the server's reply bookkeeping inside ``set_result`` itself: no
-    Future, no done-callback and no extra event-loop hop per request.
+    A job is one micro-batch (or one ``depart``).  The shard calls only
+    ``done()`` and ``set_result(replies)``, once per job, so this stands
+    in for an ``asyncio.Future`` and does the server's reply bookkeeping
+    inside ``set_result`` itself: the replies that are not wire bytes
+    yet are encoded, errors are counted, and each connection gets one
+    chunk on its writer queue — no Future, callback or queue entry per
+    request.
     """
 
-    __slots__ = ("server", "conn", "shard", "ctx", "_done")
+    __slots__ = ("server", "shard", "conns", "ctxs", "_done")
 
-    def __init__(self, server, conn: _Connection, shard, ctx) -> None:
+    def __init__(self, server, shard, conns: tuple, ctxs: tuple) -> None:
         self.server = server
-        self.conn = conn
         self.shard = shard
-        self.ctx = ctx
+        self.conns = conns  #: each request's connection
+        self.ctxs = ctxs  #: each request's t_recv or telemetry context
         self._done = False
 
     def done(self) -> bool:
         return self._done
 
-    def set_result(self, reply: dict) -> None:
+    def set_result(self, replies: list) -> None:
         self._done = True
-        conn = self.conn
-        conn.pending -= 1
-        if not conn.pending and conn.idle is not None:
-            conn.idle.set()
-        self.shard.inflight -= 1
-        ok = reply.get("ok")
-        if ok is False:
-            self.server._count_error(reply.get("error", "internal"))
-        ctx = self.ctx
-        if type(ctx) is float:
-            conn.out.put_nowait(reply)
-        else:
-            ctx.t_done = self.server._now()
-            ctx.status = "ok" if ok else reply.get("error", "internal")
-            reply["trace"] = ctx.trace
-            conn.out.put_nowait((reply, ctx))
+        server = self.server
+        self.shard.inflight -= len(replies)
+        conns = self.conns
+        conn = conns[0]
+        if server.telemetry is None and conns.count(conn) == len(conns):
+            try:  # the common case: every reply is already wire bytes
+                data = b"".join(replies)
+            except TypeError:  # some are dicts (errors, other ops)
+                data = b"".join([
+                    r if type(r) is bytes else server._wire(r)
+                    for r in replies
+                ])
+            conn.out.put_nowait(data)
+            conn.answered(len(replies))
+            return
+        chunks: Dict[_Connection, tuple] = {}
+        for reply, conn, ctx in zip(replies, conns, self.ctxs):
+            chunk = chunks.get(conn)
+            if chunk is None:
+                chunk = chunks[conn] = ([], [])
+            if type(reply) is not bytes:
+                if type(ctx) is not float:  # a telemetry context
+                    ctx.t_done = server._now()
+                    ctx.status = (
+                        "ok" if reply.get("ok")
+                        else reply.get("error", "internal")
+                    )
+                    reply["trace"] = ctx.trace
+                    chunk[1].append(ctx)
+                reply = server._wire(reply)
+            chunk[0].append(reply)
+        for conn, (parts, finished) in chunks.items():
+            data = b"".join(parts)
+            conn.out.put_nowait((data, finished) if finished else data)
+            conn.answered(len(parts))
 
 
 class PlacementServer:
@@ -292,22 +339,26 @@ class PlacementServer:
         async def sink(batch: list) -> None:
             # simultaneous arrivals: stable sort by arrival inside the
             # micro-batch mirrors Instance order (ties keep submit order)
-            batch.sort(key=lambda job: job[0].arrival)
+            batch.sort(key=_ARRIVAL)
+            job = self._job(shard, batch)
             if shard.crashed:
                 # the shard fail-stopped while this batch aged in the
                 # batcher: nobody will drain the queue, so answer here
-                for req, future, _ in batch:
-                    shard._fail_future(req, future)
+                shard._fail_job(job)
                 return
             if telemetry is not None:
                 t_queued = self._now()
-                for job in batch:
-                    ctx = job[2]
-                    if ctx is not None and type(ctx) is not float:
-                        ctx.t_queued = t_queued
-            await shard.queue.put(batch)
+                for ctx in job[1]:
+                    ctx.t_queued = t_queued
+            await shard.queue.put(job)
 
         return sink
+
+    def _job(self, shard: PlacementShard, entries: list) -> tuple:
+        """A shard job from micro-batch entries: requests, contexts and
+        one reply slot."""
+        _, reqs, conns, ctxs = zip(*entries)
+        return reqs, ctxs, _ReplySlot(self, shard, conns, ctxs)
 
     async def start(self) -> None:
         """Bind the listening socket and start the shard workers."""
@@ -452,15 +503,16 @@ class PlacementServer:
                     line = await reader.readline()
                 except (ValueError, ConnectionError):
                     # oversized line or reset: answer if we can, then close
-                    conn.out.put_nowait(
-                        error_reply("bad-request", "line too long")
-                    )
+                    conn.send(error_reply("bad-request", "line too long"))
                     break
                 if not line:
                     break
-                if not line.strip():
-                    continue
-                await self._dispatch(line, conn)
+                # readline returns without suspending while a whole line
+                # is buffered, so every buffered line is routed before
+                # the loop yields, unless the route itself must wait
+                wait = self._dispatch(line, conn)
+                if wait is not None:
+                    await wait
         finally:
             if conn.pending:
                 conn.idle = asyncio.Event()
@@ -475,19 +527,19 @@ class PlacementServer:
         try:
             while not done:
                 # coalesce: everything queued right now goes out in one
-                # write + one drain, not one syscall round-trip per reply
-                reply = await conn.out.get()
+                # write + one drain, not one syscall round-trip per chunk
+                chunk = await conn.out.get()
                 chunks = []
                 finished = None  # telemetry contexts riding with replies
-                while reply is not None:
-                    if type(reply) is tuple:
-                        reply, ctx = reply
+                while chunk is not None:
+                    if type(chunk) is tuple:
+                        chunk, ctxs = chunk
                         if finished is None:
                             finished = []
-                        finished.append(ctx)
-                    chunks.append(encode(reply))
+                        finished += ctxs
+                    chunks.append(chunk)
                     try:
-                        reply = conn.out.get_nowait()
+                        chunk = conn.out.get_nowait()
                     except asyncio.QueueEmpty:
                         break
                 else:
@@ -509,54 +561,69 @@ class PlacementServer:
             except RuntimeError:  # pragma: no cover - loop shutdown race
                 pass
 
-    async def _dispatch(self, line: bytes, conn: _Connection) -> None:
-        t_recv = self._now()
+    def _dispatch(
+        self, line: bytes, conn: _Connection
+    ) -> Optional[Awaitable[None]]:
+        """Parse and route one line; returns what :meth:`_route` must
+        have awaited before the next line, else ``None``."""
         telemetry = self.telemetry
+        t_recv = self._now()
         try:
             req = parse_request(line)
         except ProtocolError as exc:
-            self._count_error(exc.code)
-            if telemetry is not None:
-                telemetry.parse_error(exc.code)
-            conn.out.put_nowait(exc.reply())
-            return
+            if line.strip():  # blank lines are skipped, not answered
+                self._count_error(exc.code)
+                if telemetry is not None:
+                    telemetry.parse_error(exc.code)
+                conn.send(exc.reply())
+            return None
         self.requests += 1
-        if req.op == "ping":
-            conn.out.put_nowait(
-                ok_reply("ping", seq=req.seq, v=PROTOCOL_VERSION)
-            )
-            return
-        if req.op == "stats":
-            conn.out.put_nowait(self._stats_reply(req))
-            return
-        if req.op == "telemetry":
+        return self._route(req, conn, t_recv)
+
+    def _route(
+        self, req: Request, conn: _Connection, t_recv: float
+    ) -> Optional[Awaitable[None]]:
+        """Answer or enqueue one parsed request.
+
+        Returns what the caller must await before the next request (a
+        due batcher flush, a ``depart``'s enqueue or an ``advance``
+        broadcast), else ``None``.
+        """
+        telemetry = self.telemetry
+        op = req.op
+        if op == "ping":
+            conn.send(ok_reply("ping", seq=req.seq, v=PROTOCOL_VERSION))
+            return None
+        if op == "stats":
+            conn.send(self._stats_reply(req))
+            return None
+        if op == "telemetry":
             # admin plane — answered even while draining, like stats
-            conn.out.put_nowait(self._telemetry_reply(req))
-            return
-        if req.op == "profile":
-            conn.out.put_nowait(self._profile_reply(req))
-            return
+            conn.send(self._telemetry_reply(req))
+            return None
+        if op == "profile":
+            conn.send(self._profile_reply(req))
+            return None
         if self.draining:
             self._count_error("draining")
             if telemetry is not None:
                 telemetry.refused(None, "draining")
-            conn.out.put_nowait(
+            conn.send(
                 error_reply(
                     "draining", "server is draining; no new work",
                     seq=req.seq,
                 )
             )
-            return
-        if req.op == "advance":
-            await self._broadcast_advance(req, conn)
-            return
+            return None
+        if op == "advance":
+            return self._broadcast_advance(req, conn)
         shard_id = self.ring.shard_for(req.routing_key)
         shard = self.shards[shard_id]
         if shard.crashed:
             self._count_error("unavailable")
             if telemetry is not None:
                 telemetry.refused(shard_id, "unavailable")
-            conn.out.put_nowait(
+            conn.send(
                 error_reply(
                     "unavailable",
                     f"shard {shard_id} is down — retry after recovery",
@@ -564,12 +631,12 @@ class PlacementServer:
                     retry_after=self._retry_after(shard),
                 )
             )
-            return
+            return None
         if shard.queue.full():
             self._count_error("overloaded")
             if telemetry is not None:
                 telemetry.refused(shard_id, "overloaded")
-            conn.out.put_nowait(
+            conn.send(
                 error_reply(
                     "overloaded",
                     f"shard {shard_id} queue is full",
@@ -577,28 +644,34 @@ class PlacementServer:
                     retry_after=self._retry_after(shard),
                 )
             )
-            return
-        # with telemetry off the job's third slot is the bare t_recv
-        # float (the pre-telemetry wire format, zero extra allocation);
-        # with it on, a RequestContext carrying the same t_recv
+            return None
+        # with telemetry off a request's context is the bare t_recv
+        # float (zero extra allocation); with it on, a RequestContext
+        # carrying the same t_recv
         ctx = t_recv
         if telemetry is not None:
             ctx = telemetry.begin(req, shard_id, t_recv)
             telemetry.shards[shard_id].queue_depth.set(shard.queue.qsize())
         shard.inflight += 1
         conn.pending += 1
-        slot = _ReplySlot(self, conn, shard, ctx)
-        if req.op == "depart":
-            # ordering: a depart must see every arrival submitted before
-            # it, so the shard's pending micro-batch flushes first
-            await self.batchers[shard_id].flush()
-            if telemetry is not None:
-                ctx.t_enqueued = ctx.t_queued = self._now()
-            await shard.queue.put([(req, slot, ctx)])
-        else:
-            if telemetry is not None:
-                ctx.t_enqueued = self._now()
-            await self.batchers[shard_id].add((req, slot, ctx))
+        entry = (req.arrival, req, conn, ctx)
+        if op == "depart":
+            return self._enqueue_depart(shard, entry)
+        if telemetry is not None:
+            ctx.t_enqueued = self._now()
+        batcher = self.batchers[shard_id]
+        if batcher.add_nowait(entry):
+            return batcher.flush(cause="size")
+        return None
+
+    async def _enqueue_depart(self, shard: PlacementShard, entry) -> None:
+        # ordering: a depart must see every arrival submitted before
+        # it, so the shard's pending micro-batch flushes first
+        await self.batchers[shard.shard_id].flush()
+        if self.telemetry is not None:
+            ctx = entry[3]
+            ctx.t_enqueued = ctx.t_queued = self._now()
+        await shard.queue.put(self._job(shard, [entry]))
 
     async def _broadcast_advance(
         self, req: Request, conn: _Connection
@@ -610,7 +683,7 @@ class PlacementServer:
             # cannot complete, so tell the client to retry after recovery
             # (advance_to is idempotent at equal time, so resends are safe)
             self._count_error("unavailable")
-            conn.out.put_nowait(
+            conn.send(
                 error_reply(
                     "unavailable",
                     f"shards {down} are down — retry after recovery",
@@ -630,17 +703,18 @@ class PlacementServer:
                 s.inflight -= 1
 
             fut.add_done_callback(_untrack)
+            job = ((advance,), None, fut)
             if shard.crashed:  # fail-stopped while we awaited the flush
-                shard._fail_future(advance, fut)
+                shard._fail_job(job)
             else:
-                await shard.queue.put([(advance, fut, None)])
-        replies = await asyncio.gather(*futures)
+                await shard.queue.put(job)
+        replies = [r for (r,) in await asyncio.gather(*futures)]
         bad = next((r for r in replies if not r.get("ok")), None)
         if bad is not None:
             self._count_error(bad.get("error", "internal"))
-            conn.out.put_nowait(bad)
+            conn.send(bad)
         else:
-            conn.out.put_nowait(
+            conn.send(
                 ok_reply("advance", seq=req.seq, time=req.time,
                          shards=len(self.shards))
             )
@@ -654,6 +728,12 @@ class PlacementServer:
     def _count_error(self, code: str) -> None:
         self.errors += 1
         self.error_codes[code] = self.error_codes.get(code, 0) + 1
+
+    def _wire(self, reply: dict) -> bytes:
+        """A shard's dict reply as wire bytes, its error counted."""
+        if reply.get("ok") is False:
+            self._count_error(reply.get("error", "internal"))
+        return encode(reply)
 
     # ------------------------------------------------------------------ #
     # Stats / metrics

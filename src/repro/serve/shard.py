@@ -9,6 +9,14 @@ order** — the property that makes per-shard decision streams
 deterministic and lets the parity harness compare a single-shard server
 bit-for-bit against batch ``simulate()``.
 
+A job is one micro-batch: ``(requests, contexts, slot)``.  The worker
+runs it through :meth:`PlacementShard.apply_batch` — one loop over
+``Engine.feed`` that writes each canonical ``arrive`` ok reply straight
+to its wire bytes — and hands the list of replies to ``slot`` once
+(``slot.done()``/``slot.set_result(replies)``, so an
+``asyncio.Future`` serves as well).  :meth:`PlacementShard.apply` is
+the one-request case, with a dict reply.
+
 Routing uses a **consistent-hash ring** (:class:`HashRing`) over the
 request's routing key (tenant, falling back to item id), built on
 SHA-256 rather than Python's per-process-salted ``hash()`` so placement
@@ -34,7 +42,8 @@ import pathlib
 import time as _time
 from bisect import bisect_right
 from functools import lru_cache, partial
-from typing import Callable, List, Optional, Tuple, Union
+from itertools import islice
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from ..core.errors import ClairvoyanceError, PackingError, SimulationError
 from ..core.item import item_view
@@ -48,7 +57,7 @@ from ..engine.checkpoint import (
 from ..engine.loop import Engine
 from ..engine.metrics import EngineMetrics
 from ..obs.metrics import LATENCY_EDGES, Histogram
-from .protocol import Request, error_reply, ok_reply
+from .protocol import Request, encode_arrive_ok, error_reply, ok_reply
 
 __all__ = ["HashRing", "PlacementShard", "stable_hash", "ROUTE_MEMO_CAP"]
 
@@ -230,44 +239,22 @@ class PlacementShard:
             try:
                 if job is _STOP:
                     return
-                try:
-                    await self._maybe_stall()
-                except asyncio.CancelledError:
-                    # fail-stopped while parked: this job is already out
-                    # of the queue, so _fail_queue() cannot see it — its
-                    # futures must still be answered or their waiters
-                    # (and the connection's drain) hang forever
-                    for req, future, _ in job:
-                        self._fail_future(req, future)
-                    raise
-                for req, future, ctx in job:
-                    if self.crashed:  # fail-stopped mid-batch
-                        self._fail_future(req, future)
-                        continue
-                    if ctx is None or type(ctx) is float:
-                        t_recv = ctx  # telemetry off: ctx IS t_recv
-                        reply = self.apply(req)
-                    else:  # a telemetry RequestContext rides with the job
-                        t_recv = ctx.t_recv
-                        ctx.t_dequeued = self._now()
-                        narrator = self._narrator
-                        if narrator is not None and ctx.sampled:
-                            narrator.active = True
-                        ctx.t_kernel0 = self._now()
-                        reply = self.apply(req)
-                        ctx.t_kernel1 = self._now()
-                        if narrator is not None:
-                            narrator.active = False
-                    if t_recv is not None:
-                        reply.setdefault("shard", self.shard_id)
-                        self.request_latency.observe(self._now() - t_recv)
-                    if not future.done():
-                        future.set_result(reply)
-                    if self._crash_after_applies is not None:
-                        self._crash_after_applies -= 1
-                        if self._crash_after_applies <= 0:
-                            self._crash_after_applies = None
-                            self._do_crash()
+                reqs, ctxs, slot = job
+                if self._stall_until is not None:
+                    try:
+                        await self._maybe_stall()
+                    except asyncio.CancelledError:
+                        # fail-stopped while parked: this job is already
+                        # out of the queue, so _fail_queue() cannot see
+                        # it — it must still be answered or its waiters
+                        # (and the connection's drain) hang forever
+                        self._fail_job(job)
+                        raise
+                replies = self.apply_batch(reqs, ctxs)
+                if not slot.done():
+                    slot.set_result(replies)
+                if self.crashed:  # fail-stopped mid-batch (crash_after)
+                    self._fail_queue()
             finally:
                 self.queue.task_done()
             if self.crashed:
@@ -298,7 +285,8 @@ class PlacementShard:
         """
         if self.crashed:
             return
-        self._do_crash()
+        self._fail_stop()
+        self._fail_queue()
         if self._task is not None:
             self._task.cancel()
             self._task = None
@@ -362,11 +350,11 @@ class PlacementShard:
             self.engine.attach_listener(self._narrator)
         self.start()
 
-    def _do_crash(self) -> None:
+    def _fail_stop(self) -> None:
+        """Keep the durable image and stop answering (queue untouched)."""
         self._count_fault()
         self._durable = self.durable_image()
         self.crashed = True
-        self._fail_queue()
 
     def _fail_queue(self) -> None:
         """Answer everything queued with ``unavailable`` (crash/drain)."""
@@ -377,18 +365,22 @@ class PlacementShard:
                 return
             try:
                 if job is not _STOP:
-                    for req, future, _ in job:
-                        self._fail_future(req, future)
+                    self._fail_job(job)
             finally:
                 self.queue.task_done()
 
-    def _fail_future(self, req: Request, future: asyncio.Future) -> None:
-        if not future.done():
-            future.set_result(error_reply(
-                "unavailable",
-                f"shard {self.shard_id} is down — retry after recovery",
-                seq=req.seq, shard=self.shard_id,
-            ))
+    def _fail_job(self, job: tuple) -> None:
+        """Answer every request of ``job`` with ``unavailable``."""
+        reqs, _, slot = job
+        if not slot.done():
+            slot.set_result([self._unavailable(req) for req in reqs])
+
+    def _unavailable(self, req: Request) -> dict:
+        return error_reply(
+            "unavailable",
+            f"shard {self.shard_id} is down — retry after recovery",
+            seq=req.seq, shard=self.shard_id,
+        )
 
     # ------------------------------------------------------------------ #
     # Request execution (synchronous — the kernel is pure computation)
@@ -396,19 +388,77 @@ class PlacementShard:
     def apply(self, req: Request) -> dict:
         """Execute one request against the kernel; always returns a reply.
 
+        The one-request case of :meth:`apply_batch`, with a dict reply.
+        """
+        return self.apply_batch((req,))[0]
+
+    def apply_batch(self, reqs: Sequence[Request], ctxs=None) -> list:
+        """Execute ``reqs`` in order; one reply per request, in order.
+
+        ``ctxs`` holds one entry per request saying how it was served
+        (``None`` for all: internal calls, such as :meth:`apply` and the
+        ``advance`` broadcast):
+
+        - ``None``: a dict reply, nothing recorded;
+        - a float, the receive time of an untraced served request: a
+          canonical ``arrive`` ok reply (int ``seq``, no dedup key)
+          comes back as its wire bytes, ready to write, every other
+          reply as a dict with ``shard`` set; the receive → reply
+          latency is recorded;
+        - a telemetry ``RequestContext``: a dict reply, and the
+          request's queue and kernel phases are stamped on the context.
+
         Requests carrying a ``(client, seq)`` idempotency key are applied
         **at most once**: a resend of an already-applied request returns
         the original ok reply verbatim instead of touching the kernel,
         which is what makes client retries after lost acks safe.
         """
+        replies = []
+        now = self._now
+        applied = 0  # once the shard fail-stops, the rest are refused
+        for i, req in enumerate(reqs):
+            if self.crashed:  # fail-stopped mid-batch
+                replies.append(self._unavailable(req))
+                continue
+            ctx = None if ctxs is None else ctxs[i]
+            if ctx is None or type(ctx) is float:
+                reply = self._apply(req, ctx is not None)
+            else:  # a telemetry RequestContext rides with the request
+                ctx.t_dequeued = now()
+                narrator = self._narrator
+                if narrator is not None and ctx.sampled:
+                    narrator.active = True
+                ctx.t_kernel0 = now()
+                reply = self._apply(req, False)
+                ctx.t_kernel1 = now()
+                if narrator is not None:
+                    narrator.active = False
+            if ctx is not None and type(reply) is dict:
+                reply.setdefault("shard", self.shard_id)
+            replies.append(reply)
+            applied += 1
+            if self._crash_after_applies is not None:
+                self._crash_after_applies -= 1
+                if self._crash_after_applies <= 0:
+                    self._crash_after_applies = None
+                    self._fail_stop()
+        if ctxs is not None and applied:
+            t_done = now()
+            observe = self.request_latency.observe
+            for ctx in islice(ctxs, applied):
+                observe(t_done - (ctx if type(ctx) is float else ctx.t_recv))
+        return replies
+
+    def _apply(self, req: Request, wire: bool):
         key = req.dedup_key if self.dedup_enabled else None
         if key is not None:
             cached = self._applied.get(key)
             if cached is not None:
                 return cached
+            wire = False  # the dedup cache keeps dict replies
         try:
             if req.op == "arrive":
-                reply = self._arrive(req)
+                reply = self._arrive(req, wire)
             elif req.op == "depart":
                 reply = self._depart(req)
             elif req.op == "advance":
@@ -425,7 +475,7 @@ class PlacementShard:
             self._applied[key] = reply
         return reply
 
-    def _arrive(self, req: Request) -> dict:
+    def _arrive(self, req: Request, wire: bool):
         if req.departure is None and req.id in self._adaptive_uids:
             self.rejected += 1
             return error_reply(
@@ -459,15 +509,20 @@ class PlacementShard:
         if req.departure is None:
             self._adaptive_uids[req.id] = uid
         self.accepted += 1
+        latency = round(1e6 * (self._now() - t0), 3)
+        opened = kernel.bins_opened != opened_before
+        if wire and type(req.seq) is int:
+            return encode_arrive_ok(req.seq, req.id, uid, bin_.uid, opened,
+                                    self.shard_id, latency)
         return ok_reply(
             "arrive",
             seq=req.seq,
             id=req.id,
             uid=uid,  # per-shard apply order — the chaos oracle's key
             bin=bin_.uid,
-            opened=kernel.bins_opened != opened_before,
+            opened=opened,
             shard=self.shard_id,
-            latency_us=round(1e6 * (self._now() - t0), 3),
+            latency_us=latency,
         )
 
     def _depart(self, req: Request) -> dict:

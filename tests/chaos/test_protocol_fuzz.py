@@ -14,6 +14,12 @@ SimNet.  The contract under test:
 * the one fatal input — an oversized line — still gets a structured
   ``bad-request`` reply before the server closes that connection, and
   the listener keeps accepting afterwards.
+
+A second storm sends near-canonical ``arrive`` frames at the edges of
+the parser's fast path (reordered, duplicate or escaped fields, leading
+zeros, ``-0``, ``1e999``, bools and nulls in number fields, missing
+departures, ``\r\n`` endings): each gets exactly one reply, ok or
+error, with its ``seq`` echoed.
 """
 
 from __future__ import annotations
@@ -76,6 +82,51 @@ def _fuzz_frames(rng: random.Random, n: int):
     return frames
 
 
+def _near_canonical_frames(rng: random.Random, n: int):
+    """``n`` seeded ``arrive`` frames at the edges of the parser's fast
+    path, as ``(wire_bytes, seq_or_None)`` (``None``: the frame is not
+    a JSON object with a usable ``seq``, so nothing can be echoed)."""
+    frames = []
+    for i in range(n):
+        seq = f"nc-{i}"
+        fields = {
+            "op": '"arrive"', "id": str(i), "tenant": '"t0"',
+            "arrival": repr(float(i)), "departure": repr(i + 5.0),
+            "size": "0.25", "seq": json.dumps(seq),
+        }
+        kind = rng.randrange(9)
+        if kind == 1:  # ids and tenants with \u escapes
+            fields["id"] = '"i\\u0041%d"' % i
+            fields["tenant"] = '"t\\u0030"'
+        elif kind == 2:  # a leading zero, an integer -0, an overflow
+            key = rng.choice(["arrival", "departure", "size", "id"])
+            fields[key] = rng.choice(["0" + fields[key], "-0", "1e999"])
+        elif kind == 3:  # bool or null where a number goes
+            key = rng.choice(["arrival", "departure", "size"])
+            fields[key] = rng.choice(["true", "false", "null"])
+        elif kind == 4:  # no departure: an adaptive item
+            del fields["departure"]
+        pairs = list(fields.items())
+        if kind == 5:  # keys in another order
+            rng.shuffle(pairs)
+        elif kind == 6:  # a duplicate key
+            pairs.insert(rng.randrange(len(pairs)), rng.choice(pairs))
+        sep, colon = ",", ":"
+        if kind == 7:  # whitespace around the separators
+            sep, colon = rng.choice([(", ", ": "), (" , ", " : "),
+                                     (",\t", ":\t")])
+        end = "\r\n" if kind == 8 or rng.random() < 0.2 else "\n"
+        line = ("{" + sep.join(f'"{k}"{colon}{v}' for k, v in pairs)
+                + "}" + end).encode()
+        try:
+            obj = json.loads(line)
+        except ValueError:
+            obj = None
+        echo = obj.get("seq") if isinstance(obj, dict) else None
+        frames.append((line, echo))
+    return frames
+
+
 def _enc(obj: dict) -> bytes:
     return json.dumps(obj).encode("utf-8") + b"\n"
 
@@ -132,6 +183,42 @@ class TestProtocolFuzz:
         assert stats["ok"] is True
         assert stats["totals"]["items"] == 0
         assert stats["totals"]["errors"] >= N_FRAMES
+
+    def test_near_canonical_arrive_frames_get_one_reply_each(self):
+        async def main():
+            net = SimNet(seed=2)
+            server = await _start_server(net)
+            reader, writer = await net.open_connection("sim", server.port)
+            frames = _near_canonical_frames(random.Random("fz-nc"), 400)
+            replies = []
+            for k, (frame, _) in enumerate(frames):
+                writer.write(frame)
+                replies.append(json.loads(await reader.readline()))
+                if k % 100 == 99:  # the connection is still conversational
+                    pong = await _rpc(
+                        reader, writer, {"op": "ping", "seq": f"alive-{k}"}
+                    )
+                    assert pong["ok"] is True
+            stats = await _rpc(reader, writer, {"op": "stats", "seq": "s"})
+            writer.close()
+            await server.drain()
+            return frames, replies, stats
+
+        frames, replies, stats = sim_run(main())
+        assert len(replies) == len(frames)
+        ok = 0
+        for (frame, seq), reply in zip(frames, replies):
+            if seq is not None:
+                assert reply["seq"] == seq
+            if reply["ok"]:
+                ok += 1
+                assert reply["op"] == "arrive"
+            else:
+                assert reply["error"] in ERROR_CODES
+                assert reply["message"]
+        # both outcomes occur, and every accepted frame reached the kernel
+        assert 0 < ok < len(frames)
+        assert stats["totals"]["items"] == ok
 
     def test_blank_lines_are_skipped_not_answered(self):
         async def main():

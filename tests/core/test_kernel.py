@@ -28,7 +28,12 @@ from repro.core.errors import (
 )
 from repro.core.bins import Bin
 from repro.core.item import Item
-from repro.core.kernel import OpenBinIndex, PlacementKernel
+from repro.core.kernel import (
+    KernelListener,
+    ListenerFanout,
+    OpenBinIndex,
+    PlacementKernel,
+)
 from repro.core.simulation import IncrementalSimulation, simulate
 from repro.core.store import ItemStore
 from repro.engine import Engine
@@ -493,6 +498,117 @@ class TestListener:
         assert clone.algorithm.seen[-1] is clone  # place() sees the clone
         clone.drain()
         assert clone.cost_so_far == pytest.approx(3.0)
+
+
+class _Closes(KernelListener):
+    """Overrides only ``on_close``; every other hook is the no-op."""
+
+    def __init__(self) -> None:
+        self.closes = []
+
+    def on_close(self, bin_, t, usage, peak, n_items):
+        self.closes.append(("close", bin_.uid, t, usage, peak, n_items))
+
+
+def _closes_of(events):
+    return [e for e in events if e[0] == "close"]
+
+
+class TestListenerHooksBoundOnce:
+    """The kernel resolves each listener hook when the listener attaches."""
+
+    @pytest.fixture
+    def loud_noops(self, monkeypatch):
+        # the inherited no-ops now raise: a kernel that still calls a
+        # hook nobody overrode fails loudly
+        for name in ("on_advance", "on_open", "on_arrival", "on_departure",
+                     "on_close"):
+            def refuse(self, *args, _name=name):
+                raise AssertionError(f"inherited no-op {_name} was called")
+
+            monkeypatch.setattr(KernelListener, name, refuse)
+
+    def test_close_only_listener_gets_every_close_in_order(self, loud_noops):
+        instance = uniform_random(300, 12, seed=3)
+        tape, closes = _Tape(), _Closes()
+        k = PlacementKernel(FirstFit(), listener=[tape, closes])
+        for item in instance:
+            k.release(item)
+        k.drain()
+        assert closes.closes and closes.closes == _closes_of(tape.events)
+
+    def test_close_only_listener_alone(self, loud_noops):
+        instance = uniform_random(200, 12, seed=4)
+        reference = _Tape()
+        ref = PlacementKernel(FirstFit(), listener=reference)
+        closes = _Closes()
+        k = PlacementKernel(FirstFit(), listener=closes)
+        for item in instance:
+            ref.release(item)
+            k.release(item)
+        ref.drain()
+        k.drain()
+        assert closes.closes == _closes_of(reference.events)
+
+    def test_rebound_on_add_listener_and_after_restore(self, loud_noops):
+        import pickle
+
+        instance = list(uniform_random(300, 12, seed=5))
+        reference = _Tape()
+        ref = PlacementKernel(FirstFit(), listener=reference)
+        for item in instance:
+            ref.release(item)
+        ref.drain()
+        expected = _closes_of(reference.events)
+
+        k = PlacementKernel(FirstFit())
+        for item in instance[:100]:
+            k.release(item)
+        early = _Closes()
+        k.add_listener(early)
+        for item in instance[100:200]:
+            k.release(item)
+        clone = pickle.loads(pickle.dumps(k))
+        assert clone._on_close is None  # the restore dropped the listener
+        late = _Closes()
+        clone.add_listener(late)
+        for item in instance[200:]:
+            clone.release(item)
+        clone.drain()
+        # every close since the first attach, across the restore, in order
+        seen = early.closes + late.closes
+        assert early.closes and late.closes
+        assert seen == expected[len(expected) - len(seen):]
+
+    def test_a_fanout_called_directly_still_broadcasts(self):
+        tape, closes = _Tape(), _Closes()
+        fanout = ListenerFanout([tape, closes])
+        bin_ = Bin(7, 1.0, 0.0)
+        fanout.on_open(bin_)
+        fanout.on_close(bin_, 2.0, 1.5, 0.5, 3)
+        assert closes.closes == [("close", 7, 2.0, 1.5, 0.5, 3)]
+        assert _closes_of(tape.events) == closes.closes
+        assert len(tape.events) == 2  # the open reached the tape too
+
+    def test_timed_is_read_once_per_attach(self):
+        reads = []
+
+        class Timed(KernelListener):
+            @property
+            def timed(self):
+                reads.append(1)
+                return True
+
+            def on_departure(self, uid, removed, bin_, t, closed, elapsed):
+                self.last = elapsed
+
+        listener = Timed()
+        k = PlacementKernel(FirstFit(), listener=listener)
+        for item in uniform_random(200, 12, seed=6):
+            k.release(item)
+        k.drain()
+        assert k.departures == 200 and len(reads) == 1
+        assert listener.last > 0.0  # and the departures were timed
 
 
 # ---------------------------------------------------------------------- #

@@ -18,12 +18,19 @@ def collector():
     return batches, sink
 
 
+async def add(batcher, work):
+    """Buffer one piece and flush when it makes the batch due, as the
+    server's connection loop does."""
+    if batcher.add_nowait(work):
+        await batcher.flush(cause="size")
+
+
 def test_default_flushes_every_add():
     async def main():
         batches, sink = collector()
         batcher = MicroBatcher(sink)
-        await batcher.add(1)
-        await batcher.add(2)
+        await add(batcher, 1)
+        await add(batcher, 2)
         return batches, batcher
 
     batches, batcher = asyncio.run(main())
@@ -37,7 +44,7 @@ def test_flush_on_size():
         batches, sink = collector()
         batcher = MicroBatcher(sink, max_batch=3, max_delay=60.0)
         for piece in "abc":
-            await batcher.add(piece)
+            await add(batcher, piece)
         return batches
 
     assert asyncio.run(main()) == [["a", "b", "c"]]
@@ -47,8 +54,8 @@ def test_flush_on_age():
     async def main():
         batches, sink = collector()
         batcher = MicroBatcher(sink, max_batch=1000, max_delay=0.01)
-        await batcher.add("x")
-        await batcher.add("y")
+        await add(batcher, "x")
+        await add(batcher, "y")
         assert batches == []  # below size bound, timer not fired yet
         await asyncio.sleep(0.05)
         return batches
@@ -60,9 +67,9 @@ def test_age_timer_restarts_after_flush():
     async def main():
         batches, sink = collector()
         batcher = MicroBatcher(sink, max_batch=1000, max_delay=0.01)
-        await batcher.add(1)
+        await add(batcher, 1)
         await asyncio.sleep(0.05)
-        await batcher.add(2)
+        await add(batcher, 2)
         await asyncio.sleep(0.05)
         return batches
 
@@ -74,7 +81,7 @@ def test_manual_flush_cancels_timer_and_preserves_order():
         batches, sink = collector()
         batcher = MicroBatcher(sink, max_batch=1000, max_delay=60.0)
         for k in range(5):
-            await batcher.add(k)
+            await add(batcher, k)
         assert len(batcher) == 5
         await batcher.flush()
         assert len(batcher) == 0
@@ -88,11 +95,11 @@ def test_aclose_flushes_remainder_and_refuses_more():
     async def main():
         batches, sink = collector()
         batcher = MicroBatcher(sink, max_batch=1000, max_delay=60.0)
-        await batcher.add("tail")
+        await add(batcher, "tail")
         await batcher.aclose()
         assert batches == [["tail"]]
         with pytest.raises(RuntimeError):
-            await batcher.add("late")
+            batcher.add_nowait("late")
 
     asyncio.run(main())
 
@@ -102,7 +109,7 @@ def test_no_work_is_dropped_across_mixed_flushes():
         batches, sink = collector()
         batcher = MicroBatcher(sink, max_batch=4, max_delay=0.005)
         for k in range(11):
-            await batcher.add(k)
+            await add(batcher, k)
             if k == 5:
                 await asyncio.sleep(0.02)  # let the age timer fire mid-run
         await batcher.aclose()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -18,6 +19,7 @@ from repro.serve.protocol import (
     ProtocolError,
     decode,
     encode,
+    encode_arrive_ok,
     error_reply,
     ok_reply,
     parse_request,
@@ -248,6 +250,14 @@ def arrive_replies(draw) -> dict:
 
 
 @st.composite
+def traced_arrive_replies(draw) -> dict:
+    """A canonical ``arrive`` ok reply with the server's trace key last."""
+    reply = draw(arrive_replies())
+    reply["trace"] = draw(ids)
+    return reply
+
+
+@st.composite
 def off_template_replies(draw) -> dict:
     """A canonical reply bent into a shape the template must not take."""
     reply = draw(arrive_replies())
@@ -309,6 +319,19 @@ class TestEncodeMatchesJsonDumps:
     def test_canonical_arrive_reply(self, reply):
         assert encode(reply) == reference_encode(reply)
 
+    @given(traced_arrive_replies())
+    def test_traced_arrive_reply(self, reply):
+        assert encode(reply) == reference_encode(reply)
+
+    @given(arrive_replies(), st.one_of(st.none(), ids))
+    def test_encode_arrive_ok_writes_the_reply(self, reply, trace):
+        if trace is not None:
+            reply["trace"] = trace
+        fields = {k: v for k, v in reply.items() if k not in ("ok", "op")}
+        fields["id_"] = fields.pop("id")
+        fields["bin_"] = fields.pop("bin")
+        assert encode_arrive_ok(**fields) == reference_encode(reply)
+
     @given(off_template_replies())
     def test_bent_arrive_replies(self, reply):
         assert encode(reply) == reference_encode(reply)
@@ -327,6 +350,200 @@ class TestEncodeMatchesJsonDumps:
 
         monkeypatch.setattr(protocol.json, "dumps", refuse)
         assert encode(reply) == expected
-        reply["trace"] = "t-1"  # a traced reply leaves the template
+        reply["trace"] = "t-\u00e9\"1"  # a traced reply keeps the template
+        monkeypatch.undo()
+        expected = reference_encode(reply)
+        monkeypatch.setattr(protocol.json, "dumps", refuse)
+        assert encode(reply) == expected
+        reply["trace"] = 7  # a trace that is not a string leaves it
         with pytest.raises(AssertionError):
             encode(reply)
+
+
+# ---------------------------------------------------------------------- #
+# The fast ``arrive`` parse against the strict one
+# ---------------------------------------------------------------------- #
+def outcome(parse, line: bytes) -> tuple:
+    """What ``parse`` makes of ``line``; ``repr`` of the fields tells
+    ``-0.0`` from ``0.0`` and ``1`` from ``"1"``."""
+    try:
+        return ("ok", repr(dataclasses.astuple(parse(line))))
+    except ProtocolError as exc:
+        return ("error", exc.code, exc.message, exc.seq)
+    except Exception as exc:  # what json itself raises on huge integers
+        return ("raises", type(exc).__name__, str(exc))
+
+
+#: number tokens: plain, at the JSON grammar's edges, and not numbers
+number_edges = st.sampled_from([
+    "0", "-0", "0.0", "-0.0", "-0e0", "00", "01", "-01", "00.5", "1.",
+    ".5", "-.5", "1.e5", "+1", "1e999", "-1e999", "1E5", "1e+5",
+    "2.5e-3", "0.5", "1", "4", "true", "false", "null", '"1"', "[1]",
+    "NaN", "Infinity", "1" + "0" * 400, "1" + "0" * 5000,
+])
+number_tokens = st.one_of(
+    number_edges,
+    number_edges,
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**30), 10**30).map(str),
+)
+#: id/tenant/seq tokens: strings with and without escapes, integers
+ident_edges = st.sampled_from([
+    '""', '"a b"', '"a,b"', '"a:b"', '"}"', '"\\u0041"', '"a\\"b"',
+    '"\\\\"', '"\\n"', '"é"', "-0", "0", "07", "1.5", "true",
+    "null", "[1]", "{}", "1" + "0" * 5000,
+])
+ident_tokens = st.one_of(
+    ident_edges,
+    ident_edges,
+    st.text(max_size=6).map(json.dumps),
+    st.text(max_size=6).map(lambda t: json.dumps(t, ensure_ascii=False)),
+    st.integers(-(10**20), 10**20).map(str),
+)
+op_tokens = st.sampled_from(
+    ['"arrive"'] * 6 + ['"arr\\u0069ve"', '"depart"', '"ping"', "1"]
+)
+values = {
+    "op": op_tokens, "id": ident_tokens, "tenant": ident_tokens,
+    "seq": ident_tokens, "arrival": number_tokens,
+    "departure": number_tokens, "size": number_tokens,
+    "v": st.sampled_from(["1", "2"]), "client": ident_tokens,
+    "trace": ident_tokens, "x": number_tokens,
+}
+#: plain values the fast path takes
+plain_idents = st.one_of(
+    st.integers(-(10**12), 10**12).map(str),
+    st.text(alphabet="abc 019-_:,{}", max_size=5).map(json.dumps),
+)
+
+
+@st.composite
+def near_arrive_lines(draw) -> bytes:
+    """A valid flat ``arrive`` line, compact or ``json.dumps``-spaced and
+    in any key order, mostly bent by one edit at the fast path's edge:
+    an odd value, a duplicate, extra or missing key, odd whitespace, or
+    another line end."""
+    arrival = draw(st.floats(-1e6, 1e6))
+    departure = arrival + draw(st.floats(1e-3, 1e3))
+    fields = {
+        "op": '"arrive"',
+        "id": draw(plain_idents),
+        "arrival": draw(st.sampled_from([repr(arrival), str(int(arrival))])),
+        "size": repr(draw(st.floats(1e-9, 1.0))),
+    }
+    for key in draw(st.sets(st.sampled_from(["tenant", "departure", "seq"]))):
+        fields[key] = (
+            repr(departure) if key == "departure" else draw(plain_idents)
+        )
+    pairs = draw(st.permutations(list(fields.items())))
+    sep, colon = draw(st.sampled_from([(",", ":"), (", ", ": ")]))
+    lead, end = "", "\n"
+    edit = draw(st.sampled_from([
+        "none", "value", "value", "value", "duplicate", "extra", "drop",
+        "space", "lead", "end",
+    ]))
+    if edit == "value":
+        i = draw(st.integers(0, len(pairs) - 1))
+        pairs[i] = (pairs[i][0], draw(values[pairs[i][0]]))
+    elif edit == "duplicate":
+        key, value = draw(st.sampled_from(pairs))
+        value = draw(st.sampled_from([value, draw(values[key])]))
+        pairs.insert(draw(st.integers(0, len(pairs))), (key, value))
+    elif edit == "extra":
+        key = draw(st.sampled_from(["v", "client", "trace", "x"]))
+        pairs.insert(draw(st.integers(0, len(pairs))),
+                     (key, draw(values[key])))
+    elif edit == "drop":
+        del pairs[draw(st.integers(0, len(pairs) - 1))]
+    elif edit == "space":
+        sep, colon = draw(st.sampled_from(
+            [(" ,", ":"), (",\t", ":"), (",", " :"), (" , ", " : "),
+             (",\r", ":"), (",  ", ":")]))
+    elif edit == "lead":
+        lead = draw(st.sampled_from([" ", "\t", "\r", "\ufeff"]))
+    elif edit == "end":
+        end = draw(st.sampled_from(["", "\r\n", " \n", "\t\n", "\n\n"]))
+    body = sep.join(f'"{k}"{colon}{v}' for k, v in pairs)
+    return (lead + "{" + body + "}" + end).encode("utf-8")
+
+
+class TestFastArriveParse:
+    """``parse_request`` on bytes tries :func:`protocol._parse_arrive`
+    first; whatever it accepts must equal the strict parse, and what it
+    declines must fail exactly as the strict parse fails."""
+
+    @given(near_arrive_lines())
+    def test_fast_parse_equals_strict(self, line):
+        strict = outcome(protocol._parse_strict, line)
+        assert outcome(parse_request, line) == strict
+        fast = protocol._parse_arrive(line)
+        if fast is not None:
+            assert ("ok", repr(dataclasses.astuple(fast))) == strict
+
+    @given(st.binary(max_size=40), near_arrive_lines())
+    def test_mangled_bytes_agree(self, junk, line):
+        cut = len(line) // 2
+        for mangled in (junk, line[:cut] + junk + line[cut:]):
+            assert outcome(parse_request, mangled) == outcome(
+                protocol._parse_strict, mangled
+            )
+
+    @pytest.mark.parametrize("line", [
+        # the benchmark driver's compact shape
+        b'{"op":"arrive","id":12,"tenant":"t0","arrival":8.574862323926506'
+        b',"departure":261.6228259189759,"size":0.0580075715764348'
+        b',"seq":12}\n',
+        # json.dumps' default separators, keys reordered, no tenant
+        b'{"size": 0.5, "seq": "s-1", "op": "arrive", "arrival": 2, '
+        b'"id": "job-7", "departure": 3.5}\n',
+        # the load generator's shape (encode() of its dict plus seq)
+        encode({"op": "arrive", "id": 4, "tenant": "t1", "arrival": 0.5,
+                "departure": 1.5, "size": 0.25, "seq": 9}),
+        # adaptive (no departure), \r\n ending, negative integer seq
+        b'{"op":"arrive","id":"a","arrival":1e3,"size":1,"seq":-4}\r\n',
+    ])
+    def test_takes_client_shapes(self, line):
+        fast = protocol._parse_arrive(line)
+        assert fast is not None
+        assert repr(dataclasses.astuple(fast)) == repr(
+            dataclasses.astuple(protocol._parse_strict(line))
+        )
+
+    @pytest.mark.parametrize("line", [
+        b'{"op":"arrive","id":1,"id":2,"arrival":0,"size":0.5}',
+        b'{"op":"arrive","id":1,"arrival":0,"size":0.5,"size":0.7}',
+        b'{"op":"arrive","id":"\\u0041","arrival":0,"size":0.5}',
+        b'{"op":"arrive","id":1,"tenant":"t\\u0030","arrival":0,'
+        b'"size":0.5}',
+        b'{"op":"arrive","id":07,"arrival":0,"size":0.5}',
+        b'{"op":"arrive","id":1,"arrival":00,"size":0.5}',
+        b'{"op":"arrive","id":1,"arrival":01.5,"size":0.5}',
+        b'{"op":"arrive","id":1,"arrival":-0,"size":0.5}',
+        b'{"op":"arrive","id":-0,"arrival":0,"size":0.5}',
+        b'{"op":"arrive","id":1,"arrival":1e999,"size":0.5}',
+        b'{"op":"arrive","id":1,"arrival":0,"departure":1e999,"size":0.5}',
+        b'{"op":"arrive","id":1,"arrival":true,"size":0.5}',
+        b'{"op":"arrive","id":1,"arrival":0,"departure":null,"size":0.5}',
+        b'{"op":"arrive","id":1,"arrival":0,"size":false}',
+        b'{"op":"arrive","id":1,"arrival":0,"size":0.5,"v":1}',
+        b'{"op":"arrive","id":1,"arrival":0,"size":0.5,"client":"c"}',
+        b'{"op":"arrive","id":1,"arrival":0,"size":0.5,"trace":"t"}',
+        b'{"op":"depart","id":1,"time":0}',
+        b'{"op":"arrive","id":"\xc3\xa9","arrival":0,"size":0.5}',
+        b'{"op":"arrive","id":1,"arrival":0,"size":0}',
+        b'{"op":"arrive","id":1,"arrival":5,"departure":5,"size":0.5}',
+        b'{"op":"arrive",\t"id":1,"arrival":0,"size":0.5}',
+        b' {"op":"arrive","id":1,"arrival":0,"size":0.5}',
+    ], ids=[
+        "duplicate-id", "duplicate-size", "escaped-id", "escaped-tenant",
+        "leading-zero-id", "double-zero", "leading-zero-float",
+        "minus-zero", "minus-zero-id", "overflow", "overflow-departure",
+        "bool-arrival", "null-departure", "bool-size", "version",
+        "client", "trace", "other-op", "non-ascii", "zero-size",
+        "empty-interval", "tab", "leading-space",
+    ])
+    def test_declines_edges_and_strict_decides(self, line):
+        assert protocol._parse_arrive(line) is None
+        assert outcome(parse_request, line) == outcome(
+            protocol._parse_strict, line
+        )

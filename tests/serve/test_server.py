@@ -183,7 +183,10 @@ class TestBackpressure:
                 await blocker.wait()
 
             shard = server.shards[0]
-            await shard.queue.put([])  # wake-up job: empty batch
+            # wake-up job: an empty batch
+            await shard.queue.put(
+                ((), None, asyncio.get_running_loop().create_future())
+            )
             real_get = shard.queue.get
 
             async def slow_get():
@@ -552,6 +555,138 @@ class TestConnectionClose:
         assert [r["seq"] for r in lines] == [0, 1, 2]
         assert all(r["ok"] for r in lines)
         assert inflight == 0 and open_connections == 0
+
+
+class TestBatchCompletion:
+    def test_a_batch_from_two_connections_answers_each_its_own(self):
+        # one shard, one micro-batch holding both clients' arrivals: the
+        # batch completes once, and each connection gets only its replies
+        async def main():
+            server = await started(ServeConfig(batch_max=8, batch_delay=5.0))
+            clients = [
+                await PlacementClient.connect("127.0.0.1", server.port)
+                for _ in range(2)
+            ]
+            futures = {0: [], 1: []}
+            for k in range(8):
+                c = k % 2
+                futures[c].append(clients[c].submit(
+                    {"op": "arrive", "id": f"c{c}-{k}", "arrival": 0.0,
+                     "departure": 1.0, "size": 0.1}
+                ))
+                await clients[c].drain_writes()
+                await asyncio.sleep(0.01)  # the server reads in order
+            try:
+                replies = {
+                    c: await asyncio.wait_for(asyncio.gather(*futs), 5)
+                    for c, futs in futures.items()
+                }
+            except asyncio.TimeoutError:
+                replies = None  # a client never got (all) its replies
+            finally:
+                for client in clients:
+                    await client.aclose()
+            flushed = server.batchers[0].batches_flushed
+            await server.drain()
+            return replies, flushed
+
+        replies, flushed = run(main())
+        assert replies is not None and flushed == 1
+        for c in (0, 1):
+            assert [r["id"] for r in replies[c]] == [
+                f"c{c}-{k}" for k in range(c, 8, 2)
+            ]
+            assert all(r["ok"] for r in replies[c])
+
+
+    def test_a_batch_mixing_byte_and_dict_replies_on_one_connection(self):
+        # one connection, one micro-batch: canonical arrives (replies
+        # already wire bytes) next to a string-seq arrive and one without
+        # a departure, which a clairvoyant shard refuses (dict replies); every reply arrives in order and the
+        # shard serves the next batch
+        arrive = (
+            b'{"op": "arrive", "seq": %s, "id": "%s", "arrival": %s, '
+            b'"departure": 9.0, "size": 0.1}\n'
+        )
+
+        async def main():
+            server = await started(ServeConfig(batch_max=4, batch_delay=5.0))
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(
+                arrive % (b"1", b"a", b"2.0")
+                + arrive % (b'"two"', b"b", b"2.0")
+                + arrive % (b"3", b"c", b"2.0")
+                + b'{"op": "arrive", "seq": 4, "id": "d", "arrival": 2.0, '
+                b'"size": 0.1}\n'
+            )
+            writer.write(b"".join(
+                arrive % (b"%d" % k, b"n%d" % k, b"2.0") for k in range(5, 9)
+            ))
+            await writer.drain()
+            replies = []
+            try:
+                for _ in range(8):
+                    line = await asyncio.wait_for(reader.readline(), 5)
+                    replies.append(json.loads(line))
+            except asyncio.TimeoutError:
+                pass  # a reply never came
+            flushed = server.batchers[0].batches_flushed
+            writer.close()
+            await asyncio.wait_for(server.drain(), 5)
+            return replies, flushed
+
+        replies, flushed = run(main())
+        assert flushed == 2
+        assert [r["seq"] for r in replies] == [1, "two", 3, 4, 5, 6, 7, 8]
+        assert [r["ok"] for r in replies] == [
+            True, True, True, False, True, True, True, True
+        ]
+        assert replies[3]["error"] == "bad-item"
+
+
+class TestLineFraming:
+    """Lines split across reads, packed into one, blank or cut off at
+    EOF come out one request per line."""
+
+    @staticmethod
+    async def _replies(*chunks: bytes) -> list:
+        server = await started(ServeConfig())
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.port
+        )
+        for chunk in chunks:
+            writer.write(chunk)
+            await writer.drain()
+            await asyncio.sleep(0.01)  # let each chunk land on its own
+        writer.write_eof()
+        replies = []
+        while line := await asyncio.wait_for(reader.readline(), 5):
+            replies.append(json.loads(line))
+        writer.close()
+        await server.drain()
+        return replies
+
+    def test_split_packed_blank_and_unterminated_lines(self):
+        ping = b'{"op": "ping", "seq": %d}\n'
+        replies = run(self._replies(
+            ping % 1 + ping % 2 + (ping % 3)[:9],  # two and a half
+            (ping % 3)[9:] + b"\n  \n",  # the rest, then blank lines
+            (ping % 4)[:-1],  # the last line has no newline at EOF
+        ))
+        assert [r["seq"] for r in replies] == [1, 2, 3, 4]
+        assert all(r["ok"] for r in replies)
+
+    def test_lines_before_an_oversized_one_are_answered_first(self):
+        ping = b'{"op": "ping", "seq": %d}\n'
+        replies = run(self._replies(
+            ping % 1 + b"x" * 70_000 + b"\n" + ping % 2
+        ))
+        assert replies[0]["seq"] == 1 and replies[0]["ok"]
+        assert replies[1]["error"] == "bad-request"
+        assert "too long" in replies[1]["message"]
+        assert len(replies) == 2  # the connection closed after refusing
 
 
 class TestProfileVerb:

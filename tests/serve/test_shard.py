@@ -237,10 +237,12 @@ class TestWorker:
             for k in range(6):
                 fut = loop.create_future()
                 jobs.append(fut)
+                # a job: requests, their contexts (None: internal), and
+                # where its replies go, one list per job
                 await shard.queue.put(
-                    [(arrive(k, float(k), k + 1.5, 0.9), fut, None)]
+                    ((arrive(k, float(k), k + 1.5, 0.9),), None, fut)
                 )
-            replies = [await fut for fut in jobs]
+            replies = [reply for fut in jobs for reply in await fut]
             await shard.stop()
             return replies
 
@@ -260,7 +262,7 @@ class TestWorker:
                 fut = loop.create_future()
                 futs.append(fut)
                 await shard.queue.put(
-                    [(arrive(k, 0.0, 1.0, 0.2), fut, None)]
+                    ((arrive(k, 0.0, 1.0, 0.2),), None, fut)
                 )
             shard.start()
             await shard.stop()  # must drain the 4 queued jobs before exit
