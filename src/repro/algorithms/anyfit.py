@@ -17,7 +17,7 @@ approach ... will work just as well").
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Hashable, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "BEST_FIT",
     "WORST_FIT",
     "LAST_FIT",
+    "lane_fit",
     "AnyFit",
     "FirstFit",
     "BestFit",
@@ -64,12 +65,29 @@ def LAST_FIT(candidates: Sequence[Bin], item: Item) -> Bin:
     return candidates[-1]
 
 
-# The four classical rules have O(log n) equivalents on the kernel's
-# open-bin index; AnyFit dispatches to them through this attribute.
+# The four classical rules are kernel candidate queries of the same name
+# (O(log n) over the whole open-bin table, a walk over one lane); AnyFit
+# and lane_fit dispatch to them through this attribute.
 FIRST_FIT.indexed_query = "first_fit"
 BEST_FIT.indexed_query = "best_fit"
 WORST_FIT.indexed_query = "worst_fit"
 LAST_FIT.indexed_query = "last_fit"
+
+
+def lane_fit(rule: FitRule, item: Item, sim, lane: Hashable) -> Optional[Bin]:
+    """``rule``'s choice among the open bins of ``lane`` that fit ``item``,
+    else ``None``.
+
+    A classical rule runs as the kernel's lane query it names; a custom
+    rule is applied to ``sim.fitting_bins(item, lane=lane)``.  Either way
+    the choice is the rule's over the lane's fitting bins in opening
+    order.
+    """
+    query = getattr(rule, "indexed_query", None)
+    if query is not None:
+        return getattr(sim, query)(item, lane=lane)
+    candidates = sim.fitting_bins(item, lane=lane)
+    return rule(candidates, item) if candidates else None
 
 
 class AnyFit(OnlineAlgorithm):
@@ -81,8 +99,8 @@ class AnyFit(OnlineAlgorithm):
     The four classical rules carry an ``indexed_query`` attribute naming
     the equivalent :class:`~repro.algorithms.base.SimulationView`
     candidate query, which the placement kernel answers from its
-    residual-sorted open-bin index in O(log n); custom rules (and sims
-    without the query surface) fall back to the linear candidate scan.
+    open-bin index in O(log n); custom rules fall back to the linear
+    candidate scan.
     """
 
     def __init__(
@@ -98,18 +116,15 @@ class AnyFit(OnlineAlgorithm):
         self._query = getattr(rule, "indexed_query", None)
 
     def place(self, item: Item, sim) -> Bin:
+        # the whole-table query, resolved once: going through lane_fit
+        # cost replay-bestfit 1.6% (docs/performance.md, "Placement lanes")
         query = self._query
-        if query is not None:
-            lookup = getattr(sim, query, None)
-            if lookup is not None:
-                found = lookup(item)
-                if found is not None:
-                    return found
-                return sim.open_bin(tag="anyfit")
-        candidates = [b for b in sim.open_bins if b.fits(item)]
-        if candidates:
-            return self.rule(candidates, item)
-        return sim.open_bin(tag="anyfit")
+        found = (
+            getattr(sim, query)(item)
+            if query is not None
+            else lane_fit(self.rule, item, sim, None)
+        )
+        return found or sim.open_bin(tag="anyfit")
 
 
 class FirstFit(AnyFit):
@@ -184,7 +199,7 @@ class RandomFit(OnlineAlgorithm):
         self._rng = np.random.default_rng(self.seed)
 
     def place(self, item: Item, sim) -> Bin:
-        candidates = [b for b in sim.open_bins if b.fits(item)]
+        candidates = sim.fitting_bins(item)
         if candidates:
             return candidates[int(self._rng.integers(len(candidates)))]
         return sim.open_bin(tag="randomfit")

@@ -4,8 +4,9 @@ An online algorithm receives items one at a time through
 :meth:`OnlineAlgorithm.place` and must return the bin the item goes into —
 either an already-open bin taken from ``sim.open_bins`` or a fresh one
 obtained from ``sim.open_bin(tag)``.  The simulator owns all bin state and
-enforces capacity; algorithms keep only whatever private bookkeeping they
-need (HA tracks per-type loads, CDFF tracks its rows).
+enforces capacity, and groups open bins into per-tag lanes the algorithms
+query; algorithms keep only whatever private bookkeeping they need (HA
+tracks per-type loads, CDFF tracks its rows).
 
 The duration/arrival *type* ``T = (i, c)`` of Section 3 — ``length ∈
 (2^{i-1}, 2^i]`` and ``arrival ∈ ((c-1)·2^i, c·2^i]`` — is implemented here
@@ -16,15 +17,9 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import (
-    Hashable,
-    Optional,
-    Protocol,
-    Sequence,
-    runtime_checkable,
-)
+from typing import Hashable, Optional, Protocol, runtime_checkable
 
-from ..core.bins import Bin
+from ..core.bins import Bin, first_fit_choice
 from ..core.errors import InvalidItemError
 from ..core.item import Item
 
@@ -52,9 +47,16 @@ class SimulationView(Protocol):
     its semantics.
 
     The candidate queries (:meth:`first_fit` … :meth:`fitting_bins`)
-    mirror the classical Any-Fit rules and run in O(log n) via the
-    kernel's open-bin index; algorithms with bespoke selection logic can
-    still scan :attr:`open_bins` directly.
+    mirror the classical Any-Fit rules.  Without ``lane`` they range over
+    every open bin and run in O(log n) via the kernel's open-bin index.
+    With ``lane=tag`` they range over one **lane** — the open bins whose
+    ``tag`` is ``tag``, in opening order — which is how a
+    class-partitioned algorithm (HA's GN and CD bins, the duration
+    classes of ClassifyByDuration and Ren–Tang) packs Any-Fit inside a
+    class without a bin list of its own: first/last-fit stop at the
+    first fitting bin, best/worst-fit make one pass, and
+    :meth:`lane_count` counts a lane in O(1).  Algorithms with bespoke
+    selection logic can still scan :attr:`open_bins` directly.
     """
 
     @property
@@ -95,24 +97,28 @@ class SimulationView(Protocol):
         """Whether bin ``uid`` is currently open (O(1))."""
         ...
 
-    def first_fit(self, item: Item) -> Optional[Bin]:
-        """Earliest-opened open bin that fits ``item``, else ``None``."""
+    def first_fit(self, item: Item, lane: Hashable = None) -> Optional[Bin]:
+        """Earliest-opened open bin (of ``lane``) that fits ``item``."""
         ...
 
-    def best_fit(self, item: Item) -> Optional[Bin]:
-        """Fullest fitting bin (ties earliest-opened), else ``None``."""
+    def best_fit(self, item: Item, lane: Hashable = None) -> Optional[Bin]:
+        """Fullest fitting bin (of ``lane``; ties earliest-opened)."""
         ...
 
-    def worst_fit(self, item: Item) -> Optional[Bin]:
-        """Emptiest fitting bin (ties earliest-opened), else ``None``."""
+    def worst_fit(self, item: Item, lane: Hashable = None) -> Optional[Bin]:
+        """Emptiest fitting bin (of ``lane``; ties earliest-opened)."""
         ...
 
-    def last_fit(self, item: Item) -> Optional[Bin]:
-        """Latest-opened open bin that fits ``item``, else ``None``."""
+    def last_fit(self, item: Item, lane: Hashable = None) -> Optional[Bin]:
+        """Latest-opened open bin (of ``lane``) that fits ``item``."""
         ...
 
-    def fitting_bins(self, item: Item) -> list[Bin]:
-        """All open bins that fit ``item``, oldest first."""
+    def fitting_bins(self, item: Item, lane: Hashable = None) -> list[Bin]:
+        """All open bins (of ``lane``) that fit ``item``, oldest first."""
+        ...
+
+    def lane_count(self, lane: Hashable = None) -> int:
+        """Number of open bins tagged ``lane`` (all for ``None``; O(1))."""
         ...
 
 
@@ -182,13 +188,3 @@ class OnlineAlgorithm(ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-def first_fit_choice(
-    bins: Sequence[Bin], item: Item
-) -> Optional[Bin]:
-    """The earliest-opened bin in ``bins`` that fits ``item``, else ``None``."""
-    for b in bins:
-        if b.fits(item):
-            return b
-    return None

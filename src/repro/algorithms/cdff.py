@@ -35,8 +35,8 @@ from typing import Dict, List, Optional
 from ..core.bins import Bin
 from ..core.errors import AlignmentError
 from ..core.item import Item
-from .anyfit import FIRST_FIT, FitRule
-from .base import OnlineAlgorithm
+from .anyfit import FIRST_FIT, FitRule, lane_fit
+from .base import OnlineAlgorithm, first_fit_choice
 
 __all__ = ["CDFF", "StaticRowsCDFF", "aligned_class", "trailing_zeros"]
 
@@ -62,35 +62,46 @@ def trailing_zeros(n: int) -> int:
 
 
 class CDFF(OnlineAlgorithm):
-    """Azar & Vainstein's CDFF algorithm for aligned inputs (Algorithm 2)."""
+    """Azar & Vainstein's CDFF algorithm for aligned inputs (Algorithm 2).
+
+    CDFF's rows are not bin tags — the T₀ batch buckets are rebound to
+    rows once the batch ends — so it keeps them itself, each row and
+    bucket a ``uid -> Bin`` dict in opening order (O(1) removal on close).
+    """
 
     def __init__(self, *, rule: FitRule = FIRST_FIT, name: Optional[str] = None):
         self.rule = rule
         self.name = name or "CDFF"
-        self._rows: Dict[int, List[Bin]] = {}
+        self.reset()
+
+    def reset(self) -> None:
+        self._rows: Dict[int, Dict[int, Bin]] = {}
         self._row_of_bin: Dict[int, int] = {}
         self._seg_start: Optional[int] = None
         self._seg_end: Optional[int] = None  # None while the T0 batch is open
-        self._batch: Dict[int, List[Bin]] = {}
+        self._batch: Dict[int, Dict[int, Bin]] = {}  # class -> bucket
         self._placed_row: Dict[int, int] = {}  # item uid -> row key (for audits)
 
-    def reset(self) -> None:
-        self._rows = {}
-        self._row_of_bin = {}
-        self._seg_start = None
-        self._seg_end = None
-        self._batch = {}
-        self._placed_row = {}
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        # blobs pickled while rows and buckets were bin lists
+        for table in (self._rows, self._batch):
+            for key, bins in table.items():
+                if isinstance(bins, list):
+                    table[key] = {b.uid: b for b in bins}
 
     # ------------------------------------------------------------------ #
     # Inspection (used by the figure renderers and the Lemma 5.5 tests)
     # ------------------------------------------------------------------ #
     def rows_snapshot(self) -> Dict[int, List[Bin]]:
         """Current row → bins mapping (batch buckets included if unbound)."""
+        rows = {k: list(v.values()) for k, v in self._rows.items() if v}
         if self._batch:
-            bound = self._bind_preview()
-            return bound
-        return {k: list(v) for k, v in self._rows.items() if v}
+            m0 = max(self._batch)
+            for i, bins in self._batch.items():
+                if bins:
+                    rows.setdefault(m0 - i, []).extend(bins.values())
+        return rows
 
     def row_of_item(self, uid: int) -> int:
         """The row key item ``uid`` was packed into (after batch binding).
@@ -103,14 +114,6 @@ class CDFF(OnlineAlgorithm):
             m0 = max(self._batch) if self._batch else 0
             return m0 - (-marker - 1)
         return marker
-
-    def _bind_preview(self) -> Dict[int, List[Bin]]:
-        m0 = max(self._batch) if self._batch else 0
-        rows = {k: list(v) for k, v in self._rows.items() if v}
-        for i, bins in self._batch.items():
-            if bins:
-                rows.setdefault(m0 - i, []).extend(bins)
-        return rows
 
     # ------------------------------------------------------------------ #
     def place(self, item: Item, sim) -> Bin:
@@ -159,23 +162,32 @@ class CDFF(OnlineAlgorithm):
             if not bins:
                 continue
             row = m0 - i
-            self._rows.setdefault(row, []).extend(bins)
-            for b in bins:
-                self._row_of_bin[b.uid] = row
+            self._rows.setdefault(row, {}).update(bins)
+            for uid in bins:
+                self._row_of_bin[uid] = row
         for uid, marker in list(self._placed_row.items()):
             if marker < 0:  # stored as -(class+1) while unbound
                 self._placed_row[uid] = m0 - (-marker - 1)
         self._batch = {}
         self._seg_end = self._seg_start + 2**m0
 
+    def _fit(self, bins: Dict[int, Bin], item: Item) -> Optional[Bin]:
+        """``rule``'s choice among ``bins`` that fit ``item``, else None."""
+        # CDFF's own rule: stop at the first fitting bin, not build the
+        # candidate list (2.4x on dense rows; docs/performance.md,
+        # "Placement lanes")
+        if self.rule is FIRST_FIT:
+            return first_fit_choice(bins.values(), item)
+        candidates = [b for b in bins.values() if b.fits(item)]
+        return self.rule(candidates, item) if candidates else None
+
     def _place_batch(self, item: Item, i: int, sim) -> Bin:
-        bucket = self._batch.setdefault(i, [])
-        candidates = [b for b in bucket if b.fits(item)]
+        bucket = self._batch.setdefault(i, {})
         self._placed_row[item.uid] = -(i + 1)  # bound later
-        if candidates:
-            return self.rule(candidates, item)
-        b = sim.open_bin(tag=("cdff", self._seg_start, i))
-        bucket.append(b)
+        b = self._fit(bucket, item)
+        if b is None:
+            b = sim.open_bin(tag=("cdff", self._seg_start, i))
+            bucket[b.uid] = b
         return b
 
     def _place_row(self, item: Item, i: int, ti: int, sim) -> Bin:
@@ -188,28 +200,25 @@ class CDFF(OnlineAlgorithm):
                 "not aligned relative to the segment start"
             )
         self._placed_row[item.uid] = row
-        bins = self._rows.setdefault(row, [])
-        candidates = [b for b in bins if b.fits(item)]
-        if candidates:
-            return self.rule(candidates, item)
-        b = sim.open_bin(tag=("cdff", self._seg_start, i))
-        bins.append(b)
-        self._row_of_bin[b.uid] = row
+        bins = self._rows.setdefault(row, {})
+        b = self._fit(bins, item)
+        if b is None:
+            b = sim.open_bin(tag=("cdff", self._seg_start, i))
+            bins[b.uid] = b
+            self._row_of_bin[b.uid] = row
         return b
 
     # ------------------------------------------------------------------ #
     def notify_close(self, bin_: Bin, sim) -> None:
         row = self._row_of_bin.pop(bin_.uid, None)
         if row is not None:
-            bins = self._rows.get(row)
-            if bins is not None:
-                self._rows[row] = [b for b in bins if b.uid != bin_.uid]
+            self._rows[row].pop(bin_.uid, None)
             return
-        # the bin may still be in an unbound batch bucket
-        for i, bucket in self._batch.items():
-            if any(b.uid == bin_.uid for b in bucket):
-                self._batch[i] = [b for b in bucket if b.uid != bin_.uid]
-                return
+        # the bin may still be in an unbound batch bucket: its class is
+        # the last field of its tag
+        bucket = self._batch.get(bin_.tag[-1])
+        if bucket is not None:
+            bucket.pop(bin_.uid, None)
 
 
 class StaticRowsCDFF(OnlineAlgorithm):
@@ -220,29 +229,14 @@ class StaticRowsCDFF(OnlineAlgorithm):
     Techniques section contrasts CDFF against; on binary inputs it opens one
     bin per active class (Θ(log μ) of them) instead of CDFF's
     ``max_0(binary(t)) + 1``, and the ABL.ROWS experiment shows the gap.
+    Its rows are kernel lanes, tagged ``("static-cdff", i)``.
     """
 
     name = "StaticRowsCDFF"
 
     def __init__(self, *, rule: FitRule = FIRST_FIT) -> None:
         self.rule = rule
-        self._rows: Dict[int, List[Bin]] = {}
-
-    def reset(self) -> None:
-        self._rows = {}
 
     def place(self, item: Item, sim) -> Bin:
-        i = aligned_class(item.length)
-        bins = self._rows.setdefault(i, [])
-        candidates = [b for b in bins if b.fits(item)]
-        if candidates:
-            return self.rule(candidates, item)
-        b = sim.open_bin(tag=("static-cdff", i))
-        bins.append(b)
-        return b
-
-    def notify_close(self, bin_: Bin, sim) -> None:
-        _, i = bin_.tag  # type: ignore[misc]
-        bins = self._rows.get(i)
-        if bins is not None:
-            self._rows[i] = [b for b in bins if b.uid != bin_.uid]
+        lane = ("static-cdff", aligned_class(item.length))
+        return lane_fit(self.rule, item, sim, lane) or sim.open_bin(tag=lane)

@@ -4,14 +4,14 @@ Two variants:
 
 - :class:`ClassifyByDuration` — items whose length falls in
   ``(base^{k-1}, base^k]`` are packed first-fit among bins dedicated to
-  class ``k``.  With ``base=2`` this is the classical ``O(log μ)``
-  approach the paper's "Techniques" section mentions; no knowledge of μ
-  is needed.
+  class ``k`` (the kernel lane tagged ``("class", k)``).  With
+  ``base=2`` this is the classical ``O(log μ)`` approach the paper's
+  "Techniques" section mentions; no knowledge of μ is needed.
 - :class:`RenTang` — the ``μ^{1/n} + n + 3``-competitive algorithm of
   Ren & Tang [10] (optimised over ``n`` this is ``O(log μ / log log μ)``,
   the best upper bound prior to this paper).  It partitions lengths into
   ``n`` geometric classes of ratio ``μ^{1/n}`` and runs first-fit per
-  class; it needs μ in advance.
+  class (lane ``("rt-class", k)``); it needs μ in advance.
 
 Both serve as baselines for experiment T1.GEN.UB: the paper's HA should
 beat them, and their measured growth (``~log μ`` vs ``~log μ/log log μ`` vs
@@ -21,12 +21,12 @@ beat them, and their measured growth (``~log μ`` vs ``~log μ/log log μ`` vs
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Optional
 
 from ..core.bins import Bin
 from ..core.errors import InvalidItemError
 from ..core.item import Item
-from .anyfit import FIRST_FIT, FitRule
+from .anyfit import FIRST_FIT, FitRule, lane_fit
 from .base import OnlineAlgorithm
 
 __all__ = ["ClassifyByDuration", "RenTang", "optimal_rentang_n"]
@@ -41,29 +41,13 @@ class ClassifyByDuration(OnlineAlgorithm):
         self.base = base
         self.rule = rule
         self.name = f"ClassifyByDuration(base={base:g})"
-        self._class_bins: Dict[int, List[Bin]] = {}
-
-    def reset(self) -> None:
-        self._class_bins = {}
 
     def _class_of(self, item: Item) -> int:
         return math.ceil(math.log(item.length, self.base) - 1e-12)
 
     def place(self, item: Item, sim) -> Bin:
-        k = self._class_of(item)
-        bins = self._class_bins.setdefault(k, [])
-        candidates = [b for b in bins if b.fits(item)]
-        if candidates:
-            return self.rule(candidates, item)
-        b = sim.open_bin(tag=("class", k))
-        bins.append(b)
-        return b
-
-    def notify_close(self, bin_: Bin, sim) -> None:
-        _, k = bin_.tag  # type: ignore[misc]
-        bins = self._class_bins.get(k)
-        if bins is not None:
-            self._class_bins[k] = [b for b in bins if b.uid != bin_.uid]
+        lane = ("class", self._class_of(item))  # the class's kernel lane
+        return lane_fit(self.rule, item, sim, lane) or sim.open_bin(tag=lane)
 
 
 def optimal_rentang_n(mu: float) -> int:
@@ -115,10 +99,6 @@ class RenTang(OnlineAlgorithm):
         self.rho = mu ** (1.0 / self.n) if mu > 1 else 2.0
         self.rule = rule
         self.name = f"RenTang(mu={mu:g}, n={self.n})"
-        self._class_bins: Dict[int, List[Bin]] = {}
-
-    def reset(self) -> None:
-        self._class_bins = {}
 
     def _class_of(self, item: Item) -> int:
         ratio = item.length / self.min_length
@@ -133,17 +113,5 @@ class RenTang(OnlineAlgorithm):
         return min(k, self.n - 1)
 
     def place(self, item: Item, sim) -> Bin:
-        k = self._class_of(item)
-        bins = self._class_bins.setdefault(k, [])
-        candidates = [b for b in bins if b.fits(item)]
-        if candidates:
-            return self.rule(candidates, item)
-        b = sim.open_bin(tag=("rt-class", k))
-        bins.append(b)
-        return b
-
-    def notify_close(self, bin_: Bin, sim) -> None:
-        _, k = bin_.tag  # type: ignore[misc]
-        bins = self._class_bins.get(k)
-        if bins is not None:
-            self._class_bins[k] = [b for b in bins if b.uid != bin_.uid]
+        lane = ("rt-class", self._class_of(item))  # the class's kernel lane
+        return lane_fit(self.rule, item, sim, lane) or sim.open_bin(tag=lane)

@@ -33,17 +33,20 @@ argument.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from ..core.bins import Bin
 from ..core.item import Item
-from .anyfit import FIRST_FIT, FitRule
+from .anyfit import FIRST_FIT, FitRule, lane_fit
 from .base import OnlineAlgorithm, item_type
 
-__all__ = ["HybridAlgorithm", "sqrt_threshold", "GN_TAG", "CD_TAG"]
+__all__ = ["HybridAlgorithm", "sqrt_threshold", "GN_TAG", "CD_TAG", "GN_LANE"]
 
 GN_TAG = "GN"
 CD_TAG = "CD"
+#: the tag (and kernel lane) of every GN bin; a type-``T`` CD bin is
+#: tagged ``(CD_TAG, T)``
+GN_LANE = (GN_TAG,)
 
 #: threshold(i) -> max total active type load that may still go to GN bins.
 ThresholdFn = Callable[[int], float]
@@ -56,6 +59,10 @@ def sqrt_threshold(i: int) -> float:
 
 class HybridAlgorithm(OnlineAlgorithm):
     """Azar & Vainstein's Hybrid Algorithm (Algorithm 1).
+
+    The GN bins and each type's CD bins are kernel lanes, tagged
+    :data:`GN_LANE` and ``(CD_TAG, T)``: HA keeps no bin lists, only the
+    per-type active loads and the peak GN count.
 
     Parameters
     ----------
@@ -76,17 +83,11 @@ class HybridAlgorithm(OnlineAlgorithm):
         self.threshold = threshold
         self.rule = rule
         self.name = name or "HybridAlgorithm"
-        self._gn_bins: List[Bin] = []
-        self._cd_bins: Dict[tuple[int, int], List[Bin]] = {}
-        self._type_load: Dict[tuple[int, int], float] = {}
-        self._type_of: Dict[int, tuple[int, int]] = {}
-        self._max_gn_open = 0
+        self.reset()
 
     def reset(self) -> None:
-        self._gn_bins = []
-        self._cd_bins = {}
-        self._type_load = {}
-        self._type_of = {}
+        self._type_load: Dict[tuple[int, int], float] = {}
+        self._type_of: Dict[int, tuple[int, int]] = {}
         self._max_gn_open = 0
 
     # ------------------------------------------------------------------ #
@@ -95,12 +96,14 @@ class HybridAlgorithm(OnlineAlgorithm):
         """Peak simultaneous GN bins — Lemma 3.3 bounds this by 2+4√log μ."""
         return self._max_gn_open
 
-    def gn_open(self) -> int:
-        return len(self._gn_bins)
+    def gn_open(self, sim) -> int:
+        """Open GN bins right now in ``sim``, the simulation HA runs in."""
+        return sim.lane_count(GN_LANE)
 
-    def cd_open(self) -> int:
-        """k_t — total open CD bins right now (Lemma 3.5's quantity)."""
-        return sum(len(v) for v in self._cd_bins.values())
+    def cd_open(self, sim) -> int:
+        """k_t — total open CD bins right now in ``sim`` (Lemma 3.5's
+        quantity)."""
+        return sim.open_bin_count - sim.lane_count(GN_LANE)
 
     def active_type_load(self, T: tuple[int, int]) -> float:
         return self._type_load.get(T, 0.0)
@@ -109,39 +112,25 @@ class HybridAlgorithm(OnlineAlgorithm):
     def place(self, item: Item, sim) -> Bin:
         T = item_type(item)
         self._type_of[item.uid] = T
-        self._type_load[T] = self._type_load.get(T, 0.0) + item.size
-        d = self._type_load[T]
+        d = self._type_load.get(T, 0.0) + item.size
+        self._type_load[T] = d
 
-        cd = self._cd_bins.get(T)
-        if cd:  # an open CD bin for this type exists → CD lane, Any-Fit
-            return self._place_cd(item, T, sim)
+        cd = (CD_TAG, T)
+        if sim.lane_count(cd):  # an open CD bin for T exists → Any-Fit there
+            return lane_fit(self.rule, item, sim, cd) or sim.open_bin(tag=cd)
 
         i, _ = T
         if d <= self.threshold(i) + 1e-12:
-            return self._place_gn(item, sim)
+            b = lane_fit(self.rule, item, sim, GN_LANE)
+            if b is None:
+                b = sim.open_bin(tag=GN_LANE)
+                n_gn = sim.lane_count(GN_LANE) + 1  # b is not committed yet
+                if n_gn > self._max_gn_open:
+                    self._max_gn_open = n_gn
+            return b
 
         # threshold crossed: open the first CD bin for this type
-        b = sim.open_bin(tag=(CD_TAG, T))
-        self._cd_bins.setdefault(T, []).append(b)
-        return b
-
-    def _place_gn(self, item: Item, sim) -> Bin:
-        candidates = [b for b in self._gn_bins if b.fits(item)]
-        if candidates:
-            return self.rule(candidates, item)
-        b = sim.open_bin(tag=(GN_TAG,))
-        self._gn_bins.append(b)
-        self._max_gn_open = max(self._max_gn_open, len(self._gn_bins))
-        return b
-
-    def _place_cd(self, item: Item, T: tuple[int, int], sim) -> Bin:
-        bins = self._cd_bins.setdefault(T, [])
-        candidates = [b for b in bins if b.fits(item)]
-        if candidates:
-            return self.rule(candidates, item)
-        b = sim.open_bin(tag=(CD_TAG, T))
-        bins.append(b)
-        return b
+        return sim.open_bin(tag=cd)
 
     # ------------------------------------------------------------------ #
     def notify_departure(self, item: Item, bin_: Bin, sim) -> None:
@@ -150,17 +139,3 @@ class HybridAlgorithm(OnlineAlgorithm):
             self._type_load[T] = self._type_load.get(T, 0.0) - item.size
             if self._type_load[T] <= 1e-12:
                 self._type_load.pop(T, None)
-
-    def notify_close(self, bin_: Bin, sim) -> None:
-        tag = bin_.tag
-        if tag and tag[0] == GN_TAG:
-            self._gn_bins = [b for b in self._gn_bins if b.uid != bin_.uid]
-        elif tag and tag[0] == CD_TAG:
-            T = tag[1]
-            bins = self._cd_bins.get(T)
-            if bins is not None:
-                remaining = [b for b in bins if b.uid != bin_.uid]
-                if remaining:
-                    self._cd_bins[T] = remaining
-                else:
-                    del self._cd_bins[T]

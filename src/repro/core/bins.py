@@ -14,12 +14,12 @@ simulator owns all mutation; algorithms only read bins and return one from
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Dict, Hashable, Iterable, Optional
 
 from .errors import CapacityExceededError, PackingError
 from .item import Item
 
-__all__ = ["Bin", "BinRecord", "LOAD_EPS"]
+__all__ = ["Bin", "BinRecord", "LOAD_EPS", "first_fit_choice"]
 
 #: Tolerance for floating-point load comparisons.  Sizes like 1/3 must allow
 #: exactly three per bin.
@@ -67,7 +67,10 @@ class Bin:
         return self.capacity - self._load
 
     def fits(self, item: Item) -> bool:
-        """Whether ``item`` fits right now (momentary load check)."""
+        """Whether ``item`` fits right now (momentary load check).
+
+        :func:`first_fit_choice` inlines this test; change both together.
+        """
         return self._load + item.size <= self.capacity + LOAD_EPS
 
     def __contains__(self, uid: int) -> bool:
@@ -104,6 +107,21 @@ class Bin:
         if not self._contents:
             self._load = 0.0  # kill floating residue on empty
         return item
+
+
+def first_fit_choice(bins: Iterable[Bin], item: Item) -> Optional[Bin]:
+    """The first bin of ``bins`` that fits ``item``, else ``None``.
+
+    First- and last-fit (a lane walked forward or backward, a CDFF row)
+    run this on every placement, so :meth:`Bin.fits` is inlined here: a
+    method call per bin made the walk up to 1.6x slower
+    (docs/performance.md, "Placement lanes").
+    """
+    size = item.size
+    for b in bins:
+        if b._load + size <= b.capacity + LOAD_EPS:
+            return b
+    return None
 
 
 @dataclass(frozen=True, slots=True)

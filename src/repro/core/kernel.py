@@ -37,17 +37,34 @@ Because every frontend calls the same ``release``/``release_store``/
 construction**; the sweep in :mod:`repro.engine.parity` remains only as
 a regression guard.
 
-Indexed placement
------------------
-The kernel keeps an :class:`OpenBinIndex` over the open bins so the
-Any-Fit candidate queries algorithms call on ``sim`` (:meth:`first_fit`,
-:meth:`best_fit`, :meth:`worst_fit`, :meth:`last_fit`) run in O(log n)
-instead of scanning every open bin.  Its two structures — a
-residual-sorted list and a max-residual segment tree in opening order —
-are built from the open-bin table by the first query that needs each,
-so an algorithm only pays upkeep for the queries it actually makes.
-Construct with ``indexed=False`` to fall back to the plain linear scans
-(same results; used as the benchmark baseline and as a safety valve).
+Candidate queries and lanes
+---------------------------
+Algorithms ask the kernel for candidates instead of keeping bin lists of
+their own.  The Any-Fit queries on ``sim`` (:meth:`first_fit`,
+:meth:`best_fit`, :meth:`worst_fit`, :meth:`last_fit`,
+:meth:`fitting_bins`) answer over one of two scopes:
+
+- the **whole open-bin table** (no ``lane``): answered through an
+  :class:`OpenBinIndex` in O(log n).  The index object is created by
+  the first such query, and each of its two structures — a
+  residual-sorted list and a max-residual segment tree in opening order
+  — by the first query that needs it, so an algorithm only pays upkeep
+  for the queries it actually makes and a run that never asks makes no
+  index calls at all.  Construct with ``indexed=False`` to answer by
+  plain linear scans instead (same results; the benchmark baseline and
+  a safety valve).
+- one **lane** (``lane=tag``): the open bins sharing one ``bin.tag``
+  (the tag an algorithm passes to :meth:`open_bin`), in opening order.
+  This is how the paper's class-partitioned algorithms pack Any-Fit
+  inside a class: HA's shared GN lane and per-type CD lanes,
+  ClassifyByDuration's and Ren–Tang's duration classes, the static CDFF
+  rows.  Lanes are grouped from the open-bin table by the first lane
+  query and then kept only on open and close (one dict insert or
+  delete; an empty lane is dropped) — nothing per arrival or departure.
+  First- and last-fit walk the lane forward or backward and stop at the
+  first fitting bin; best- and worst-fit make one pass.  A lane has no
+  index: at the lane sizes these algorithms reach, a per-lane segment
+  tree costs more upkeep per event than the walk it saves.
 
 The kernel hands itself to ``algorithm.place(view, sim)`` and the notify
 hooks: it satisfies the :class:`~repro.algorithms.base.SimulationView`
@@ -72,7 +89,7 @@ from itertools import islice
 from bisect import bisect_left, insort
 from typing import Hashable, List, Optional, Tuple
 
-from .bins import LOAD_EPS, Bin, BinRecord
+from .bins import LOAD_EPS, Bin, BinRecord, first_fit_choice
 from .errors import (
     ClairvoyanceError,
     PackingError,
@@ -251,11 +268,12 @@ class OpenBinIndex:
     Neither structure exists until the first query that needs it, which
     builds it from the open-bin table; from then on :meth:`add`,
     :meth:`update` and :meth:`remove` maintain only the structures that
-    exist.  A BestFit run therefore never pays for the tree, and an
-    algorithm that keeps its own bin lists (HybridAlgorithm, CDFF,
-    NextFit, ...) pays for neither.  Both structures depend only on the
-    live bins' residuals and opening order, so when one is built cannot
-    change a query's answer.
+    exist.  A BestFit run therefore never pays for the tree, and the
+    kernel creates no index at all for an algorithm that never makes a
+    whole-table query (HybridAlgorithm and the other lane users, CDFF,
+    NextFit, ...).  Both structures depend only on the live bins'
+    residuals and opening order, so when one is built cannot change a
+    query's answer.
 
     Thresholds use the same ``LOAD_EPS`` tolerance as :meth:`Bin.fits`;
     the kernel re-verifies every returned candidate with ``fits()`` so a
@@ -427,9 +445,10 @@ class PlacementKernel:
         Additionally keep the ``(time, ±1)`` ON_t open-count deltas in
         :attr:`open_count_events` (grows with the trace).
     indexed:
-        Answer candidate queries through the :class:`OpenBinIndex`
-        in O(log n); ``False`` falls back to linear scans (identical
-        results).
+        Answer whole-table candidate queries through an
+        :class:`OpenBinIndex` in O(log n), created by the first such
+        query; ``False`` falls back to linear scans (identical results).
+        Lane queries never use the index.
     listener:
         Optional :class:`KernelListener` receiving every event.
     """
@@ -470,9 +489,11 @@ class PlacementKernel:
         self._item_bin: dict[int, Bin] = {}
         self._adaptive: set[int] = set()  # uids with unknown departure
         self._pending_bin: Optional[Bin] = None
-        self._index: Optional[OpenBinIndex] = (
-            OpenBinIndex(self._open) if indexed else None
-        )
+        self._indexed = indexed
+        # both derived from the open-bin table by the first query that
+        # needs them (see _make_index / _make_lanes); never pickled
+        self._index: Optional[OpenBinIndex] = None
+        self._lanes: Optional[dict[Hashable, dict[int, Bin]]] = None
         if isinstance(listener, (list, tuple)):
             listener = (
                 None
@@ -529,21 +550,21 @@ class PlacementKernel:
 
     @property
     def indexed(self) -> bool:
-        """Whether candidate queries go through the open-bin index."""
-        return self._index is not None
+        """Whether whole-table candidate queries go through the open-bin
+        index (created on the first such query)."""
+        return self._indexed
 
     def set_indexed(self, flag: bool) -> None:
         """Switch the open-bin index on or off, mid-run.
 
-        Turning it on attaches a fresh index over the current open bins
-        (identical query results from the next placement on); turning it
-        off falls back to linear scans.  The restore paths use this to
-        honour ``--no-index`` on resumed engines, whatever the
-        checkpointed run used.
+        Turning it on lets the next whole-table query build a fresh index
+        over the current open bins (identical query results); turning it
+        off drops the index and falls back to linear scans.  The restore
+        paths use this to honour ``--no-index`` on resumed engines,
+        whatever the checkpointed run used.
         """
-        if flag and self._index is None:
-            self._index = OpenBinIndex(self._open)
-        elif not flag:
+        self._indexed = bool(flag)
+        if not flag:
             self._index = None
 
     def is_open(self, uid: int) -> bool:
@@ -614,61 +635,91 @@ class PlacementKernel:
         self._pending_bin = b
         return b
 
-    # -- indexed candidate queries -------------------------------------- #
-    def first_fit(self, item: Item) -> Optional[Bin]:
-        """Earliest-opened open bin that fits ``item``, else ``None``."""
-        if self._index is not None:
-            b = self._index.first_fit(item.size - LOAD_EPS)
+    # -- candidate queries: the whole table, or one lane ---------------- #
+    def first_fit(self, item: Item, lane: Hashable = None) -> Optional[Bin]:
+        """Earliest-opened open bin (of ``lane``) that fits ``item``."""
+        if lane is None and self._indexed:
+            b = (self._index or self._make_index()).first_fit(
+                item.size - LOAD_EPS
+            )
             if b is None or b.fits(item):
                 return b
-        for b in self._open.values():
-            if b.fits(item):
-                return b
-        return None
+        return first_fit_choice(self._lane_bins(lane), item)
 
-    def best_fit(self, item: Item) -> Optional[Bin]:
-        """Fullest fitting bin (ties to the earliest-opened), else ``None``."""
-        if self._index is not None:
-            b = self._index.best_fit(item.size - LOAD_EPS)
+    def last_fit(self, item: Item, lane: Hashable = None) -> Optional[Bin]:
+        """Latest-opened open bin (of ``lane``) that fits ``item``."""
+        if lane is None and self._indexed:
+            b = (self._index or self._make_index()).last_fit(
+                item.size - LOAD_EPS
+            )
+            if b is None or b.fits(item):
+                return b
+        return first_fit_choice(reversed(self._lane_bins(lane)), item)
+
+    def best_fit(self, item: Item, lane: Hashable = None) -> Optional[Bin]:
+        """Fullest fitting bin (of ``lane``; ties to the earliest-opened)."""
+        if lane is None and self._indexed:
+            b = (self._index or self._make_index()).best_fit(
+                item.size - LOAD_EPS
+            )
             if b is None or b.fits(item):
                 return b
         best: Optional[Bin] = None
-        best_key: Optional[Tuple[float, int]] = None
-        for b in self._open.values():
-            if b.fits(item):
-                key = (b.residual(), b.uid)
-                if best_key is None or key < best_key:
-                    best, best_key = b, key
+        best_res = math.inf
+        for b in self._lane_bins(lane):
+            r = b.residual()
+            # opening order is uid order: strict < keeps the smaller uid
+            if r < best_res and b.fits(item):
+                best, best_res = b, r
         return best
 
-    def worst_fit(self, item: Item) -> Optional[Bin]:
-        """Emptiest fitting bin (ties to the earliest-opened), else ``None``."""
-        if self._index is not None:
-            b = self._index.worst_fit(item.size - LOAD_EPS)
+    def worst_fit(self, item: Item, lane: Hashable = None) -> Optional[Bin]:
+        """Emptiest fitting bin (of ``lane``; ties to the earliest-opened)."""
+        if lane is None and self._indexed:
+            b = (self._index or self._make_index()).worst_fit(
+                item.size - LOAD_EPS
+            )
             if b is None or b.fits(item):
                 return b
         best: Optional[Bin] = None
         best_res = _NEG_INF
-        for b in self._open.values():
+        for b in self._lane_bins(lane):
             r = b.residual()
             if r > best_res and b.fits(item):
                 best, best_res = b, r
         return best
 
-    def last_fit(self, item: Item) -> Optional[Bin]:
-        """Latest-opened open bin that fits ``item``, else ``None``."""
-        if self._index is not None:
-            b = self._index.last_fit(item.size - LOAD_EPS)
-            if b is None or b.fits(item):
-                return b
-        for b in reversed(self._open.values()):
-            if b.fits(item):
-                return b
-        return None
+    def fitting_bins(self, item: Item, lane: Hashable = None) -> list[Bin]:
+        """All open bins (of ``lane``) that fit ``item``, oldest first."""
+        return [b for b in self._lane_bins(lane) if b.fits(item)]
 
-    def fitting_bins(self, item: Item) -> list[Bin]:
-        """All open bins that fit ``item``, oldest first (linear scan)."""
-        return [b for b in self._open.values() if b.fits(item)]
+    def lane_count(self, lane: Hashable = None) -> int:
+        """Number of open bins tagged ``lane`` (all open bins for
+        ``None``), in O(1)."""
+        return len(self._lane_bins(lane))
+
+    def _lane_bins(self, lane: Hashable):
+        """The open bins tagged ``lane`` (all for ``None``), in opening
+        order, as a live dict view."""
+        if lane is None:
+            return self._open.values()
+        lanes = self._lanes
+        if lanes is None:
+            lanes = self._make_lanes()
+        bins = lanes.get(lane)
+        return () if bins is None else bins.values()
+
+    def _make_index(self) -> OpenBinIndex:
+        self._index = OpenBinIndex(self._open)
+        return self._index
+
+    def _make_lanes(self) -> dict[Hashable, dict[int, Bin]]:
+        """Group the open-bin table by tag, each lane in opening order."""
+        lanes: dict[Hashable, dict[int, Bin]] = {}
+        for uid, b in self._open.items():
+            lanes.setdefault(b.tag, {})[uid] = b
+        self._lanes = lanes
+        return lanes
 
     # ------------------------------------------------------------------ #
     # Driving API
@@ -901,6 +952,12 @@ class PlacementKernel:
         del self._open[bin_.uid]
         if self._index is not None:
             self._index.remove(bin_)
+        lanes = self._lanes
+        if lanes is not None:
+            lane = lanes[bin_.tag]
+            del lane[bin_.uid]
+            if not lane:
+                del lanes[bin_.tag]
         peak = bin_.peak_load
         usage = t - bin_.opened_at
         self.closed_usage += usage
@@ -951,6 +1008,8 @@ class PlacementKernel:
                 self.max_open = n_open
             if self._index is not None:
                 self._index.add(chosen)
+            if self._lanes is not None:
+                self._lanes.setdefault(chosen.tag, {})[uid] = chosen
             if self.open_count_events is not None:
                 self.open_count_events.append((self.time, +1))
             if self._on_open is not None:
@@ -985,8 +1044,9 @@ class PlacementKernel:
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_listener"] = None
-        # the index is derived state: record only whether there was one
-        state["_index"] = self._index is not None
+        # the index and the lanes are derived from the open-bin table
+        state.pop("_index", None)
+        state.pop("_lanes", None)
         # bound-method caches are recomputed on restore, not serialized
         state.pop("_dep_hook", None)
         state.pop("_close_hook", None)
@@ -1008,14 +1068,14 @@ class PlacementKernel:
             for uid, bin_ in self._open.items():
                 bin_.peak_load = peak.get(uid, 0.0)
                 bin_.items_held = counts.get(uid, 0)
-        # blobs written before the index was demand-built pickle the
-        # index object itself, in a layout without the open-bin table;
-        # either way a fresh index over the restored bins replaces it
-        self._index = (
-            None
-            if state.get("_index") in (None, False)
-            else OpenBinIndex(self._open)
-        )
+        # older blobs carry no ``_indexed`` flag: their ``_index`` slot
+        # holds whether there was an index (a bool) or, before the index
+        # was demand-built, the index object itself
+        if "_indexed" not in state:
+            self._indexed = state.get("_index") not in (None, False)
+        # either way the index and the lanes are rebuilt on demand
+        self._index = None
+        self._lanes = None
         # also covers pre-columnar (v2-era) blobs, which lack the caches
         self._masked = self.masks_departures
         self._dep_hook = _own_hook(self.algorithm, "notify_departure")

@@ -17,8 +17,9 @@ What is captured: the kernel (with the algorithm inside it, and the
 run's totals — cost, arrivals, departures, bins opened, ``max_open``,
 load, peak load, load integral — which the kernel owns), the ``record``
 flag and optional metrics.  What is *not*: the kernel's open-bin index
-(derived state; only whether there was one is recorded, and the restored
-kernel gets a fresh index over its open bins), observers (may close over
+and its per-tag lanes (derived state; only whether the run is indexed is
+recorded, and the restored kernel rebuilds both from its open bins on
+the first query that needs them), observers (may close over
 file handles; re-``subscribe`` after restore), listeners and the trace
 source — the caller resumes the stream at item index
 ``checkpoint.arrivals`` (``repro-dbp replay --resume`` does exactly

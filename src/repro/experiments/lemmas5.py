@@ -60,7 +60,7 @@ def lemma35_experiment(
             violations = 0
             for item in inst:
                 sim.release(item)
-                k_t = alg.cd_open()
+                k_t = alg.cd_open(sim)
                 max_k = max(max_k, k_t)
                 required = max(1.0, k_t / (4.0 * sqrt_log))
                 available = opt_profile(item.arrival)

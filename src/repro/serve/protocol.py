@@ -172,7 +172,10 @@ def _number(obj: dict, field: str, seq, *, required: bool = True):
             f"field {field!r} must be a number, got {value!r}",
             seq=seq,
         )
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # a JSON integer beyond float range
+        value = math.inf
     if not math.isfinite(value):
         raise ProtocolError(
             "bad-request", f"field {field!r} must be finite", seq=seq
@@ -225,7 +228,7 @@ def _parse_strict(line: Union[str, bytes]) -> Request:
             raise ProtocolError("bad-json", f"not UTF-8: {exc}") from exc
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
         raise ProtocolError("bad-json", f"not JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ProtocolError(

@@ -497,6 +497,7 @@ class PlacementServer:
         writer_task = asyncio.get_running_loop().create_task(
             self._write_replies(conn)
         )
+        cancelled = False
         try:
             while True:
                 try:
@@ -513,13 +514,24 @@ class PlacementServer:
                 wait = self._dispatch(line, conn)
                 if wait is not None:
                     await wait
+        except asyncio.CancelledError:
+            cancelled = True
+            raise
         finally:
-            if conn.pending:
-                conn.idle = asyncio.Event()
-                await conn.idle.wait()
-            conn.out.put_nowait(None)
-            await writer_task
-            self._connections.discard(conn)
+            try:
+                if not cancelled:  # the peer is done: answer what it sent
+                    if conn.pending:
+                        conn.idle = asyncio.Event()
+                        await conn.idle.wait()
+                    conn.out.put_nowait(None)
+                    await writer_task
+            finally:
+                if not writer_task.done():
+                    # cancelled (e.g. loop teardown): the shards owing
+                    # replies may never answer, so close without waiting
+                    writer_task.cancel()
+                    writer.close()
+                self._connections.discard(conn)
 
     async def _write_replies(self, conn: _Connection) -> None:
         writer = conn.writer

@@ -113,18 +113,22 @@ class TestStateAccounting:
         alg = HybridAlgorithm()
         sim = IncrementalSimulation(alg)
         sim.release(Item(0.0, 2.0, 0.1, uid=0))
-        assert alg.gn_open() == 1 and alg.cd_open() == 0
+        assert alg.gn_open(sim) == 1 and alg.cd_open(sim) == 0
         sim.release(Item(0.0, 2.0, 0.9, uid=1))
-        assert alg.cd_open() == 1
+        assert alg.cd_open(sim) == 1
         sim.run_until(2.0)
-        assert alg.gn_open() == 0 and alg.cd_open() == 0
+        assert alg.gn_open(sim) == 0 and alg.cd_open(sim) == 0
 
     def test_reset_clears_state(self):
         alg = HybridAlgorithm()
-        simulate(alg, Instance.from_tuples([(0, 2, 0.9)]))
-        assert alg.cd_open() == 0  # closed at departure
-        simulate(alg, Instance.from_tuples([(0, 2, 0.1)]))
-        assert alg.max_gn_open == 1  # not carried over
+        sim = IncrementalSimulation(alg)
+        sim.release(Item(0.0, 2.0, 0.1, uid=0))  # GN
+        sim.release(Item(0.0, 2.0, 0.9, uid=1))  # threshold crossed: CD
+        sim.finish()
+        assert alg.max_gn_open == 1
+        assert alg.gn_open(sim) == 0 and alg.cd_open(sim) == 0  # all closed
+        simulate(alg, Instance.from_tuples([(0, 2, 0.9)]))  # CD only
+        assert alg.max_gn_open == 0  # not carried over
 
 
 class TestLemma33:

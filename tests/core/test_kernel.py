@@ -413,9 +413,31 @@ class TestOpenBinIndex:
             )
         inst = uniform_random(400, 32, seed=11)
         simulate(HybridAlgorithm(), inst)
-        assert built == []  # HA keeps its own bin lists
+        assert built == []  # HA asks only its lanes
         simulate(BestFit(), inst)
         assert built == ["_build_sorted"]  # no segment tree for BestFit
+
+    def test_no_index_object_without_a_whole_table_query(self, monkeypatch):
+        """The kernel creates its index on the first whole-table query,
+        so a lane-only run makes no index maintenance call at all."""
+        calls = []
+        for name in ("__init__", "add", "update", "remove"):
+            original = getattr(OpenBinIndex, name)
+            monkeypatch.setattr(
+                OpenBinIndex,
+                name,
+                lambda self, *a, _f=original, _n=name: calls.append(_n)
+                or _f(self, *a),
+            )
+        inst = uniform_random(400, 32, seed=11)
+        k = PlacementKernel(HybridAlgorithm())
+        for item in inst:
+            k.release(item)
+        k.drain()
+        assert k.indexed and calls == []
+        k = PlacementKernel(FirstFit())
+        k.release(inst[0])
+        assert calls[0] == "__init__" and "add" in calls
 
     @pytest.mark.parametrize(
         "factory", [FirstFit, BestFit, WorstFit, LastFit]

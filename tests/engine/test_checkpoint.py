@@ -382,3 +382,102 @@ class TestV3BestFitCompat:
         resumed = eng.finish()
         straight = Engine(BestFit()).run(instance)
         assert _totals(resumed) == _totals(straight)
+
+
+class TestV3HybridCompat:
+    """An HA v3 checkpoint written before the kernel kept per-tag lanes
+    restores and finishes bit-identical to an uninterrupted run.
+
+    The fixture was written by that earlier kernel: HybridAlgorithm
+    (``record=True``) fed the first 450 items of
+    ``examples/traces/uniform_1k.jsonl`` — one GN and 40 CD bins open —
+    then ``save_checkpoint``.  Its blob carries HA's old private bin
+    lists and a kernel without lanes or an ``_indexed`` flag; the
+    restored run must place by the kernel's lanes instead.
+    """
+
+    DATA = TestV2Compat.DATA
+    TRACE = TestV2Compat.TRACE
+    #: the writing kernel's totals after restoring this blob and
+    #: feeding it the rest of the trace
+    FROZEN = {
+        "cost": 10623.311970754927,
+        "bins_opened": 633,
+        "max_open": 53,
+        "peak_load": 39.07334387750124,
+        "util_area": 7843.754745292407,
+    }
+
+    def _resumed(self, instance):
+        eng = load_checkpoint(self.DATA / "checkpoint_v3_hybrid.ckpt")
+        assert eng.kernel.arrivals == 450
+        assert eng.indexed
+        eng.feed_store(instance.store, 450)
+        return eng, eng.finish()
+
+    def test_restored_lanes_hold_the_open_bins(self):
+        from repro.algorithms.hybrid import CD_TAG, GN_LANE
+
+        eng = load_checkpoint(self.DATA / "checkpoint_v3_hybrid.ckpt")
+        kernel = eng.kernel
+        assert kernel.lane_count(GN_LANE) == 1
+        cd_tags = {b.tag for b in kernel.open_bins if b.tag[0] == CD_TAG}
+        assert sum(kernel.lane_count(tag) for tag in cd_tags) == 40
+        alg = kernel.algorithm
+        assert alg.gn_open(kernel) == 1 and alg.cd_open(kernel) == 40
+
+    def test_resume_matches_simulate_and_frozen_totals(self):
+        from repro.workloads.io import load_jsonl
+
+        instance = load_jsonl(self.TRACE)
+        batch = simulate(HybridAlgorithm(), instance)
+        eng, summary = self._resumed(instance)
+        assert summary.cost == batch.cost == self.FROZEN["cost"]
+        assert summary.bins_opened == self.FROZEN["bins_opened"]
+        assert summary.max_open == batch.max_open == self.FROZEN["max_open"]
+        assert summary.peak_load == self.FROZEN["peak_load"]
+        assert summary.util_area == self.FROZEN["util_area"]
+        assert eng.result().assignment == batch.assignment
+        assert eng.result().bins == batch.bins
+
+    def test_resume_totals_match_uninterrupted_run(self):
+        from repro.workloads.io import load_jsonl
+
+        instance = load_jsonl(self.TRACE)
+        _, resumed = self._resumed(instance)
+        straight = Engine(HybridAlgorithm()).run(instance)
+        assert _totals(resumed) == _totals(straight)
+
+
+class TestV3CDFFCompat:
+    """A CDFF v3 checkpoint written while CDFF kept its rows and T₀ batch
+    buckets as bin lists restores (as uid-keyed dicts) and finishes
+    bit-identical to an uninterrupted run.
+
+    The fixture was written by that earlier kernel: CDFF
+    (``record=True``) fed the first 100 items of
+    ``aligned_random(16, 300, seed=5, horizon=64)`` — mid-batch, with
+    five unbound buckets holding 11 open bins — then ``save_checkpoint``.
+    """
+
+    DATA = TestV2Compat.DATA
+    #: the writing kernel's totals after restoring this blob and
+    #: feeding it the rest of the instance
+    FROZEN = (906.5228654701754, 179, 25, 19.83257340617512,
+              700.2828131886918)
+
+    def test_resume_matches_simulate_and_frozen_totals(self):
+        from repro.workloads.aligned import aligned_random
+
+        instance = aligned_random(16, 300, seed=5, horizon=64)
+        eng = load_checkpoint(self.DATA / "checkpoint_v3_cdff.ckpt")
+        assert eng.kernel.arrivals == 100
+        eng.feed_store(instance.store, 100)
+        summary = eng.finish()
+        batch = simulate(CDFF(), instance)
+        assert (summary.cost, summary.bins_opened, summary.max_open,
+                summary.peak_load, summary.util_area) == self.FROZEN
+        assert summary.cost == batch.cost
+        assert eng.result().assignment == batch.assignment
+        straight = Engine(CDFF()).run(instance)
+        assert _totals(summary) == _totals(straight)

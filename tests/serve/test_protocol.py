@@ -147,6 +147,22 @@ class TestParseErrors:
             parse_request(arrive_line(**overrides))
         assert code_of(ei) == "bad-request"
 
+    @pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
+    def test_integer_beyond_float_range(self, as_bytes):
+        line = arrive_line(arrival=10**400, seq=3)
+        with pytest.raises(ProtocolError) as ei:
+            parse_request(line.encode() if as_bytes else line)
+        assert code_of(ei) == "bad-request"
+        assert ei.value.reply()["seq"] == 3
+
+    def test_integer_too_long_to_parse(self):
+        line = arrive_line(seq=3).replace(
+            '"size": 0.5', '"size": ' + "1" * 5000
+        )
+        with pytest.raises(ProtocolError) as ei:
+            parse_request(line)
+        assert code_of(ei) == "bad-json"
+
     @pytest.mark.parametrize(
         "overrides",
         [{"size": 0.0}, {"size": 1.5}, {"departure": -1.0},

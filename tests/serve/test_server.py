@@ -150,6 +150,45 @@ class TestWireErrors:
 
         run(main())
 
+    def test_out_of_range_integers_get_structured_replies(self):
+        # a JSON integer beyond float range in a number field, and one
+        # too long for ``json`` to parse at all: each gets one error
+        # reply and the connection keeps serving
+        huge = "1" + "0" * 400
+        too_long = "1" * 5000
+        lines = [
+            ('{"op":"arrive","id":1,"seq":1,"arrival":%s,'
+             '"departure":2.0,"size":0.5}\n' % huge).encode(),
+            ('{"op":"arrive","id":2,"seq":2,"arrival":0.0,'
+             '"departure":%s,"size":0.5}\n' % too_long).encode(),
+        ]
+
+        async def main():
+            server = await started(ServeConfig())
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            replies = []
+            for line in lines:
+                writer.write(line)
+                writer.write(encode({"op": "ping", "seq": "p"}))
+                replies.append([
+                    json.loads(await asyncio.wait_for(reader.readline(), 5))
+                    for _ in range(2)
+                ])
+            writer.close()
+            await writer.wait_closed()
+            await server.drain()
+            return replies
+
+        (bad_number, ping1), (bad_json, ping2) = run(main())
+        assert bad_number["ok"] is False
+        assert bad_number["error"] == "bad-request"
+        assert bad_number["seq"] == 1
+        assert bad_json["ok"] is False and bad_json["error"] == "bad-json"
+        assert ping1["ok"] and ping1["seq"] == "p"
+        assert ping2["ok"] and ping2["seq"] == "p"
+
     def test_unknown_algorithm_rejected_at_construction(self):
         with pytest.raises(ValueError, match="Sorter"):
             PlacementServer(ServeConfig(algorithm="Sorter"))
@@ -555,6 +594,39 @@ class TestConnectionClose:
         assert [r["seq"] for r in lines] == [0, 1, 2]
         assert all(r["ok"] for r in lines)
         assert inflight == 0 and open_connections == 0
+
+
+    def test_cancelled_handler_does_not_wait_for_a_stalled_shard(self):
+        # loop teardown cancels connection handlers while a shard still
+        # owes them replies: the handler must close and finish at once
+        async def main():
+            server = await started(ServeConfig())
+            loop = asyncio.get_running_loop()
+            server.shards[0].stall(loop.time() + 1.5)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(encode({
+                "op": "arrive", "id": 0, "seq": 0, "arrival": 0.0,
+                "departure": 1.0, "size": 0.25,
+            }))
+            await writer.drain()
+            while server.shards[0].inflight == 0:
+                await asyncio.sleep(0.01)
+            handlers = [
+                task for task in asyncio.all_tasks()
+                if "_handle_connection" in task.get_coro().__qualname__
+            ]
+            assert len(handlers) == 1
+            handlers[0].cancel()
+            done, _ = await asyncio.wait(handlers, timeout=0.5)
+            finished = handlers[0] in done
+            writer.close()
+            await server.drain()
+            return finished, handlers[0].cancelled()
+
+        finished, cancelled = run(main())
+        assert finished and cancelled
 
 
 class TestBatchCompletion:
