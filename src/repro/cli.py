@@ -793,6 +793,7 @@ def _replay(args) -> int:
                 if every and fed % every == 0:
                     save_checkpoint(engine, ckpt_path)
 
+    from .core.errors import InvalidInstanceError
     from .obs.invariants import InvariantViolationError
 
     sampler = _start_sampler(args)
@@ -807,9 +808,12 @@ def _replay(args) -> int:
         else:
             _feed_all()
             summary = engine.finish()
-    except InvariantViolationError as exc:
+    except (InvariantViolationError, InvalidInstanceError) as exc:
         if sampler is not None:
             sampler.stop()
+        if isinstance(exc, InvalidInstanceError):  # a malformed trace
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"replay: {exc}", file=sys.stderr)
         return 1
     elapsed = _time.perf_counter() - t0
@@ -872,27 +876,23 @@ def _replay(args) -> int:
         print(f"ledger: {sink.last_path}")
     if args.verify:
         from .core.instance import Instance
-        from .core.simulation import simulate
+        from .engine.parity import Outcome, check_against_batch
 
         streamed = engine.result()
-        batch = simulate(
-            registry[args.algorithm](),
+        problems = check_against_batch(
+            Outcome.of_run(streamed, summary),
             Instance(list(streamed.items), reassign_uids=False),
-            capacity=args.capacity,
+            registry[args.algorithm],
+            args.capacity,
         )
-        delta = abs(batch.cost - summary.cost)
-        ok = (
-            delta <= 1e-9
-            and batch.max_open == summary.max_open
-            and streamed.assignment == batch.assignment
-        )
-        print(
-            f"parity vs simulate(): Δcost={delta:g}, "
-            f"max_open {batch.max_open} vs {summary.max_open} -> "
-            + ("ok" if ok else "MISMATCH")
-        )
-        if not ok:
+        if problems:
+            print("parity vs simulate(): MISMATCH")
+            print("\n".join(f"  {problem}" for problem in problems))
             return 1
+        print(
+            f"parity vs simulate(): Δcost=0, {len(streamed.items)} "
+            "decisions, opened flags, bins and totals equal -> ok"
+        )
     return 0
 
 

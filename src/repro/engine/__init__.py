@@ -8,7 +8,7 @@ integral queryable mid-stream in O(1)), **constant memory** (peak RSS
 independent of trace length), **checkpoint/restore**, and an
 **observability layer**.  Batch and
 stream run the *same* kernel, so they agree bit-for-bit by construction
-(:mod:`repro.engine.parity` keeps the regression guard).
+(:mod:`repro.engine.parity` holds the one differential oracle).
 
 Quickstart::
 
@@ -53,15 +53,15 @@ from .metrics import (
     Timing,
     merge_metrics,
 )
-from .parity import ParityReport, check_parity, default_parity_cells, parity_suite
-from .stream import (
-    ItemSource,
-    iter_tuples,
-    merge,
-    open_trace,
-    ordered,
-    trace_format,
+from .parity import (
+    Outcome,
+    ParityReport,
+    check_against_batch,
+    check_parity,
+    default_parity_cells,
+    parity_suite,
 )
+from .stream import ItemSource, open_trace, trace_format
 
 __all__ = [
     "Engine",
@@ -90,14 +90,13 @@ __all__ = [
     "JSONLSink",
     "CallbackSink",
     "MemorySink",
+    "Outcome",
     "ParityReport",
+    "check_against_batch",
     "check_parity",
     "parity_suite",
     "default_parity_cells",
     "ItemSource",
-    "iter_tuples",
-    "ordered",
-    "merge",
     "open_trace",
     "trace_format",
 ]

@@ -186,9 +186,7 @@ def replay_sharded(
 
     Each shard is packed in isolation (its own algorithm instance and
     bins), so the aggregate cost is the sum over shards — the standard
-    scale-out regime where traffic is partitioned across machines.  Use
-    :func:`repro.engine.stream.merge` instead when shards must share
-    bins.
+    scale-out regime where traffic is partitioned across machines.
 
     With ``metrics=True`` every shard records an
     :class:`~repro.engine.metrics.EngineMetrics`; the per-shard

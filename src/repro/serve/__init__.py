@@ -32,11 +32,7 @@ See ``docs/serving.md`` for the protocol spec and lifecycle, and
 from .batcher import MicroBatcher
 from .client import PlacementClient
 from .loadgen import WORKLOADS, LoadReport, make_workload, run_loadgen
-from .parity import (
-    ServiceParityReport,
-    check_service_parity,
-    service_parity_suite,
-)
+from .parity import check_service_parity, service_parity_suite
 from .protocol import (
     ERROR_CODES,
     OPS,
@@ -79,7 +75,6 @@ __all__ = [
     "Request",
     "RequestContext",
     "ServeConfig",
-    "ServiceParityReport",
     "ServiceTelemetry",
     "ShardTelemetry",
     "TcpTransport",

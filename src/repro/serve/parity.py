@@ -1,93 +1,34 @@
-"""Service/batch parity: the serving layer's correctness anchor.
+"""Service/batch parity: the serving layer's caller of the one oracle.
 
 A single-shard :class:`~repro.serve.server.PlacementServer` fed an
 arrival-ordered trace must make **bit-identical decisions** to batch
-:func:`~repro.core.simulation.simulate` on the same
-:class:`~repro.core.instance.Instance` — same item→bin assignment (as a
-decision sequence in submission order), same set of freshly-opened bins,
-same final cost, same ``max_open``.  This holds by construction (both
-paths drive one :class:`~repro.core.kernel.PlacementKernel`), and this
-module keeps the construction honest across the extra serving machinery
-— protocol parsing, micro-batching, the bounded queue, the shard worker
-— none of which may perturb a decision.
-
-:func:`check_service_parity` runs one (algorithm, instance) cell through
-a real localhost TCP round-trip: it starts an in-process server,
-replays the instance over a pipelined client, ``advance``s the service
-clock past the last departure, then compares against a fresh batch run.
-:func:`service_parity_suite` sweeps the full registry the same way the
-engine parity sweep does (general algorithms on general workloads,
-aligned-only CDFF variants on aligned inputs).  CI runs it as an
-explicit step: ``python -m repro.serve.parity``.
+:func:`~repro.core.simulation.simulate`: protocol parsing,
+micro-batching, the queue and the shard worker may not perturb one.
+:func:`check_service_parity` serves one (algorithm, instance) cell over
+a real localhost TCP round-trip, ``advance``s past the last departure,
+and hands the replies and final ``stats`` to
+:func:`~repro.engine.parity.check_against_batch`.
+:func:`service_parity_suite` sweeps the engine sweep's cells; CI runs
+``python -m repro.serve.parity``.
 """
 
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..core.instance import Instance
-from ..core.simulation import simulate
 from ..engine.parity import (
-    ALIGNED_ALGORITHMS,
-    COST_TOL,
-    GENERAL_ALGORITHMS,
-    _aligned_workloads,
-    _general_workloads,
+    Outcome,
+    ParityReport,
+    check_against_batch,
+    default_parity_cells,
+    print_reports,
 )
 from .client import PlacementClient
 from .server import PlacementServer, ServeConfig
 
-__all__ = [
-    "ServiceParityReport",
-    "check_service_parity",
-    "service_parity_suite",
-    "default_service_cells",
-]
-
-
-@dataclass(frozen=True)
-class ServiceParityReport:
-    """One served run compared against its batch twin."""
-
-    algorithm: str
-    workload: str
-    n_items: int
-    batch_cost: float
-    serve_cost: float
-    max_open_batch: int
-    max_open_serve: int
-    bins_opened_batch: int
-    bins_opened_serve: int
-    decisions_equal: bool
-    opened_equal: bool
-    errors: int  #: error replies seen while replaying (must be 0)
-
-    @property
-    def cost_delta(self) -> float:
-        return abs(self.serve_cost - self.batch_cost)
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.cost_delta <= COST_TOL
-            and self.max_open_batch == self.max_open_serve
-            and self.bins_opened_batch == self.bins_opened_serve
-            and self.decisions_equal
-            and self.opened_equal
-            and self.errors == 0
-        )
-
-    def __str__(self) -> str:
-        flag = "ok" if self.ok else "MISMATCH"
-        return (
-            f"[{flag}] {self.algorithm:20s} on {self.workload:24s} "
-            f"n={self.n_items:5d}  cost {self.batch_cost:.6g} vs "
-            f"{self.serve_cost:.6g} (Δ={self.cost_delta:.3g})  "
-            f"max_open {self.max_open_batch} vs {self.max_open_serve}  "
-            f"errors={self.errors}"
-        )
+__all__ = ["check_service_parity", "service_parity_suite"]
 
 
 async def _serve_instance(
@@ -104,37 +45,26 @@ async def _serve_instance(
     reply (taken after advancing past the last departure, so every
     scheduled departure has been processed and the cost is final).
     """
-    server = PlacementServer(
-        ServeConfig(
-            shards=1,
-            algorithm=algorithm,
-            capacity=capacity,
-            batch_max=batch_max,
-            batch_delay=batch_delay,
-        )
-    )
+    server = PlacementServer(ServeConfig(
+        shards=1, algorithm=algorithm, capacity=capacity,
+        batch_max=batch_max, batch_delay=batch_delay,
+    ))
     await server.start()
     try:
         client = await PlacementClient.connect("127.0.0.1", server.port)
         try:
             futures = [
-                client.submit(
-                    {
-                        "op": "arrive",
-                        "id": item.uid,
-                        "arrival": item.arrival,
-                        "departure": item.departure,
-                        "size": item.size,
-                    }
-                )
+                client.submit({
+                    "op": "arrive", "id": item.uid, "arrival": item.arrival,
+                    "departure": item.departure, "size": item.size,
+                })
                 for item in instance
             ]
             await client.drain_writes()
             replies = list(await asyncio.gather(*futures))
-            horizon = max(
-                (it.departure for it in instance), default=0.0
+            await client.advance(
+                max((it.departure for it in instance), default=0.0)
             )
-            await client.advance(horizon)
             stats = await client.stats()
         finally:
             await client.aclose()
@@ -151,68 +81,42 @@ def check_service_parity(
     workload: str = "instance",
     batch_max: int = 1,
     batch_delay: float = 0.0,
-) -> ServiceParityReport:
+) -> ParityReport:
     """Serve ``instance`` over TCP and compare against ``simulate()``."""
+    replies, stats = asyncio.run(_serve_instance(
+        algorithm, instance, capacity=capacity, batch_max=batch_max,
+        batch_delay=batch_delay,
+    ))
+    return ParityReport(
+        "serve", algorithm, workload, len(instance),
+        served_problems(replies, stats, algorithm, instance, capacity),
+    )
+
+
+def served_problems(
+    replies: Sequence[dict], stats: dict, algorithm: str, instance: Instance,
+    capacity: float = 1.0,
+) -> Tuple[str, ...]:
+    """Mismatches between one shard's arrive replies (in submission
+    order, which is uid order) plus its final ``stats`` reply and batch
+    ``simulate()``; an error reply is a mismatch too."""
     from ..parallel import _registry
 
-    replies, stats = asyncio.run(
-        _serve_instance(
-            algorithm,
-            instance,
-            capacity=capacity,
-            batch_max=batch_max,
-            batch_delay=batch_delay,
-        )
-    )
-    batch = simulate(_registry()[algorithm](), instance, capacity=capacity)
-
-    errors = sum(1 for r in replies if not r.get("ok"))
-    decisions = [r.get("bin") for r in replies]
-    # instance iteration order is uid order (0..n-1), which is also the
-    # order the single shard assigned uids — compare decision streams
-    expected = [batch.assignment.get(item.uid) for item in instance]
-    opened = [bool(r.get("opened")) for r in replies]
-    # batch twin: an item "opened" its bin iff it is the bin's first member
-    first_member = {
-        rec.uid: rec.item_uids[0] for rec in batch.bins if rec.item_uids
-    }
-    expected_opened = [
-        first_member.get(batch.assignment.get(item.uid)) == item.uid
-        for item in instance
-    ]
+    errors = [r for r in replies if not r.get("ok")]
     totals = stats.get("totals", {})
-    return ServiceParityReport(
-        algorithm=algorithm,
-        workload=workload,
-        n_items=len(instance),
-        batch_cost=batch.cost,
-        serve_cost=float(totals.get("cost", float("nan"))),
-        max_open_batch=batch.max_open,
-        max_open_serve=int(totals.get("max_open", -1)),
-        bins_opened_batch=len(batch.bins),
-        bins_opened_serve=int(totals.get("bins_opened", -1)),
-        decisions_equal=decisions == expected,
-        opened_equal=opened == expected_opened,
-        errors=errors,
+    outcome = Outcome(
+        [r.get("bin") for r in replies],
+        [r.get("opened") for r in replies],
+        cost=float(totals.get("cost", float("nan"))),
+        max_open=int(totals.get("max_open", -1)),
+        bins_opened=int(totals.get("bins_opened", -1)),
     )
-
-
-def default_service_cells(
-    seed: int = 0,
-) -> List[Tuple[str, str, Instance]]:
-    """``(algorithm, workload, instance)`` cells of the default sweep.
-
-    Same registry × generator-family grid as the engine parity sweep —
-    the two harnesses guard the same contract at different layers.
-    """
-    cells: List[Tuple[str, str, Instance]] = []
-    for name in GENERAL_ALGORITHMS:
-        for wname, inst in _general_workloads(seed):
-            cells.append((name, wname, inst))
-    for name in ALIGNED_ALGORITHMS:
-        for wname, inst in _aligned_workloads(seed):
-            cells.append((name, wname, inst))
-    return cells
+    found = check_against_batch(
+        outcome, instance, _registry()[algorithm], capacity
+    )
+    if errors:
+        found = (f"{len(errors)} error replies (first: {errors[0]})",) + found
+    return found
 
 
 def service_parity_suite(
@@ -221,23 +125,15 @@ def service_parity_suite(
     seed: int = 0,
     batch_max: int = 1,
     batch_delay: float = 0.0,
-) -> List[ServiceParityReport]:
-    """Run the service parity sweep; one report per cell.
-
-    ``batch_max``/``batch_delay`` let the sweep also exercise the
-    micro-batched path (decisions must not depend on batching).
-    """
-    if cells is None:
-        cells = default_service_cells(seed)
+) -> List[ParityReport]:
+    """One report per cell; ``batch_max``/``batch_delay`` exercise the
+    micro-batched path (decisions must not depend on batching)."""
     return [
-        check_service_parity(
-            name,
-            inst,
-            workload=wname,
-            batch_max=batch_max,
-            batch_delay=batch_delay,
+        check_service_parity(name, inst, workload=wname,
+                             batch_max=batch_max, batch_delay=batch_delay)
+        for name, wname, inst in (
+            default_parity_cells(seed) if cells is None else cells
         )
-        for name, wname, inst in cells
     ]
 
 
@@ -262,19 +158,9 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
     reports = service_parity_suite(
-        seed=args.seed,
-        batch_max=args.batch_max,
-        batch_delay=args.batch_delay,
+        seed=args.seed, batch_max=args.batch_max, batch_delay=args.batch_delay
     )
-    failures = 0
-    for report in reports:
-        print(report)
-        failures += 0 if report.ok else 1
-    print(
-        f"service parity sweep: {len(reports) - failures}/{len(reports)} "
-        "cells ok"
-    )
-    return 1 if failures else 0
+    return print_reports(reports, "service parity sweep")
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised by CI

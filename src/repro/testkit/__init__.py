@@ -24,8 +24,11 @@ inside one process on a **virtual clock** with **no real sockets**:
   :class:`FaultPlan` end to end and returns a :class:`ChaosReport`;
 - :mod:`repro.testkit.oracle` — the end-of-run checks: zero
   accepted-item loss, exactly-once application, decision/cost streams
-  bit-identical to batch ``simulate()`` on the acked items, invariant
-  monitors clean;
+  bit-identical to batch ``simulate()`` on the acked items (via
+  :func:`repro.engine.parity.check_against_batch`), invariants clean;
+- :mod:`repro.testkit.reference` — :class:`ReferenceSim`, a
+  kernel-independent simulator of the paper's model that batch
+  ``simulate()`` is held against (the parity sweep's ``reference`` leg);
 - :mod:`repro.testkit.shrink` — delta-debugging minimizer that reduces
   a failing plan to the smallest still-failing one and writes a
   replayable artifact under ``.ledger/chaos/``.
@@ -39,6 +42,7 @@ from .clock import SimDeadlockError, SimLoop, sim_run
 from .faults import FaultPlan, NetWindow, ShardEvent, generate_plan
 from .harness import ChaosReport, run_chaos
 from .oracle import OracleVerdict, check_oracles
+from .reference import ReferenceSim, reference_run
 from .shrink import minimize, write_artifact
 from .simnet import SimNet, SimNetPolicy
 
@@ -49,6 +53,7 @@ __all__ = [
     "FaultPlan",
     "NetWindow",
     "OracleVerdict",
+    "ReferenceSim",
     "ShardEvent",
     "SimDeadlockError",
     "SimLoop",
@@ -57,6 +62,7 @@ __all__ = [
     "check_oracles",
     "generate_plan",
     "minimize",
+    "reference_run",
     "run_chaos",
     "sim_run",
     "write_artifact",

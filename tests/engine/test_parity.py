@@ -1,7 +1,13 @@
 """Engine/batch parity: the streaming engine must reproduce ``simulate()``
 bit-for-bit — cost, max_open, and assignment — for every registered
 algorithm on every workload-generator family, including on random
-(hypothesis-generated) instances."""
+(hypothesis-generated) instances; batch must match the kernel-independent
+reference; and every leg of the gate must fail on a known defect."""
+
+import dataclasses
+import heapq
+import inspect
+import textwrap
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +15,14 @@ from hypothesis import strategies as st
 
 from repro.core.instance import Instance
 from repro.core.simulation import simulate
-from repro.engine import Engine, check_parity, default_parity_cells, parity_suite
+from repro.engine import (
+    Engine,
+    Outcome,
+    check_against_batch,
+    check_parity,
+    default_parity_cells,
+    parity_suite,
+)
 from repro.engine.parity import ALIGNED_ALGORITHMS, GENERAL_ALGORITHMS, LEGS
 from repro.parallel import _registry
 
@@ -42,9 +55,8 @@ class TestParitySweep:
         report = check_parity(
             _registry()[algorithm], instance, workload=workload
         )
+        # the core compares the cost bit for bit, so ok means Δcost == 0
         assert report.ok, str(report)
-        # the contract is stated with 1e-9 slack; observed equality is exact
-        assert report.engine_cost == report.batch_cost
 
     def test_suite_runner(self):
         reports = parity_suite(
@@ -55,10 +67,11 @@ class TestParitySweep:
     def test_every_cell_covers_every_feed_path(self):
         instance = default_parity_cells(seed=0)[0][2]
         report = check_parity(_registry()["BestFit"], instance)
-        assert report.ok and report.legs == LEGS == (
+        assert report.ok and LEGS == (
             "boxed",
             "columnar",
             "chunked",
+            "reference",
         )
 
     def test_columnar_defect_is_caught_and_named(self, monkeypatch):
@@ -73,16 +86,18 @@ class TestParitySweep:
         monkeypatch.setattr(Engine, "feed_store", lossy)
         instance = default_parity_cells(seed=0)[0][2]
         report = check_parity(_registry()["FirstFit"], instance)
-        # legs run in order, so the boxed leg passed before this one
-        assert not report.ok and report.legs == ("columnar",)
+        # the boxed leg never calls feed_store, so only the columnar
+        # paths (the whole store, and its chunked windows) are named
+        assert not report.ok
+        legs = {p.split(":")[0] for p in report.problems}
+        assert legs == {"columnar", "chunked"}, report.problems
 
     def test_missing_total_update_is_caught_and_named(self, monkeypatch):
         """Drop the ``util_area`` update from ``release_store``'s
         no-departure clock move: cost, bins and assignment stay intact,
-        so only the totals comparison catches it, on the columnar leg."""
-        import inspect
-        import textwrap
-
+        so only the totals comparison catches it.  Batch ``simulate()``
+        runs ``release_store`` too, so the legs that stay correct — the
+        boxed engine leg and the reference — are the ones named."""
         from repro.core import kernel as kernel_mod
 
         source = textwrap.dedent(
@@ -101,17 +116,121 @@ class TestParitySweep:
         )
         instance = default_parity_cells(seed=0)[0][2]
         report = check_parity(_registry()["BestFit"], instance)
-        assert not report.ok and report.legs == ("columnar",)
-        assert not report.totals_equal
-        assert report.assignment_equal and report.bins_equal
-        assert report.engine_cost == report.batch_cost
-        assert "totals differ" in str(report)
+        assert not report.ok
+        assert all(" util_area " in p for p in report.problems), report
+        legs = {p.split(":")[0] for p in report.problems}
+        assert legs == {"boxed", "reference"}, report.problems
+        assert "util_area" in str(report)
+
+    def test_perturbed_decision_fails(self, monkeypatch):
+        """One streamed item's bin changed: the gate must fail on every
+        engine leg, naming the decision."""
+        result = Engine.result
+
+        def perturbed(self):
+            res = result(self)
+            assignment = dict(res.assignment)
+            assignment[3] += 1
+            return dataclasses.replace(res, assignment=assignment)
+
+        monkeypatch.setattr(Engine, "result", perturbed)
+        instance = default_parity_cells(seed=0)[0][2]
+        report = check_parity(_registry()["FirstFit"], instance)
+        assert not report.ok
+        for leg in ("boxed", "columnar", "chunked"):
+            assert (
+                f"{leg}: 1 bin decisions differ (first: item 3"
+                in str(report)
+            ), report.problems
+        assert not any(p.startswith("reference") for p in report.problems)
+
+    def test_equal_time_mutant_fails_the_gate(self, monkeypatch, capsys):
+        """A kernel that places arrivals before departures at equal times
+        breaks the paper's ``[t, f)`` intervals.  Batch and engine share
+        the kernel, so only the reference leg can see it; the CI gate
+        must exit non-zero and name that leg."""
+        from repro.core import kernel as kernel_mod
+        from repro.engine.parity import _main
+
+        kernel = kernel_mod.PlacementKernel
+        for method, old, new in (
+            ("_advance", "if t > until:", "if t >= until:"),
+            ("release_store", "dq[0][0] <= arrival", "dq[0][0] < arrival"),
+        ):
+            source = textwrap.dedent(inspect.getsource(getattr(kernel, method)))
+            assert source.count(old) == 1
+            namespace: dict = {}
+            exec(
+                compile(source.replace(old, new), kernel_mod.__file__, "exec"),
+                vars(kernel_mod),
+                namespace,
+            )
+            monkeypatch.setattr(kernel, method, namespace[method])
+
+        def drain(self):
+            # the mutant _advance never departs an item due exactly at
+            # ``until``, so drain()'s advance-to-the-next-departure loop
+            # would spin forever; pop the remaining departures instead
+            while self._departures:
+                t, _, uid = heapq.heappop(self._departures)
+                self._do_departure(uid, t)
+
+        monkeypatch.setattr(kernel, "drain", drain)
+        assert _main(["--seed", "0"]) == 1
+        out = capsys.readouterr().out
+        assert "MISMATCH" in out and "reference: " in out
+        mismatched = [line for line in out.splitlines() if "MISMATCH" in line]
+        # every failing cell is caught by the reference leg
+        assert all("reference: " in line for line in mismatched)
 
     def test_registry_fully_covered(self):
         from repro.parallel import ALGORITHM_REGISTRY
 
         covered = set(GENERAL_ALGORITHMS) | set(ALIGNED_ALGORITHMS)
         assert covered == set(ALGORITHM_REGISTRY)
+
+
+class TestCheckAgainstBatch:
+    """The one comparison core every parity caller goes through."""
+
+    def _outcome(self, inst):
+        ref = simulate(_registry()["BestFit"](), inst)
+        return Outcome.of_result(
+            ref, cost=ref.cost, max_open=ref.max_open,
+            bins_opened=len(ref.bins),
+        )
+
+    def test_agreement_is_empty(self):
+        inst = default_parity_cells(seed=0)[0][2]
+        outcome = self._outcome(inst)
+        assert check_against_batch(outcome, inst, _registry()["BestFit"]) == ()
+
+    def test_every_field_is_compared(self):
+        inst = default_parity_cells(seed=0)[0][2]
+        good = self._outcome(inst)
+        factory = _registry()["BestFit"]
+        opened = list(good.opened)
+        opened[0] = not opened[0]
+        for bad, needle in (
+            (dataclasses.replace(good, bins=good.bins[:-1]), "decisions vs"),
+            (dataclasses.replace(good, opened=opened), "opened flags"),
+            (dataclasses.replace(good, cost=good.cost + 1e-12), "cost "),
+            (dataclasses.replace(good, max_open=good.max_open + 1),
+             "max_open"),
+            (dataclasses.replace(good, bins_opened=0), "bins_opened"),
+            (dataclasses.replace(good, peak_load=0.0), "peak_load"),
+            (dataclasses.replace(good, util_area=0.0), "util_area"),
+            (dataclasses.replace(good, bins_closed=0), "bins_closed"),
+            (dataclasses.replace(good, records=()), "per-bin records"),
+        ):
+            problems = check_against_batch(bad, inst, factory)
+            assert len(problems) == 1 and needle in problems[0], problems
+
+    def test_missing_totals_are_not_compared(self):
+        inst = default_parity_cells(seed=0)[0][2]
+        good = self._outcome(inst)
+        bare = Outcome(good.bins, good.opened)
+        assert check_against_batch(bare, inst, _registry()["BestFit"]) == ()
 
 
 class TestParityProperty:

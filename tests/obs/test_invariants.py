@@ -121,6 +121,34 @@ class TestCorruptionHook:
         kinds = {v.invariant for v in monitor.violations}
         assert "span-cost" in kinds
 
+    def test_invariant_sweep_gate_fails_on_corruption(
+        self, monkeypatch, capsys
+    ):
+        """The CI invariant sweep must exit non-zero when a monitor's
+        accounting is corrupted, and zero when it is not."""
+        import importlib.util
+        import pathlib
+        import sys
+
+        script = (
+            pathlib.Path(__file__).resolve().parents[2]
+            / "scripts" / "invariant_sweep.py"
+        )
+        spec = importlib.util.spec_from_file_location("invariant_sweep", script)
+        sweep = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sweep)
+        monkeypatch.setattr(sys, "argv", ["invariant_sweep.py", "--n-items", "30"])
+        assert sweep.main() == 0
+        finalize = InvariantMonitor.finalize
+
+        def corrupted(self):
+            self._corrupt("span", 1e6)
+            return finalize(self)
+
+        monkeypatch.setattr(InvariantMonitor, "finalize", corrupted)
+        assert sweep.main() == 1
+        assert "VIOLATION" in capsys.readouterr().out
+
     def test_demand_corruption_trips_demand_cost(self):
         inst = uniform_random(80, 8, seed=2)
         monitor = InvariantMonitor()

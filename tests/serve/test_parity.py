@@ -2,14 +2,30 @@
 
 from __future__ import annotations
 
-from repro.engine.parity import ALIGNED_ALGORITHMS, GENERAL_ALGORITHMS
+import asyncio
+
+from repro.engine.parity import (
+    ALIGNED_ALGORITHMS,
+    GENERAL_ALGORITHMS,
+    ParityReport,
+    default_parity_cells,
+)
 from repro.serve.parity import (
-    ServiceParityReport,
+    _serve_instance,
     check_service_parity,
-    default_service_cells,
+    served_problems,
     service_parity_suite,
 )
 from repro.workloads import aligned_random, uniform_random
+
+
+def _served(algorithm, inst):
+    """One unbatched served run: (arrive replies, final stats)."""
+    return asyncio.run(
+        _serve_instance(
+            algorithm, inst, capacity=1.0, batch_max=1, batch_delay=0.0
+        )
+    )
 
 
 class TestSingleCells:
@@ -17,10 +33,10 @@ class TestSingleCells:
         inst = uniform_random(120, 16.0, seed=3)
         report = check_service_parity("FirstFit", inst, workload="uniform")
         assert report.ok, str(report)
-        assert report.n_items == 120
-        assert report.errors == 0
-        assert report.decisions_equal and report.opened_equal
-        assert report.cost_delta == 0.0
+        assert report.layer == "serve" and report.n_items == 120
+        # no error replies, decisions, opened flags and the exact cost
+        # all agree: the core reports nothing
+        assert report.problems == ()
 
     def test_hybrid_micro_batched(self):
         # batching must not perturb a single decision
@@ -39,7 +55,8 @@ class TestSingleCells:
 
 class TestSweep:
     def test_default_cells_cover_the_registry(self):
-        names = {name for name, _, _ in default_service_cells(seed=0)}
+        # the service sweep runs the engine sweep's cells
+        names = {name for name, _, _ in default_parity_cells(seed=0)}
         assert set(GENERAL_ALGORITHMS) <= names
         assert set(ALIGNED_ALGORITHMS) <= names
 
@@ -56,23 +73,26 @@ class TestSweep:
 
 class TestReport:
     def test_mismatch_is_flagged(self):
-        report = ServiceParityReport(
-            algorithm="FirstFit", workload="w", n_items=10,
-            batch_cost=5.0, serve_cost=6.0,
-            max_open_batch=2, max_open_serve=2,
-            bins_opened_batch=3, bins_opened_serve=3,
-            decisions_equal=True, opened_equal=True, errors=0,
+        report = ParityReport(
+            "serve", "FirstFit", "w", 10, ("cost 6.0 vs batch 5.0",)
         )
         assert not report.ok
         assert "MISMATCH" in str(report)
-        assert report.cost_delta == 1.0
+        assert "cost 6.0 vs batch 5.0" in str(report)
 
     def test_errors_spoil_parity(self):
-        report = ServiceParityReport(
-            algorithm="FirstFit", workload="w", n_items=10,
-            batch_cost=5.0, serve_cost=5.0,
-            max_open_batch=2, max_open_serve=2,
-            bins_opened_batch=3, bins_opened_serve=3,
-            decisions_equal=True, opened_equal=True, errors=1,
-        )
-        assert not report.ok
+        inst = uniform_random(30, 8.0, seed=4)
+        replies, stats = _served("FirstFit", inst)
+        assert served_problems(replies, stats, "FirstFit", inst) == ()
+        replies[5] = {"ok": False, "error": "overloaded", "seq": 5}
+        problems = served_problems(replies, stats, "FirstFit", inst)
+        assert problems and "1 error replies" in problems[0]
+
+    def test_perturbed_decision_fails(self):
+        """One served bin changed: the serve parity path must fail."""
+        inst = uniform_random(30, 8.0, seed=4)
+        replies, stats = _served("FirstFit", inst)
+        replies[7] = dict(replies[7], bin=replies[7]["bin"] + 1)
+        problems = served_problems(replies, stats, "FirstFit", inst)
+        assert any("1 bin decisions differ (first: item 7" in p
+                   for p in problems), problems

@@ -51,6 +51,47 @@ class TestReplay:
         assert main(["replay", jsonl_path, "--verify"]) == 0
         assert "parity vs simulate(): Δcost=0" in capsys.readouterr().out
 
+    def test_verify_fails_on_a_perturbed_decision(
+        self, jsonl_path, monkeypatch, capsys
+    ):
+        """One streamed item's bin changed: --verify must exit 1 and
+        name the decision."""
+        import dataclasses
+
+        from repro.engine import Engine
+
+        result = Engine.result
+
+        def perturbed(self):
+            res = result(self)
+            assignment = dict(res.assignment)
+            assignment[10] += 1
+            return dataclasses.replace(res, assignment=assignment)
+
+        monkeypatch.setattr(Engine, "result", perturbed)
+        rc = main(["replay", jsonl_path, "--verify", "--no-ledger"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "parity vs simulate(): MISMATCH" in out
+        assert "1 bin decisions differ (first: item 10" in out
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            '{"arrival": 1.0, "departure": "x", "size": 0.5}',
+            '{"arrival": 1.0, "departure": [2], "size": 0.5}',
+            '{"arrival": 1%s, "departure": 2.0, "size": 0.5}' % ("0" * 400),
+            '{"arrival": 1.0, "departure": 2.0, "size": %s}' % ("7" * 5000),
+        ],
+    )
+    def test_malformed_trace_is_one_error_line(self, tmp_path, capsys, bad):
+        good = '{"arrival": 0.0, "departure": 2.0, "size": 0.5}'
+        path = tmp_path / "bad.jsonl"
+        path.write_text(f"{good}\n{good}\n{bad}\n{good}\n")
+        assert main(["replay", str(path), "--no-ledger"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: line 3: "), err
+
     def test_limit(self, jsonl_path, capsys):
         assert main(["replay", jsonl_path, "--limit", "50"]) == 0
         assert "50 items replayed" in capsys.readouterr().out
