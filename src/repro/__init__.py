@@ -77,10 +77,8 @@ from .engine import (
     Engine,
     EngineMetrics,
     EngineSummary,
-    check_parity,
     load_checkpoint,
     open_trace,
-    parity_suite,
     replay,
     save_checkpoint,
 )
@@ -186,6 +184,4 @@ __all__ = [
     "open_trace",
     "save_checkpoint",
     "load_checkpoint",
-    "check_parity",
-    "parity_suite",
 ]

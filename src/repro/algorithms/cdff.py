@@ -82,14 +82,6 @@ class CDFF(OnlineAlgorithm):
         self._batch: Dict[int, Dict[int, Bin]] = {}  # class -> bucket
         self._placed_row: Dict[int, int] = {}  # item uid -> row key (for audits)
 
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        # blobs pickled while rows and buckets were bin lists
-        for table in (self._rows, self._batch):
-            for key, bins in table.items():
-                if isinstance(bins, list):
-                    table[key] = {b.uid: b for b in bins}
-
     # ------------------------------------------------------------------ #
     # Inspection (used by the figure renderers and the Lemma 5.5 tests)
     # ------------------------------------------------------------------ #

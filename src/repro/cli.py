@@ -431,7 +431,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     servep.add_argument(
         "--checkpoint-dir", metavar="DIR",
-        help="write one v2 checkpoint per shard on drain",
+        help="write one checkpoint per shard on drain",
     )
     servep.add_argument(
         "--resume", action="store_true",
@@ -630,12 +630,17 @@ def _pack(args) -> int:
             file=sys.stderr,
         )
         return 1
+    from .core.errors import InvalidInstanceError
     from .core.simulation import simulate
     from .core.validate import audit
     from .offline.optimal import opt_reference
     from .workloads.io import load_csv
 
-    instance = load_csv(args.csv)
+    try:
+        instance = load_csv(args.csv)
+    except (InvalidInstanceError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     result = simulate(registry[args.algorithm](), instance,
                       capacity=args.capacity, indexed=not args.no_index)
     audit(result)
@@ -727,9 +732,18 @@ def _replay(args) -> int:
             tracer=tracer,
         )
 
+    from .core.errors import CheckpointError, InvalidInstanceError
+    from .obs.invariants import InvariantViolationError
+
     metrics = EngineMetrics()
-    if args.resume:
-        engine = load_checkpoint(args.resume)
+    try:
+        # both read user-named files before the run starts
+        source = open_trace(args.trace, format=args.format)
+        engine = load_checkpoint(args.resume) if args.resume else None
+    except (CheckpointError, InvalidInstanceError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if engine is not None:
         if args.verify and not engine.record:
             print(
                 "--verify needs a checkpoint taken from a --verify run "
@@ -761,7 +775,6 @@ def _replay(args) -> int:
         )
         skip = 0
 
-    source = open_trace(args.trace, format=args.format)
     ckpt_path = args.checkpoint or f"{args.trace}.ckpt"
     every = max(0, args.checkpoint_every)
     limit = args.limit or None
@@ -793,9 +806,6 @@ def _replay(args) -> int:
                 if every and fed % every == 0:
                     save_checkpoint(engine, ckpt_path)
 
-    from .core.errors import InvalidInstanceError
-    from .obs.invariants import InvariantViolationError
-
     sampler = _start_sampler(args)
     t0 = _time.perf_counter()
     fed = 0
@@ -808,10 +818,10 @@ def _replay(args) -> int:
         else:
             _feed_all()
             summary = engine.finish()
-    except (InvariantViolationError, InvalidInstanceError) as exc:
+    except (InvariantViolationError, InvalidInstanceError, OSError) as exc:
         if sampler is not None:
             sampler.stop()
-        if isinstance(exc, InvalidInstanceError):  # a malformed trace
+        if not isinstance(exc, InvariantViolationError):  # a bad trace
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(f"replay: {exc}", file=sys.stderr)

@@ -49,7 +49,8 @@ class CheckpointError(SimulationError):
 
     Subclasses :class:`SimulationError` so existing ``except
     SimulationError`` handlers keep working; raised instead of bare
-    pickle errors so a damaged file is diagnosable from the message.
+    JSON, key or type errors so a damaged file is diagnosable from the
+    message.
     """
 
 

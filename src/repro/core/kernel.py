@@ -107,12 +107,31 @@ __all__ = [
 
 _NEG_INF = float("-inf")
 
-#: per-event listener callbacks and the ``timed`` flag, resolved on
-#: attach (see ``PlacementKernel.rebind_listeners``); never pickled
-_HOOK_ATTRS = (
-    "_on_advance", "_on_open", "_on_arrival", "_on_departure", "_on_close",
-    "_timed",
+#: the clock, counters and float totals, which
+#: :meth:`PlacementKernel.export_state` keeps under these names, as written
+_SCALARS = (
+    "time", "_bin_uid", "_seq", "closed_usage", "_sum_opened_at",
+    "arrivals", "departures", "bins_opened", "max_open", "load",
+    "peak_load", "util_area",
 )
+_COLUMNS = ("arrival", "departure", "size", "uid")
+
+
+def _columns(rows) -> dict:
+    """``(item, departure)`` rows as the four item columns (the departure
+    comes apart from the item: a masked view hides it)."""
+    table = [(it.arrival, dep, it.size, it.uid) for it, dep in rows]
+    return {name: [row[k] for row in table] for k, name in enumerate(_COLUMNS)}
+
+
+def _rows(cols: dict) -> List[Item]:
+    """:func:`_columns` back as items, each one validated."""
+    if len({len(cols[name]) for name in _COLUMNS}) != 1:
+        raise SimulationError("item columns differ in length")
+    return [
+        Item(float(a), None if d is None else float(d), float(s), int(u))
+        for a, d, s, u in zip(*(cols[name] for name in _COLUMNS))
+    ]
 
 
 def _own_hook(algorithm, name: str):
@@ -491,7 +510,7 @@ class PlacementKernel:
         self._pending_bin: Optional[Bin] = None
         self._indexed = indexed
         # both derived from the open-bin table by the first query that
-        # needs them (see _make_index / _make_lanes); never pickled
+        # needs them (see _make_index / _make_lanes); not run state
         self._index: Optional[OpenBinIndex] = None
         self._lanes: Optional[dict[Hashable, dict[int, Bin]]] = None
         if isinstance(listener, (list, tuple)):
@@ -512,7 +531,7 @@ class PlacementKernel:
         self._bin_items: dict[int, list[int]] = {}
         self._departed_at: dict[int, float] = {}
         algorithm.reset()
-        # hot-path caches (recomputed on unpickle; see __setstate__)
+        # hot-path caches
         self._masked = self.masks_departures
         self._dep_hook = _own_hook(algorithm, "notify_departure")
         self._close_hook = _own_hook(algorithm, "notify_close")
@@ -553,19 +572,6 @@ class PlacementKernel:
         """Whether whole-table candidate queries go through the open-bin
         index (created on the first such query)."""
         return self._indexed
-
-    def set_indexed(self, flag: bool) -> None:
-        """Switch the open-bin index on or off, mid-run.
-
-        Turning it on lets the next whole-table query build a fresh index
-        over the current open bins (identical query results); turning it
-        off drops the index and falls back to linear scans.  The restore
-        paths use this to honour ``--no-index`` on resumed engines,
-        whatever the checkpointed run used.
-        """
-        self._indexed = bool(flag)
-        if not flag:
-            self._index = None
 
     def is_open(self, uid: int) -> bool:
         """Whether bin ``uid`` is currently open (O(1))."""
@@ -1039,48 +1045,117 @@ class PlacementKernel:
         return chosen
 
     # ------------------------------------------------------------------ #
-    # Pickling (checkpointing): hooks are re-attached by the restorer
+    # Run state (checkpointing): plain data, never the object graph
     # ------------------------------------------------------------------ #
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_listener"] = None
-        # the index and the lanes are derived from the open-bin table
-        state.pop("_index", None)
-        state.pop("_lanes", None)
-        # bound-method caches are recomputed on restore, not serialized
-        state.pop("_dep_hook", None)
-        state.pop("_close_hook", None)
-        state.pop("_masked", None)
-        for name in _HOOK_ATTRS:
-            state.pop(name, None)
+    def export_state(self) -> dict:
+        """The run state at the current clock, as plain data.
+
+        Numbers, strings, ``None``, lists, string-keyed dicts, and each
+        bin's ``tag`` as the algorithm gave it (tuples stay tuples: the
+        lanes key on them).  Loads and totals are the running values as
+        written: a float sum recomputed after removals would differ.
+        The algorithm's own state, the listeners, the index and the
+        lanes are not part of it.  :meth:`import_state` inverts it.
+        """
+        if self._pending_bin is not None:
+            raise SimulationError("cannot export state mid-placement")
+        due = {uid: t for t, _, uid in self._departures}
+        events = self.open_count_events
+        state = self._options()
+        state.update({name: getattr(self, name) for name in _SCALARS})
+        state.update(
+            bins=[
+                [b.uid, b.tag, b.opened_at, b._load, b.peak_load,
+                 b.items_held, list(b._contents)]
+                for b in self._open.values()
+            ],
+            active=_columns(
+                (b._contents[u], due.get(u)) for u, b in self._item_bin.items()
+            ),
+            heap=[list(entry) for entry in self._departures],
+            adaptive=list(self._adaptive),
+            events=None if events is None else [list(e) for e in events],
+            history=None if not self.record else {
+                "items": _columns((it, it.departure) for it in self._items),
+                "records": [
+                    [r.uid, r.tag, r.opened_at, r.closed_at,
+                     list(r.item_uids), r.peak_load]
+                    for r in self._records
+                ],
+                "assignment": [[u, b] for u, b in self._assignment.items()],
+                "departed_at": [[u, t] for u, t in self._departed_at.items()],
+            },
+        )
         return state
 
-    def __setstate__(self, state):
-        # blobs written before bins tracked their own peak and item count
-        # keep both in per-uid dicts; only open bins still need them
-        peak = state.pop("_peak", None)
-        counts = state.pop("_bin_count", None)
-        # blobs from when frontends could substitute the ``sim`` object
-        # pickle the (then always self) facade slot as None
-        state.pop("_facade", None)
-        self.__dict__.update(state)
-        if peak is not None:
-            for uid, bin_ in self._open.items():
-                bin_.peak_load = peak.get(uid, 0.0)
-                bin_.items_held = counts.get(uid, 0)
-        # older blobs carry no ``_indexed`` flag: their ``_index`` slot
-        # holds whether there was an index (a bool) or, before the index
-        # was demand-built, the index object itself
-        if "_indexed" not in state:
-            self._indexed = state.get("_index") not in (None, False)
-        # either way the index and the lanes are rebuilt on demand
-        self._index = None
-        self._lanes = None
-        # also covers pre-columnar (v2-era) blobs, which lack the caches
-        self._masked = self.masks_departures
-        self._dep_hook = _own_hook(self.algorithm, "notify_departure")
-        self._close_hook = _own_hook(self.algorithm, "notify_close")
-        self.rebind_listeners()  # the listener was dropped: no hooks
+    def import_state(self, state: dict) -> None:
+        """Load :meth:`export_state` data into this freshly built kernel.
+
+        The kernel must come straight from its constructor, built with
+        the options the state records (``capacity``, ``record``,
+        ``record_events``, ``indexed``).  Each active row is validated
+        as an :class:`Item`, and the bins' residents must be exactly the
+        active items; otherwise :class:`SimulationError` (or the
+        ``KeyError``/``TypeError``/``ValueError`` of a missing or
+        mistyped field).  Listeners stay as attached.
+        """
+        if self.time != _NEG_INF or self._open or self.arrivals:
+            raise SimulationError("import_state needs a freshly built kernel")
+        if {name: state[name] for name in self._options()} != self._options():
+            raise SimulationError("the state has other kernel options")
+        active = {it.uid: it for it in _rows(state["active"])}
+        for uid, tag, opened_at, load, peak, held, residents in state["bins"]:
+            hash(tag)  # the lanes key on it
+            b = Bin(int(uid), self.capacity, float(opened_at), tag)
+            b._load, b.peak_load = float(load), float(peak)
+            b.items_held = int(held)
+            for u in residents:
+                if u in self._item_bin:
+                    raise SimulationError(f"item {u} resides in two bins")
+                b._contents[u] = active[u].masked() if self._masked else active[u]
+                self._item_bin[u] = b
+            self._open[b.uid] = b
+        if (len(self._item_bin), len(self._open)) != (
+            len(state["active"]["uid"]), len(state["bins"])
+        ):
+            raise SimulationError("the bins' residents are not the active items")
+        self._item_bin = {u: self._item_bin[u] for u in active}
+        for name in _SCALARS:
+            setattr(self, name, type(getattr(self, name))(state[name]))
+        self._departures = [
+            (float(t), int(seq), int(uid)) for t, seq, uid in state["heap"]
+        ]
+        self._adaptive = set(map(int, state["adaptive"]))
+        if self.open_count_events is not None:
+            self.open_count_events[:] = [
+                (float(t), int(d)) for t, d in state["events"]
+            ]
+        if self.record:
+            history = state["history"]
+            self._items = _rows(history["items"])
+            self._records = [
+                BinRecord(int(uid), tag, float(opened), float(closed),
+                          tuple(map(int, uids)), float(peak))
+                for uid, tag, opened, closed, uids, peak in history["records"]
+            ]
+            self._assignment = {int(u): int(b) for u, b in history["assignment"]}
+            # an open bin's members, in release order, as _commit appends
+            self._bin_items = {uid: [] for uid in self._open}
+            for u, b in self._assignment.items():
+                if b in self._bin_items:
+                    self._bin_items[b].append(u)
+            self._departed_at = {
+                int(u): float(t) for u, t in history["departed_at"]
+            }
+
+    def _options(self) -> dict:
+        """The constructor options an exported state was taken under."""
+        return {
+            "capacity": self.capacity,
+            "record": self.record,
+            "record_events": self.open_count_events is not None,
+            "indexed": self._indexed,
+        }
 
     def __repr__(self) -> str:
         name = getattr(self.algorithm, "name", type(self.algorithm).__name__)

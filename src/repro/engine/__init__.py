@@ -8,7 +8,8 @@ integral queryable mid-stream in O(1)), **constant memory** (peak RSS
 independent of trace length), **checkpoint/restore**, and an
 **observability layer**.  Batch and
 stream run the *same* kernel, so they agree bit-for-bit by construction
-(:mod:`repro.engine.parity` holds the one differential oracle).
+(:mod:`repro.engine.parity` holds the one differential oracle; the
+package does not import it, so ``python -m`` runs it fresh).
 
 Quickstart::
 
@@ -37,7 +38,7 @@ from .checkpoint import (
     save_checkpoint,
     snapshot,
 )
-from .events import ArrivalEvent, CheckpointEvent, DepartureEvent, Event, EventKind
+from .events import ArrivalEvent, DepartureEvent, Event, EventKind
 from .loop import Engine, EngineSummary, replay
 from .metrics import (
     CallbackSink,
@@ -53,14 +54,6 @@ from .metrics import (
     Timing,
     merge_metrics,
 )
-from .parity import (
-    Outcome,
-    ParityReport,
-    check_against_batch,
-    check_parity,
-    default_parity_cells,
-    parity_suite,
-)
 from .stream import ItemSource, open_trace, trace_format
 
 __all__ = [
@@ -71,7 +64,6 @@ __all__ = [
     "EventKind",
     "ArrivalEvent",
     "DepartureEvent",
-    "CheckpointEvent",
     "Checkpoint",
     "CheckpointError",
     "snapshot",
@@ -90,12 +82,6 @@ __all__ = [
     "JSONLSink",
     "CallbackSink",
     "MemorySink",
-    "Outcome",
-    "ParityReport",
-    "check_against_batch",
-    "check_parity",
-    "parity_suite",
-    "default_parity_cells",
     "ItemSource",
     "open_trace",
     "trace_format",

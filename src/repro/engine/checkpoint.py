@@ -2,67 +2,65 @@
 
 Format
 ------
-A checkpoint is a single pickle blob wrapped in a small versioned
-envelope (:class:`Checkpoint`).  The engine's
-:class:`~repro.core.kernel.PlacementKernel` (which owns the clock, the
-open bins, the departure heap, the counters, the adaptive-item set and
-record-mode history) and the algorithm object are pickled **together**
-in one object graph: algorithms legitimately hold references
-to live :class:`~repro.core.bins.Bin` objects (CDFF's rows, NextFit's
-active bin), and a joint pickle is what preserves that identity —
-pickling them separately would silently duplicate bins and desynchronise
-the restored run.
+A checkpoint (format **v4**) is one JSON document of the run state,
+never a pickle, so loading one cannot run code.  Its envelope holds
+``arrivals``, ``time`` and ``cost_so_far`` at the cut; its ``state`` has
+three sections:
 
-What is captured: the kernel (with the algorithm inside it, and the
-run's totals — cost, arrivals, departures, bins opened, ``max_open``,
-load, peak load, load integral — which the kernel owns), the ``record``
-flag and optional metrics.  What is *not*: the kernel's open-bin index
-and its per-tag lanes (derived state; only whether the run is indexed is
-recorded, and the restored kernel rebuilds both from its open bins on
-the first query that needs them), observers (may close over
-file handles; re-``subscribe`` after restore), listeners and the trace
-source — the caller resumes the stream at item index
-``checkpoint.arrivals`` (``repro-dbp replay --resume`` does exactly
-that, see the CLI).
+- ``kernel`` — :meth:`~repro.core.kernel.PlacementKernel.export_state`:
+  the clock, the counters, the exact float totals, the open bins with
+  their residents, the active items as columns, the departure heap as
+  stored, the adaptive set and the record-mode history.  Only the
+  kernel knows this layout.
+- ``algorithm`` — the algorithm object through a small allow-listed
+  structural encoder: numbers, strings, ``None``, tuples, lists, dicts
+  and sets; open bins and active items as uid references (how CDFF's
+  rows and NextFit's active bin point at the restored kernel's bins);
+  fit rules and thresholds as named module-level functions of
+  :mod:`repro.algorithms`; algorithm classes only from there; and
+  ``RandomFit``'s generator as its ``bit_generator.state``.  Anything
+  else fails at save time with :class:`CheckpointError`.
+- ``metrics`` — the slots of each
+  :class:`~repro.engine.metrics.EngineMetrics` primitive, or ``null``.
 
-Version history: **v1** pickled the pre-kernel engine's flat attribute
-dict (PR 1); **v2** pickles the kernel-backed state; **v3** (current)
-additionally lifts every :class:`~repro.core.item.Item` out of the
-object graph into four struct-of-arrays columns stored next to the blob
-(``Checkpoint.columns``), using the pickle ``persistent_id`` hook — the
-blob shrinks to pure kernel/algorithm state and restoring rebuilds each
-distinct item exactly once.  v2 files remain loadable (the columns field
-is simply absent); v1 files are rejected with an explicit error rather
-than a pickle/attribute failure.  Blobs written while the engine still
-kept its own copy of the totals carry an extra ``accounting`` entry (a
-pickled ``repro.engine.accounting.RunningAccounting``, a class that no
-longer exists): the unpickler maps it to :class:`_LegacyAccounting`,
-:func:`restore` seeds the kernel's totals from it, and the kernel moves
-their per-bin peak/item-count dicts onto the restored open bins.
+Tuples, sets, non-string-keyed dicts and references are one-key objects
+whose key starts with ``$`` (``{"$tuple": [...]}``, ``{"$bin": 7}``);
+floats are written by ``repr``, so every total comes back bit for bit.
 
-Restoring never calls ``algorithm.reset()`` — the algorithm continues
-from its pickled private state.  The parity guarantee carries over: a
-run resumed from any mid-stream checkpoint finishes with a final cost
-bit-identical to the uninterrupted run (pinned by the checkpoint tests).
+:func:`restore` validates the document, builds the engine and its
+kernel through their constructors, imports the kernel state, then the
+algorithm's attributes: the algorithm continues from its saved state,
+not from ``reset()``.  Observers, tracers, invariant monitors and other
+listeners are not captured (re-attach them), nor is the trace source:
+resume it at item ``checkpoint.arrivals``, as ``repro-dbp replay
+--resume`` does.  A run resumed from any cut finishes bit-identical to
+the uninterrupted run (pinned by the checkpoint tests).
+
+Formats v1 to v3 were pickles (of the pre-kernel engine, of the kernel
+object graph, and of that graph with columnar items).  Their files are
+recognised by their first byte and refused unread.
 """
 
 from __future__ import annotations
 
-import io
-import math
+import importlib
+import json
 import pathlib
-import pickle
-from array import array
-from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+import types
+from dataclasses import dataclass, fields
+from typing import Union
 
-from ..core.errors import CheckpointError, SimulationError
-from ..core.item import Item, item_view
+import numpy as np
+
+from ..algorithms.base import OnlineAlgorithm
+from ..core.bins import Bin
+from ..core.errors import CheckpointError
+from ..core.item import Item
 from .loop import Engine
+from .metrics import EngineMetrics
 
 __all__ = [
     "CHECKPOINT_VERSION",
-    "COMPAT_VERSIONS",
     "Checkpoint",
     "CheckpointError",
     "snapshot",
@@ -71,112 +69,102 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 3
-#: versions :meth:`Checkpoint.loads` accepts (v2 blobs carry no columns)
-COMPAT_VERSIONS = (2, 3)
-
-#: engine attributes captured in a snapshot, in a stable order
-_STATE_ATTRS = (
-    "_kernel",  # owns algorithm, bins, heap, totals, record history
-    "record",
-    "metrics",
-)
-
-#: kernel totals an old blob's ``accounting`` entry seeds on restore
-_LEGACY_TOTALS = (
-    "arrivals",
-    "departures",
-    "bins_opened",
-    "max_open",
-    "load",
-    "peak_load",
-    "util_area",
-)
-
-_NAN = math.nan
+CHECKPOINT_VERSION = 4
+#: the envelope's ``format`` field
+FORMAT = "repro-dbp checkpoint"
+_SECTIONS = ("kernel", "algorithm", "metrics")
+#: the bit generators a ``$rng`` entry may name
+_BIT_GENERATORS = ("PCG64", "PCG64DXSM", "Philox", "SFC64")
 
 
-class _ColumnPickler(pickle.Pickler):
-    """Extract every :class:`Item` into struct-of-arrays columns.
-
-    ``persistent_id`` intercepts items during the joint engine pickle
-    and replaces each one with a row number; equal rows deduplicate, so
-    an item referenced from several places (a bin's contents *and* the
-    record history, say) costs 28 bytes once.  Everything else pickles
-    normally — bins, algorithms and the kernel keep their exact object
-    graph, which is what preserves shared-bin identity on restore.
-    """
-
-    def __init__(self, buf, protocol: int) -> None:
-        super().__init__(buf, protocol)
-        self._rows: dict[tuple, int] = {}
-        self.arrivals = array("d")
-        self.departures = array("d")  # NaN encodes an unknown departure
-        self.sizes = array("d")
-        self.uids = array("q")
-
-    def persistent_id(self, obj):
-        if type(obj) is Item:
-            key = (obj.arrival, obj.departure, obj.size, obj.uid)
-            row = self._rows.get(key)
-            if row is None:
-                row = len(self._rows)
-                self._rows[key] = row
-                self.arrivals.append(obj.arrival)
-                self.departures.append(
-                    _NAN if obj.departure is None else obj.departure
-                )
-                self.sizes.append(obj.size)
-                self.uids.append(obj.uid)
-            return row
+def _lookup(ref: str):
+    """The function or class defined as ``name`` in ``module`` for
+    ``ref = "module:name"``, if ``module`` is part of
+    :mod:`repro.algorithms` (no other module is ever imported)."""
+    module, _, name = ref.partition(":")
+    if module.split(".")[:2] != ["repro", "algorithms"]:
         return None
-
-    def columns(self) -> Tuple[array, array, array, array]:
-        return (self.arrivals, self.departures, self.sizes, self.uids)
-
-
-class _LegacyAccounting:
-    """Unpickling stand-in for the engine's former ``RunningAccounting``.
-
-    Carries only the pickled state dict, whose totals :func:`restore`
-    copies into the kernel.
-    """
-
-    def __setstate__(self, state: dict) -> None:
-        self.state = state
+    obj = getattr(importlib.import_module(module), name, None)
+    defined = f"{getattr(obj, '__module__', '')}:{getattr(obj, '__qualname__', '')}"
+    return obj if defined == ref else None
 
 
-class _ColumnUnpickler(pickle.Unpickler):
-    """Rebuild extracted items from their columns, one object per row.
+def _named(obj) -> str:
+    ref = f"{obj.__module__}:{obj.__qualname__}"
+    if _lookup(ref) is not obj:
+        raise CheckpointError(
+            f"cannot checkpoint {obj!r}: only module-level functions and "
+            "classes of repro.algorithms can be named"
+        )
+    return ref
 
-    ``columns`` is ``None`` for v2 blobs, which carry their items inline.
-    """
 
-    def __init__(self, buf, columns) -> None:
-        super().__init__(buf)
-        arrivals, departures, sizes, uids = columns or ((), (), (), ())
-        self._items = [
-            item_view(
-                arrivals[k],
-                None if departures[k] != departures[k] else departures[k],
-                sizes[k],
-                uids[k],
-            )
-            for k in range(len(arrivals))
-        ]
+def _encode(value, kernel=None):
+    """``value`` as JSON-ready data.  ``kernel`` is given for the
+    algorithm section only: there, its open bins and active items become
+    uid references, and named functions, generators and algorithm
+    objects are allowed."""
+    t = type(value)
+    if value is None or t in (bool, int, str):
+        return value
+    if isinstance(value, float):
+        return float(value)
+    if t is list:
+        return [_encode(v, kernel) for v in value]
+    if t is dict and all(type(k) is str and k[:1] != "$" for k in value):
+        return {k: _encode(v, kernel) for k, v in value.items()}
+    if t is dict:
+        return {"$dict": [
+            [_encode(k, kernel), _encode(v, kernel)] for k, v in value.items()
+        ]}
+    if t in (tuple, set):
+        return {f"${t.__name__}": [_encode(v, kernel) for v in value]}
+    if kernel is not None:
+        if t is Bin and kernel.is_open(value.uid):
+            return {"$bin": value.uid}
+        if t is Item and any(value.uid in b for b in kernel.open_bins):
+            return {"$item": value.uid}
+        if t is np.random.Generator:
+            return {"$rng": _encode(value.bit_generator.state)}
+        if t is types.FunctionType:
+            return {"$function": _named(value)}
+        if isinstance(value, OnlineAlgorithm):
+            return {"$object": [_named(t), _encode(vars(value), kernel)]}
+    raise CheckpointError(f"cannot checkpoint {t.__name__} value {value!r}")
 
-    def find_class(self, module, name):
-        if (module, name) == ("repro.engine.accounting", "RunningAccounting"):
-            return _LegacyAccounting
-        return super().find_class(module, name)
 
-    def persistent_load(self, pid):
-        try:
-            return self._items[pid]
-        except (TypeError, IndexError) as exc:
-            raise CheckpointError(
-                f"checkpoint columns do not cover item row {pid!r}"
-            ) from exc
+def _decode(value, refs=None):
+    """Invert :func:`_encode`.  ``refs`` maps ``("$bin", uid)`` and
+    ``("$item", uid)`` to the restored kernel's objects; without it,
+    references decode to ``None``."""
+    if type(value) is list:
+        return [_decode(v, refs) for v in value]
+    if type(value) is not dict:
+        return value
+    if next(iter(value), "")[:1] != "$":
+        return {k: _decode(v, refs) for k, v in value.items()}
+    ((tag, body),) = value.items()
+    if tag == "$tuple":
+        return tuple(_decode(v, refs) for v in body)
+    if tag == "$set":
+        return {_decode(v, refs) for v in body}
+    if tag == "$dict":
+        return {_decode(k, refs): _decode(v, refs) for k, v in body}
+    if tag in ("$bin", "$item"):
+        return None if refs is None else refs[tag, body]
+    if tag == "$rng" and body["bit_generator"] in _BIT_GENERATORS:
+        rng = np.random.Generator(getattr(np.random, body["bit_generator"])())
+        rng.bit_generator.state = _decode(body)
+        return rng
+    if tag == "$function" and type(_lookup(body)) is types.FunctionType:
+        return _lookup(body)
+    if tag == "$object":
+        cls = _lookup(body[0])
+        if isinstance(cls, type) and issubclass(cls, OnlineAlgorithm):
+            algorithm = cls.__new__(cls)
+            vars(algorithm).update(_decode(body[1], refs))
+            return algorithm
+    raise CheckpointError(f"{tag} entry {str(body)[:80]!r} is not allowed")
 
 
 @dataclass(frozen=True)
@@ -187,46 +175,46 @@ class Checkpoint:
     arrivals: int  #: items fed so far — resume the source at this index
     time: float
     cost_so_far: float
-    blob: bytes  #: joint pickle of engine state + algorithm
-    #: v3 struct-of-arrays item columns (arrivals, departures, sizes,
-    #: uids) referenced by the blob's persistent ids; ``None`` on v2
-    columns: Optional[Tuple[array, array, array, array]] = field(
-        default=None
-    )
+    #: the encoded ``kernel``, ``algorithm`` and ``metrics`` sections
+    state: dict
 
-    # ------------------------------------------------------------------ #
     def dumps(self) -> bytes:
-        return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
+        doc = {"format": FORMAT, **vars(self)}
+        return json.dumps(doc, separators=(",", ":")).encode()
 
     @classmethod
     def loads(cls, data: bytes) -> "Checkpoint":
+        if data[:1] == b"\x80":  # how every protocol-2+ pickle starts
+            raise CheckpointError(
+                "this is a pre-v4 pickle checkpoint (format v1, v2 or v3), "
+                "which is refused unread: reading a pickle can run code. "
+                "Re-run the stream to write a v4 checkpoint."
+            )
         try:
-            ckpt = pickle.loads(data)
-        except Exception as exc:
-            # a truncated or corrupted file surfaces as any of half a
-            # dozen pickle-layer exceptions; translate them all into one
-            # diagnosable error instead of a bare UnpicklingError
+            doc = json.loads(data)
+        except (ValueError, RecursionError) as exc:
             raise CheckpointError(
                 "checkpoint data is unreadable (truncated or corrupted "
                 f"file?): {type(exc).__name__}: {exc}"
             ) from exc
-        if not isinstance(ckpt, cls):
+        if type(doc) is not dict or doc.pop("format", None) != FORMAT:
+            raise CheckpointError("not a checkpoint document")
+        if doc.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(
-                f"not a checkpoint payload: {type(ckpt).__name__}"
+                f"checkpoint version {doc.get('version')!r} is not "
+                f"supported (expected {CHECKPOINT_VERSION})"
             )
-        if ckpt.version not in COMPAT_VERSIONS:
-            if ckpt.version == 1:
-                raise CheckpointError(
-                    "checkpoint format v1 (pre-kernel engine state) is no "
-                    "longer loadable: this version stores the unified "
-                    f"placement kernel as format v{CHECKPOINT_VERSION}. "
-                    "Re-run the stream to write a fresh checkpoint."
-                )
+        state = doc.get("state")
+        if type(state) is not dict or not set(_SECTIONS) <= set(state):
             raise CheckpointError(
-                f"checkpoint version {ckpt.version} is not supported "
-                f"(expected {CHECKPOINT_VERSION})"
+                f"checkpoint does not contain engine state {_SECTIONS}"
             )
-        return ckpt
+        if set(doc) != {f.name for f in fields(cls)} or not (
+            type(doc["arrivals"]) is int
+            and type(doc["time"]) is type(doc["cost_so_far"]) is float
+        ):
+            raise CheckpointError("checkpoint envelope fields are mistyped")
+        return cls(**doc)
 
     def save(self, path: Union[str, pathlib.Path]) -> None:
         pathlib.Path(path).write_bytes(self.dumps())
@@ -237,70 +225,73 @@ class Checkpoint:
 
 
 def snapshot(engine: Engine) -> Checkpoint:
-    """Capture ``engine`` (including its algorithm) mid-stream.
+    """Capture ``engine`` (including its algorithm) between events.
 
-    The pending-bin protocol guarantees snapshots only make sense between
-    events; taking one during a ``place()`` call is a caller error.
+    An algorithm attribute the encoder does not accept raises
+    :class:`CheckpointError` here, at save time.
     """
-    if engine._kernel._pending_bin is not None:
-        raise SimulationError("cannot snapshot mid-placement")
-    state = {name: getattr(engine, name) for name in _STATE_ATTRS}
-    buf = io.BytesIO()
-    pickler = _ColumnPickler(buf, pickle.HIGHEST_PROTOCOL)
-    pickler.dump(state)
-    return Checkpoint(
-        version=CHECKPOINT_VERSION,
-        arrivals=engine.kernel.arrivals,
-        time=engine.time,
-        cost_so_far=engine.cost_so_far,
-        blob=buf.getvalue(),
-        columns=pickler.columns(),
-    )
+    kernel, metrics = engine.kernel, engine.metrics
+    state = {
+        "kernel": _encode(kernel.export_state()),
+        "algorithm": _encode(kernel.algorithm, kernel),
+        "metrics": None if metrics is None else {
+            name: {s: _encode(getattr(m, s)) for s in type(m).__slots__}
+            for name, m in vars(metrics).items()
+        },
+    }
+    return Checkpoint(CHECKPOINT_VERSION, kernel.arrivals, engine.time,
+                      engine.cost_so_far, state)
+
+
+def _metrics(encoded: dict) -> EngineMetrics:
+    metrics = EngineMetrics()
+    for name, metric in vars(metrics).items():
+        for slot, value in _decode(encoded[name]).items():
+            if type(value) is not type(getattr(metric, slot)):
+                raise CheckpointError(f"metric {name}.{slot} is mistyped")
+            setattr(metric, slot, value)
+    return metrics
 
 
 def restore(checkpoint: Checkpoint) -> Engine:
     """Rebuild a live engine from a checkpoint.
 
-    The result is fully independent of the engine that produced the
-    snapshot (the blob round-trip deep-copies everything), with no
-    observers, no tracer, no extra listeners, and whatever metrics were
-    captured.  The engine rejoins the kernel's listeners only when
-    metrics came back with it.
-    Re-attach observability via
+    The result shares nothing with the engine that produced the
+    snapshot.  It has whatever metrics were captured (and then joins
+    the kernel's listeners) but no observers, tracer, invariant monitor
+    or other listeners: re-attach those via
     :meth:`~repro.engine.loop.Engine.attach_tracer` /
     :meth:`~repro.engine.loop.Engine.attach_listener`.
     """
-    # v3 blobs reference item rows via persistent ids; v2 blobs (from
-    # before the columnar data plane) carry their items inline — the
-    # upgrade path is read-only
-    columns = getattr(checkpoint, "columns", None)
+    state = checkpoint.state
     try:
-        state = _ColumnUnpickler(io.BytesIO(checkpoint.blob), columns).load()
+        kernel_state = _decode(state["kernel"])
+        # first pass, references still None: the constructors below see
+        # the configuration (reset(), the clairvoyance mask)
+        algorithm = _decode(state["algorithm"])
+        if not isinstance(algorithm, OnlineAlgorithm):
+            raise CheckpointError("checkpoint holds no algorithm")
+        engine = Engine(
+            algorithm,
+            capacity=kernel_state["capacity"],
+            record=kernel_state["record"],
+            record_profile=kernel_state["record_events"],
+            indexed=kernel_state["indexed"],
+            metrics=None if state["metrics"] is None
+            else _metrics(state["metrics"]),
+        )
+        engine.kernel.import_state(kernel_state)
+        refs = {}
+        for b in engine.open_bins:
+            refs["$bin", b.uid] = b
+            refs.update((("$item", it.uid), it) for it in b.contents)
+        vars(algorithm).update(vars(_decode(state["algorithm"], refs)))
     except CheckpointError:
         raise
     except Exception as exc:
         raise CheckpointError(
-            "checkpoint blob is unreadable (truncated or corrupted "
-            f"file?): {type(exc).__name__}: {exc}"
+            f"checkpoint state is malformed: {type(exc).__name__}: {exc}"
         ) from exc
-    if not isinstance(state, dict) or not set(_STATE_ATTRS) <= set(state):
-        raise CheckpointError(
-            "checkpoint blob does not contain engine state "
-            f"(expected keys {_STATE_ATTRS})"
-        )
-    kernel = state["_kernel"]
-    legacy = state.get("accounting")
-    if legacy is not None:
-        for name in _LEGACY_TOTALS:
-            setattr(kernel, name, legacy.state[name])
-    engine = object.__new__(Engine)
-    engine._kernel = kernel
-    engine.record = state["record"]
-    engine._observers = []
-    engine._listening = False
-    engine.tracer = None
-    engine.invariants = None  # monitors, like observers, are re-attached
-    engine.metrics = state["metrics"]  # rejoins the listeners if metered
     return engine
 
 

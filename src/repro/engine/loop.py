@@ -39,7 +39,7 @@ import time as _time
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from ..core.bins import Bin, BinRecord
+from ..core.bins import Bin
 from ..core.instance import Instance
 from ..core.item import Item
 from ..core.kernel import KernelListener, PlacementKernel
@@ -90,8 +90,8 @@ class Engine(KernelListener):
     ----------
     algorithm:
         Any :class:`~repro.algorithms.base.OnlineAlgorithm`; it is
-        ``reset()`` once at construction (but *not* on checkpoint
-        restore).
+        ``reset()`` once at construction (a checkpoint restore then
+        brings back its saved state).
     capacity:
         Bin capacity, as in the batch simulator.
     metrics:
@@ -220,23 +220,6 @@ class Engine(KernelListener):
     def indexed(self) -> bool:
         """Whether the kernel maintains its O(log n) open-bin index."""
         return self._kernel.indexed
-
-    def set_indexed(self, flag: bool) -> None:
-        """Switch the kernel's open-bin index on or off (see the kernel)."""
-        self._kernel.set_indexed(flag)
-
-    # record-mode history lives in the kernel; exposed for tests/tools
-    @property
-    def _items(self) -> List[Item]:
-        return self._kernel._items
-
-    @property
-    def _records(self) -> List[BinRecord]:
-        return self._kernel._records
-
-    @property
-    def _assignment(self) -> dict[int, int]:
-        return self._kernel._assignment
 
     # ------------------------------------------------------------------ #
     # Observability

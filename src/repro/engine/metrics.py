@@ -15,8 +15,8 @@ per-event history is retained, so the metrics layer never breaks the
 engine's constant-memory contract.
 
 Sinks are deliberately decoupled from the registry: an
-:class:`EngineMetrics` holds only data (and therefore pickles inside
-checkpoints), while sinks — which may own file handles — are passed to
+:class:`EngineMetrics` holds only data (its primitives' states travel
+inside checkpoints), while sinks — which may own file handles — are passed to
 :meth:`EngineMetrics.flush` at emission time.  Anything with an
 ``emit(snapshot: dict)`` method is a sink.
 
@@ -67,12 +67,6 @@ __all__ = [
     "CallbackSink",
     "MemorySink",
 ]
-
-# legacy aliases, kept for anything importing the private names
-_OCCUPANCY_EDGES = OCCUPANCY_EDGES
-_UTILIZATION_EDGES = UTILIZATION_EDGES
-_LIFETIME_EDGES = LIFETIME_EDGES
-
 
 class EngineMetrics:
     """Counters, histograms and timings an engine updates per event."""

@@ -1,7 +1,7 @@
 """Exporters for the observability layer: sinks and human summaries.
 
 Sinks are deliberately decoupled from metric objects: a metrics registry
-holds only data (and therefore pickles inside checkpoints), while sinks —
+holds only data (so its state travels inside checkpoints), while sinks —
 which may own file handles — are handed snapshots at emission time.
 Anything with an ``emit(snapshot: dict)`` method is a sink; the engine's
 ``EngineMetrics.flush`` and the CLI both speak this protocol.

@@ -12,7 +12,7 @@ package-wide):
 - **bounded memory** — histograms have fixed bucket edges, timings keep
   aggregates only, nothing retains per-event history;
 - **data only** — metric objects hold numbers, never file handles, so
-  they pickle inside checkpoints and travel across process pools;
+  their states travel inside checkpoints and across process pools;
 - **mergeable** — every primitive implements ``merge(other)`` so
   per-shard metrics from :func:`repro.parallel.replay_sharded` combine
   into one registry with no information loss (exact for counters and
@@ -85,12 +85,6 @@ class Counter:
     def to_dict(self) -> int:
         return self.value
 
-    def __getstate__(self):
-        return self.value
-
-    def __setstate__(self, state):
-        self.value = state
-
     def __repr__(self) -> str:
         return f"Counter({self.value})"
 
@@ -129,12 +123,6 @@ class Gauge:
             "max": self.max if self.updates else None,
             "updates": self.updates,
         }
-
-    def __getstate__(self):
-        return (self.value, self.min, self.max, self.updates)
-
-    def __setstate__(self, state):
-        self.value, self.min, self.max, self.updates = state
 
     def __repr__(self) -> str:
         return f"Gauge({self.value!r}, max={self.max!r})"
@@ -215,12 +203,6 @@ class Histogram:
         buckets[f"> {self.edges[-1]:g}"] = self.counts[-1]
         return {"total": self.total, "mean": self.mean, "buckets": buckets}
 
-    def __getstate__(self):
-        return (self.edges, self.counts, self.total, self.sum)
-
-    def __setstate__(self, state):
-        self.edges, self.counts, self.total, self.sum = state
-
 
 class Timing:
     """Aggregate of elapsed-time observations (seconds)."""
@@ -257,12 +239,6 @@ class Timing:
             "min_us": 1e6 * self.min if self.count else 0.0,
             "max_us": 1e6 * self.max,
         }
-
-    def __getstate__(self):
-        return (self.count, self.total, self.min, self.max)
-
-    def __setstate__(self, state):
-        self.count, self.total, self.min, self.max = state
 
 
 # ---------------------------------------------------------------------- #

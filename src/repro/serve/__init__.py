@@ -12,7 +12,7 @@ it was freshly opened) as replies.  The moving pieces:
 - :mod:`repro.serve.batcher` — micro-batching of near-simultaneous
   arrivals (flush on size or age);
 - :mod:`repro.serve.server` — the daemon: backpressure, graceful
-  drain with per-shard v2 checkpoints, obs/ledger integration;
+  drain with per-shard v4 checkpoints, obs/ledger integration;
 - :mod:`repro.serve.transport` — the network seam: real TCP by
   default, or the chaos harness's simulated fault-injecting net
   (:mod:`repro.testkit`);
@@ -23,7 +23,8 @@ it was freshly opened) as replies.  The moving pieces:
 - :mod:`repro.serve.loadgen` — an open-loop load generator with
   latency percentiles;
 - :mod:`repro.serve.parity` — the correctness anchor: a single-shard
-  server's decisions are bit-identical to batch ``simulate()``.
+  server's decisions are bit-identical to batch ``simulate()`` (not
+  imported here, so ``python -m`` runs it fresh).
 
 See ``docs/serving.md`` for the protocol spec and lifecycle, and
 ``docs/testing.md`` for the chaos-testing story built on these seams.
@@ -32,7 +33,6 @@ See ``docs/serving.md`` for the protocol spec and lifecycle, and
 from .batcher import MicroBatcher
 from .client import PlacementClient
 from .loadgen import WORKLOADS, LoadReport, make_workload, run_loadgen
-from .parity import check_service_parity, service_parity_suite
 from .protocol import (
     ERROR_CODES,
     OPS,
@@ -80,13 +80,11 @@ __all__ = [
     "TcpTransport",
     "Transport",
     "WORKLOADS",
-    "check_service_parity",
     "error_reply",
     "make_workload",
     "ok_reply",
     "parse_request",
     "render_service_prometheus",
     "run_loadgen",
-    "service_parity_suite",
     "stable_hash",
 ]

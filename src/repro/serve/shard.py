@@ -25,12 +25,12 @@ sharing a key always reach the same shard; a key's sub-stream is
 therefore processed in submission order.  Routing is a pure function of
 the key, so the ring memoises recent keys in a bounded LRU.
 
-Checkpointing writes the engine's **v3 checkpoint**
-(:mod:`repro.engine.checkpoint` — the joint kernel+algorithm pickle)
-plus a small JSON sidecar holding the shard's service-level state (the
-live adaptive-item id map).  :meth:`PlacementShard.restore` rebuilds a
-shard that continues the decision stream exactly where the snapshot
-left off.
+Checkpointing writes the engine's **v4 checkpoint**
+(:mod:`repro.engine.checkpoint` — a data-only JSON document of the run
+state) plus a small JSON sidecar holding the shard's service-level state
+(counters, the live adaptive-item id map and the retry-dedup cache).
+:meth:`PlacementShard.restore` rebuilds a shard that continues the
+decision stream exactly where the snapshot left off.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from ..core.errors import ClairvoyanceError, PackingError, SimulationError
 from ..core.item import item_view
 from ..engine.checkpoint import (
     Checkpoint,
-    load_checkpoint,
     restore as restore_engine,
     save_checkpoint,
     snapshot,
@@ -332,17 +331,7 @@ class PlacementShard:
                 f"shard {self.shard_id} crashed with no durable image"
             )
         self.engine = restore_engine(Checkpoint.loads(image["engine"]))
-        meta = image["meta"]
-        self.accepted = int(meta.get("accepted", 0))
-        self.rejected = int(meta.get("rejected", 0))
-        self._adaptive_uids = {
-            str(k): int(v)
-            for k, v in (meta.get("adaptive_uids") or {}).items()
-        }
-        self._applied = {
-            (client, seq): reply
-            for client, seq, reply in (meta.get("applied") or [])
-        }
+        self._load_meta(image["meta"])
         self._durable = None
         self.crashed = False
         self._task = None
@@ -590,7 +579,7 @@ class PlacementShard:
         }
 
     # ------------------------------------------------------------------ #
-    # Checkpoint / restore (v3 engine checkpoint + service sidecar)
+    # Checkpoint / restore (v4 engine checkpoint + service sidecar)
     # ------------------------------------------------------------------ #
     def _meta(self) -> dict:
         """Service-level sidecar state (JSON-serializable)."""
@@ -605,6 +594,20 @@ class PlacementShard:
                 [client, seq, reply]
                 for (client, seq), reply in self._applied.items()
             ],
+        }
+
+    def _load_meta(self, meta: dict) -> None:
+        """Adopt a sidecar written by :meth:`_meta` (the one decoder of
+        both :meth:`restore` and :meth:`recover`)."""
+        self.accepted = int(meta.get("accepted", 0))
+        self.rejected = int(meta.get("rejected", 0))
+        self._adaptive_uids = {
+            str(k): int(v)
+            for k, v in (meta.get("adaptive_uids") or {}).items()
+        }
+        self._applied = {
+            (client, seq): reply
+            for client, seq, reply in (meta.get("applied") or [])
         }
 
     def checkpoint(self, path: Union[str, pathlib.Path]) -> pathlib.Path:
@@ -629,18 +632,19 @@ class PlacementShard:
     ) -> "PlacementShard":
         """Rebuild a shard from :meth:`checkpoint` output.
 
-        The engine (kernel + algorithm, mid-stream) comes from the
-        checkpoint (v3, or a pre-columnar v2 file); the adaptive-id map
-        and accept/reject counters come from the sidecar.  The restored
+        The engine (kernel + algorithm, mid-stream) comes from the v4
+        checkpoint; the adaptive-id map, the dedup cache and the
+        accept/reject counters come from the sidecar.  The restored
         shard's decision stream continues bit-for-bit from where the
         snapshot was taken.  ``indexed`` (when not ``None``) overrides
         the checkpointed run's open-bin index setting — how the server's
         ``--no-index`` flag survives a ``--resume``.
         """
         path = pathlib.Path(path)
-        engine = load_checkpoint(path)
-        if indexed is not None:
-            engine.set_indexed(indexed)
+        ckpt = Checkpoint.load(path)
+        if indexed is not None:  # a kernel constructor option, as data
+            ckpt.state["kernel"]["indexed"] = indexed
+        engine = restore_engine(ckpt)
         shard = cls(
             shard_id,
             None,
@@ -651,17 +655,7 @@ class PlacementShard:
         )
         meta_path = path.with_suffix(path.suffix + ".meta.json")
         if meta_path.exists():
-            meta = json.loads(meta_path.read_text())
-            shard.accepted = int(meta.get("accepted", 0))
-            shard.rejected = int(meta.get("rejected", 0))
-            shard._adaptive_uids = {
-                str(k): int(v)
-                for k, v in (meta.get("adaptive_uids") or {}).items()
-            }
-            shard._applied = {
-                (client, seq): reply
-                for client, seq, reply in (meta.get("applied") or [])
-            }
+            shard._load_meta(json.loads(meta_path.read_text()))
         else:
             shard.accepted = engine.kernel.arrivals
         return shard

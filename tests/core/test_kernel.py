@@ -508,18 +508,26 @@ class TestListener:
             ("departure", 1, 3.0, True),
         ]
 
-    def test_pickling_drops_hooks(self):
-        import pickle
-
+    def test_state_round_trip_rebinds_hooks(self):
+        # the state carries no listener: the importing kernel keeps the
+        # listener and algorithm hooks its constructor bound
         tape = _Tape()
         k = PlacementKernel(RecordsSim(), listener=tape)
         k.release(Item(0.0, 2.0, 0.5, uid=0))
-        clone = pickle.loads(pickle.dumps(k))
-        assert clone._listener is None
+        later = _Tape()
+        clone = PlacementKernel(RecordsSim(), listener=later)
+        clone.import_state(k.export_state())
+        assert clone._listener is later and later.events == []
+        assert clone._on_close is not None and clone._dep_hook is None
         clone.release(Item(1.0, 3.0, 0.5, uid=1))
         assert clone.algorithm.seen[-1] is clone  # place() sees the clone
         clone.drain()
         assert clone.cost_so_far == pytest.approx(3.0)
+        assert [e[0] for e in later.events] == [
+            "advance", "arrival", "advance", "departure", "advance",
+            "close", "departure",
+        ]
+        assert len(tape.events) == 3  # the original heard only its own
 
 
 class _Closes(KernelListener):
@@ -573,8 +581,6 @@ class TestListenerHooksBoundOnce:
         assert closes.closes == _closes_of(reference.events)
 
     def test_rebound_on_add_listener_and_after_restore(self, loud_noops):
-        import pickle
-
         instance = list(uniform_random(300, 12, seed=5))
         reference = _Tape()
         ref = PlacementKernel(FirstFit(), listener=reference)
@@ -590,8 +596,9 @@ class TestListenerHooksBoundOnce:
         k.add_listener(early)
         for item in instance[100:200]:
             k.release(item)
-        clone = pickle.loads(pickle.dumps(k))
-        assert clone._on_close is None  # the restore dropped the listener
+        clone = PlacementKernel(FirstFit())
+        clone.import_state(k.export_state())
+        assert clone._on_close is None  # the state carries no listener
         late = _Closes()
         clone.add_listener(late)
         for item in instance[200:]:

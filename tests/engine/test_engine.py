@@ -77,9 +77,9 @@ class TestEngineBasics:
         inst = uniform_random(200, 16, seed=2)
         eng = Engine(FirstFit())
         eng.run(iter(inst))
-        assert eng._items == []
-        assert eng._records == []
-        assert eng._assignment == {}
+        assert eng.kernel._items == []
+        assert eng.kernel._records == []
+        assert eng.kernel._assignment == {}
         with pytest.raises(SimulationError):
             eng.result()
 

@@ -15,15 +15,17 @@ from hypothesis import strategies as st
 
 from repro.core.instance import Instance
 from repro.core.simulation import simulate
-from repro.engine import (
-    Engine,
+from repro.engine import Engine
+from repro.engine.parity import (
+    ALIGNED_ALGORITHMS,
+    GENERAL_ALGORITHMS,
+    LEGS,
     Outcome,
     check_against_batch,
     check_parity,
     default_parity_cells,
     parity_suite,
 )
-from repro.engine.parity import ALIGNED_ALGORITHMS, GENERAL_ALGORITHMS, LEGS
 from repro.parallel import _registry
 
 sizes = st.floats(min_value=0.01, max_value=1.0, allow_nan=False)

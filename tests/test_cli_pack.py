@@ -43,3 +43,10 @@ class TestPack:
 
     def test_missing_csv(self, capsys):
         assert main(["pack"]) == 1
+
+    def test_malformed_csv_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("arrival,departure,size\n0,1,0.5\n1,nope,0.3\n")
+        assert main(["pack", str(path), "--no-ledger"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: line 3: "), err

@@ -92,6 +92,33 @@ class TestReplay:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: line 3: "), err
 
+    def test_unknown_trace_extension_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "trace.parquet"
+        path.write_text('{"arrival": 0.0, "departure": 2.0, "size": 0.5}\n')
+        assert main(["replay", str(path), "--no-ledger"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot infer"), err
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            (b"\x80\x05K\x01.", "error: this is a pre-v4 pickle checkpoint"),
+            (b'{"format": "repro-dbp checkp', "error: checkpoint data is unreadable"),
+            (None, "error: [Errno 2]"),
+        ],
+        ids=["pickle", "truncated", "missing"],
+    )
+    def test_bad_resume_file_is_one_error_line(
+        self, jsonl_path, tmp_path, capsys, payload, message
+    ):
+        ckpt = tmp_path / "run.ckpt"
+        if payload is not None:
+            ckpt.write_bytes(payload)
+        rc = main(["replay", jsonl_path, "--resume", str(ckpt), "--no-ledger"])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(message), err
+
     def test_limit(self, jsonl_path, capsys):
         assert main(["replay", jsonl_path, "--limit", "50"]) == 0
         assert "50 items replayed" in capsys.readouterr().out
