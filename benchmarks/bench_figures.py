@@ -5,8 +5,6 @@ asserts structural fidelity against the paper (class counts for Figure 2,
 the Lemma 5.5 packing for Figure 3).
 """
 
-import math
-
 from conftest import record
 
 from repro.experiments.figures_exp import (

@@ -5,7 +5,7 @@ observability *disabled* (no tracer, or a tracer constructed disabled —
 the engine then skips attaching the TracingListener entirely), both
 ``simulate()`` and the streaming ``replay`` must run within **5%** of
 the plain un-instrumented baseline.  Enabled tracing and the
-deterministic MetricsListener are measured too, for the record — they
+packing-metrics registry are measured too, for the record — they
 are allowed to cost more (every kernel event becomes a Python call),
 and the numbers here are what docs/observability.md quotes.
 
@@ -15,7 +15,9 @@ Variants per frontend:
 - ``off``     — ``Tracer(enabled=False)`` handed to the frontend: the
   construct-time switch must make this indistinguishable from plain;
 - ``trace``   — enabled tracer, default ring capacity;
-- ``metrics`` — the deterministic :class:`repro.obs.MetricsListener`;
+- ``metrics`` — the packing-metrics registry
+  :class:`repro.engine.metrics.EngineMetrics` (``simulate(listener=...)``
+  and ``Engine(metrics=...)``);
 - ``inv``     — the :class:`repro.obs.invariants.InvariantMonitor`
   re-deriving the theory bounds online.
 
@@ -68,16 +70,18 @@ def _child(frontend: str, variant: str, trace: str) -> None:
     import time
 
     from repro.algorithms import BestFit
-    from repro.obs import MetricsListener, Tracer
+    from repro.engine.metrics import EngineMetrics
+    from repro.obs import Tracer
 
     tracer = None
     listener = None
+    metrics = None
     if variant == "off":
         tracer = Tracer(enabled=False)
     elif variant == "trace":
         tracer = Tracer()
     elif variant == "metrics":
-        listener = MetricsListener()
+        metrics = EngineMetrics()
     elif variant == "inv":
         from repro.obs.invariants import InvariantMonitor
 
@@ -93,7 +97,9 @@ def _child(frontend: str, variant: str, trace: str) -> None:
             from repro.obs import TracingListener
 
             listener = TracingListener(tracer)
-        result = simulate(BestFit(), load_jsonl(trace), listener=listener)
+        result = simulate(
+            BestFit(), load_jsonl(trace), listener=listener or metrics
+        )
         items, cost = len(result.items), result.cost
     elif frontend == "replay":
         from repro.engine import Engine, open_trace
@@ -101,6 +107,7 @@ def _child(frontend: str, variant: str, trace: str) -> None:
         engine = Engine(
             BestFit(),
             tracer=tracer,
+            metrics=metrics,
             listeners=(listener,) if listener is not None else (),
         )
         summary = engine.run(open_trace(trace))

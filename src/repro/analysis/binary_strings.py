@@ -15,7 +15,6 @@ vectorised) and by sampling.
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 import numpy as np
 

@@ -260,7 +260,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     replayp.add_argument(
         "--metrics", metavar="OUT.json",
-        help="write a metrics snapshot (counters/histograms/timings)",
+        help="write a metrics snapshot (counters/histograms)",
     )
     replayp.add_argument(
         "--checkpoint-every", type=int, metavar="N", default=0,
@@ -751,7 +751,8 @@ def _replay(args) -> int:
                 file=sys.stderr,
             )
             return 1
-        engine.metrics = metrics if engine.metrics is None else engine.metrics
+        if engine.metrics is None:
+            engine.metrics = metrics
         metrics = engine.metrics
         if tracer is not None:
             engine.attach_tracer(tracer)

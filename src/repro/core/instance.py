@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import InvalidInstanceError
 from .item import Item, item_view
 from .store import ItemStore
 

@@ -75,16 +75,15 @@ Frontends observe it through one hook passed at construction,
 ``on_arrival`` / ``on_departure`` / ``on_close`` callbacks in exact
 event order.  Each callback is resolved once per attach, and one the
 listener only inherits as a :class:`KernelListener` no-op is never
-called.  The totals never depend on it: the streaming engine
-attaches only while it has per-event work (metrics, observers), and
-observability listeners (tracing, invariant monitors) ride alongside.
+called.  The totals never depend on it: the listeners are observers
+only (the packing-metrics registry, tracing, invariant monitors), and
+the kernel reads no clock.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import time as _time
 from itertools import islice
 from bisect import bisect_left, insort
 from typing import Hashable, List, Optional, Tuple
@@ -149,13 +148,13 @@ def _own_hook(algorithm, name: str):
 class KernelListener:
     """Callback protocol for frontends observing kernel events.
 
-    All methods are optional no-ops; the streaming engine overrides them
-    to feed its metrics and observer events (the run's totals live in
-    the kernel itself).  ``timed`` tells the kernel whether to measure
-    per-departure wall time (for latency histograms).
+    All methods are optional no-ops; the kernel calls only the ones a
+    listener overrides.  The run's totals live in the kernel itself;
+    listeners such as the packing-metrics registry
+    (:class:`~repro.engine.metrics.EngineMetrics`), the tracing bridge
+    and the invariant monitors observe them.  A listener with a
+    ``bind(kernel)`` method is handed the kernel on attach.
     """
-
-    timed: bool = False
 
     def on_advance(self, t: float) -> None:
         """The clock is about to move forward to ``t``."""
@@ -173,7 +172,6 @@ class KernelListener:
         bin_: Bin,
         t: float,
         closed: bool,
-        elapsed: float,
     ) -> None:
         """Item ``uid`` left ``bin_`` at ``t`` (``closed``: bin emptied)."""
 
@@ -192,17 +190,11 @@ class ListenerFanout(KernelListener):
     listener can never change semantics.  The kernel calls the members
     through :meth:`hook`, so a member is called only for the events it
     overrides; the ``on_*`` methods broadcast to every member for
-    callers that dispatch by hand.  ``timed`` is the OR over members: one latency-hungry
-    listener is enough to make the kernel measure per-departure wall
-    time.
+    callers that dispatch by hand.
     """
 
     def __init__(self, listeners) -> None:
         self.listeners = list(listeners)
-
-    @property
-    def timed(self) -> bool:  # type: ignore[override]
-        return any(listener.timed for listener in self.listeners)
 
     def on_advance(self, t: float) -> None:
         for listener in self.listeners:
@@ -223,10 +215,9 @@ class ListenerFanout(KernelListener):
         bin_: Bin,
         t: float,
         closed: bool,
-        elapsed: float,
     ) -> None:
         for listener in self.listeners:
-            listener.on_departure(uid, removed, bin_, t, closed, elapsed)
+            listener.on_departure(uid, removed, bin_, t, closed)
 
     def on_close(
         self, bin_: Bin, t: float, usage: float, peak: float, n_items: int
@@ -593,14 +584,24 @@ class PlacementKernel:
         self._bind_listener(listener)
         self.rebind_listeners()
 
+    def remove_listener(self, listener: KernelListener) -> None:
+        """Detach a listener attached earlier (no-op if it is not)."""
+        if self._listener is listener:
+            self._listener = None
+        elif (
+            isinstance(self._listener, ListenerFanout)
+            and listener in self._listener.listeners
+        ):
+            self._listener.listeners.remove(listener)
+        self.rebind_listeners()
+
     def rebind_listeners(self) -> None:
-        """Resolve the listener callbacks and ``timed`` once.
+        """Resolve the listener callbacks once.
 
         Each event gets one attribute: the bound callback, or ``None``
         when no listener overrides the :class:`KernelListener` no-op
         (the event then costs one ``None`` check).  Runs on every
-        attach; a frontend whose listener changes whether it is
-        ``timed`` (the engine when metrics come or go) calls it again.
+        attach and detach.
         """
         listener = self._listener
         self._on_advance = _listener_hook(listener, "on_advance")
@@ -608,7 +609,6 @@ class PlacementKernel:
         self._on_arrival = _listener_hook(listener, "on_arrival")
         self._on_departure = _listener_hook(listener, "on_departure")
         self._on_close = _listener_hook(listener, "on_close")
-        self._timed = listener is not None and bool(listener.timed)
 
     def _bind_listener(self, listener) -> None:
         """Hand listeners that want it a back-reference to this kernel.
@@ -917,8 +917,6 @@ class PlacementKernel:
             self.time = until
 
     def _do_departure(self, uid: int, t: float) -> None:
-        timed = self._timed
-        t0 = _time.perf_counter() if timed else 0.0
         if t > self.time:
             if self.time != _NEG_INF:
                 self.util_area += self.load * (t - self.time)
@@ -943,16 +941,8 @@ class PlacementKernel:
             self._close(bin_, t)
         elif self._index is not None:
             self._index.update(bin_)
-        on_departure = self._on_departure
-        if on_departure is not None:
-            on_departure(
-                uid,
-                removed,
-                bin_,
-                t,
-                closed,
-                _time.perf_counter() - t0 if timed else 0.0,
-            )
+        if self._on_departure is not None:
+            self._on_departure(uid, removed, bin_, t, closed)
 
     def _close(self, bin_: Bin, t: float) -> None:
         del self._open[bin_.uid]

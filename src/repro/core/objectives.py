@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .instance import Instance
-from .profile import LoadProfile, load_profile
+from .profile import LoadProfile
 from .result import PackingResult
 
 __all__ = [

@@ -10,7 +10,7 @@ the cost — an identity the test-suite checks on every run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Mapping
 
 import numpy as np

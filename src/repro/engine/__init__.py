@@ -38,7 +38,6 @@ from .checkpoint import (
     save_checkpoint,
     snapshot,
 )
-from .events import ArrivalEvent, DepartureEvent, Event, EventKind
 from .loop import Engine, EngineSummary, replay
 from .metrics import (
     CallbackSink,
@@ -52,7 +51,6 @@ from .metrics import (
     MemorySink,
     MetricsSink,
     Timing,
-    merge_metrics,
 )
 from .stream import ItemSource, open_trace, trace_format
 
@@ -60,10 +58,6 @@ __all__ = [
     "Engine",
     "EngineSummary",
     "replay",
-    "Event",
-    "EventKind",
-    "ArrivalEvent",
-    "DepartureEvent",
     "Checkpoint",
     "CheckpointError",
     "snapshot",
@@ -71,7 +65,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "EngineMetrics",
-    "merge_metrics",
     "MetricsSink",
     "Counter",
     "Gauge",

@@ -236,7 +236,7 @@ def snapshot(engine: Engine) -> Checkpoint:
         "algorithm": _encode(kernel.algorithm, kernel),
         "metrics": None if metrics is None else {
             name: {s: _encode(getattr(m, s)) for s in type(m).__slots__}
-            for name, m in vars(metrics).items()
+            for name, m in metrics.primitives().items()
         },
     }
     return Checkpoint(CHECKPOINT_VERSION, kernel.arrivals, engine.time,
@@ -245,7 +245,7 @@ def snapshot(engine: Engine) -> Checkpoint:
 
 def _metrics(encoded: dict) -> EngineMetrics:
     metrics = EngineMetrics()
-    for name, metric in vars(metrics).items():
+    for name, metric in metrics.primitives().items():
         for slot, value in _decode(encoded[name]).items():
             if type(value) is not type(getattr(metric, slot)):
                 raise CheckpointError(f"metric {name}.{slot} is mistyped")
@@ -257,9 +257,10 @@ def restore(checkpoint: Checkpoint) -> Engine:
     """Rebuild a live engine from a checkpoint.
 
     The result shares nothing with the engine that produced the
-    snapshot.  It has whatever metrics were captured (and then joins
-    the kernel's listeners) but no observers, tracer, invariant monitor
-    or other listeners: re-attach those via
+    snapshot.  It has whatever metrics were captured (attached once the
+    kernel state is in, so the registry reads the true open-bin count)
+    but no tracer, invariant monitor or other listeners: re-attach those
+    via
     :meth:`~repro.engine.loop.Engine.attach_tracer` /
     :meth:`~repro.engine.loop.Engine.attach_listener`.
     """
@@ -277,10 +278,10 @@ def restore(checkpoint: Checkpoint) -> Engine:
             record=kernel_state["record"],
             record_profile=kernel_state["record_events"],
             indexed=kernel_state["indexed"],
-            metrics=None if state["metrics"] is None
-            else _metrics(state["metrics"]),
         )
         engine.kernel.import_state(kernel_state)
+        if state["metrics"] is not None:
+            engine.metrics = _metrics(state["metrics"])
         refs = {}
         for b in engine.open_bins:
             refs["$bin", b.uid] = b

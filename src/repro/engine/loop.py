@@ -22,10 +22,12 @@ construction*, not by mirroring.  What the engine layers on top:
   assignment so :meth:`result` can produce a full
   :class:`~repro.core.result.PackingResult` (the parity harness uses
   this; it restores the batch path's memory profile).
-- **Observability.**  Optional per-event metrics
-  (:class:`~repro.engine.metrics.EngineMetrics`) and observer callbacks
-  receiving typed :class:`~repro.engine.events.Event` records.  Only
-  then does the engine join the kernel's listeners.
+- **Observability.**  The optional packing-metrics registry
+  (:class:`~repro.engine.metrics.EngineMetrics`), a tracer, an
+  invariant monitor and any other
+  :class:`~repro.core.kernel.KernelListener` ride on the kernel's
+  listener hooks; the engine itself is not a listener and reads no
+  clock.
 
 Per-bin usage is accumulated in close order inside the kernel, so the
 final cost is bit-for-bit equal to ``simulate()``'s (the regression guard
@@ -35,9 +37,8 @@ in ``repro.engine.parity`` checks exactly this).
 from __future__ import annotations
 
 import math
-import time as _time
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from ..core.bins import Bin
 from ..core.instance import Instance
@@ -46,7 +47,6 @@ from ..core.kernel import KernelListener, PlacementKernel
 from ..core.result import PackingResult
 from ..core.store import ItemStore
 from ..obs.trace import Tracer, TracingListener
-from .events import ArrivalEvent, DepartureEvent, Event
 from .metrics import EngineMetrics
 from .stream import ItemSource
 
@@ -83,7 +83,7 @@ class EngineSummary:
         }
 
 
-class Engine(KernelListener):
+class Engine:
     """Event-driven streaming replacement for batch ``simulate()``.
 
     Parameters
@@ -95,10 +95,10 @@ class Engine(KernelListener):
     capacity:
         Bin capacity, as in the batch simulator.
     metrics:
-        Optional :class:`~repro.engine.metrics.EngineMetrics`; updated
-        per event when present, at the price of two clock reads per
-        event.  Assigning one later (``engine.metrics = ...``) attaches
-        it from the next event on.
+        Optional :class:`~repro.engine.metrics.EngineMetrics`, attached
+        as a kernel listener.  Assigning one later
+        (``engine.metrics = ...``) attaches it from the next event on
+        and detaches the one it replaces.
     record:
         Keep full history (items, bin records, assignment) so
         :meth:`result` works.  Off by default — on, memory grows with
@@ -120,10 +120,8 @@ class Engine(KernelListener):
         ``benchmarks/bench_obs.py`` freezes).
     listeners:
         Extra :class:`~repro.core.kernel.KernelListener` objects to fan
-        kernel events out to (e.g. the deterministic
-        :class:`~repro.obs.metrics.MetricsListener`).  Like observers,
-        they are not checkpointed — re-attach after a restore via
-        :meth:`attach_listener`.
+        kernel events out to.  They are not checkpointed — re-attach
+        after a restore via :meth:`attach_listener`.
     invariants:
         Optional :class:`~repro.obs.invariants.InvariantMonitor`; it is
         attached as a kernel listener (the kernel binds it for the cost
@@ -150,10 +148,7 @@ class Engine(KernelListener):
         self.record = record
         self.tracer = tracer
         self.invariants = invariants
-        self._observers: List[Callable[[Event], None]] = []
-        # the engine listens only while it has per-event work to do
-        self._listening = metrics is not None
-        extra: List[KernelListener] = [self] if self._listening else []
+        extra: List[KernelListener] = [] if metrics is None else [metrics]
         extra.extend(listeners)
         if tracer is not None and tracer.enabled:
             extra.append(TracingListener(tracer))
@@ -184,11 +179,13 @@ class Engine(KernelListener):
 
     @metrics.setter
     def metrics(self, metrics: Optional[EngineMetrics]) -> None:
+        if metrics is self._metrics:
+            return
+        if self._metrics is not None:
+            self._kernel.remove_listener(self._metrics)
         self._metrics = metrics
         if metrics is not None:
-            self._listen()
-        if self._listening:  # the kernel reads ``timed`` once per attach
-            self._kernel.rebind_listeners()
+            self._kernel.add_listener(metrics)
 
     @property
     def algorithm(self):
@@ -224,30 +221,11 @@ class Engine(KernelListener):
     # ------------------------------------------------------------------ #
     # Observability
     # ------------------------------------------------------------------ #
-    def subscribe(self, observer: Callable[[Event], None]) -> None:
-        """Register a callback invoked with every :class:`Event`.
-
-        Observers are *not* checkpointed (they may close over sockets or
-        file handles); re-subscribe after a restore.
-        """
-        self._observers.append(observer)
-        self._listen()
-
-    def _listen(self) -> None:
-        """Join the kernel's listeners, once, on the first per-event work."""
-        if not self._listening:
-            self._listening = True
-            self._kernel.add_listener(self)
-
-    def _emit(self, event: Event) -> None:
-        for obs in self._observers:
-            obs(event)
-
     def attach_listener(self, listener: KernelListener) -> None:
         """Fan kernel events out to one more listener, mid-run.
 
-        Listeners (like observers) are not checkpointed; call this again
-        after a restore.
+        Listeners (they may hold sockets or file handles) are not
+        checkpointed; call this again after a restore.
         """
         self._kernel.add_listener(listener)
 
@@ -262,48 +240,6 @@ class Engine(KernelListener):
             self.attach_listener(TracingListener(tracer))
 
     # ------------------------------------------------------------------ #
-    # Kernel listener callbacks (attached only for metrics/observers)
-    # ------------------------------------------------------------------ #
-    @property
-    def timed(self) -> bool:
-        """Whether the kernel should time departures (for metrics)."""
-        return self._metrics is not None
-
-    def on_departure(
-        self,
-        uid: int,
-        removed: Item,
-        bin_: Bin,
-        t: float,
-        closed: bool,
-        elapsed: float,
-    ) -> None:
-        if self._metrics is not None:
-            self._metrics.on_departure(elapsed)
-        if self._observers:
-            self._emit(
-                DepartureEvent(
-                    time=t,
-                    seq=self._kernel.departures,
-                    uid=uid,
-                    bin_uid=bin_.uid,
-                    size=removed.size,
-                    closed=closed,
-                )
-            )
-
-    def on_close(
-        self, bin_: Bin, t: float, usage: float, peak: float, n_items: int
-    ) -> None:
-        if self._metrics is not None:
-            self._metrics.on_bin_close(
-                n_items=n_items,
-                peak_load=peak,
-                capacity=self.capacity,
-                usage=usage,
-            )
-
-    # ------------------------------------------------------------------ #
     # Driving API (delegates to the kernel)
     # ------------------------------------------------------------------ #
     def feed(self, item: Item) -> Bin:
@@ -311,34 +247,8 @@ class Engine(KernelListener):
 
         Processes all scheduled departures up to the item's arrival
         first — the kernel's semantics, shared with the batch simulator.
-        With metrics attached the arrival is timed; with observers, one
-        :class:`~repro.engine.events.ArrivalEvent` is emitted for it.
         """
-        kernel = self._kernel
-        metrics = self._metrics
-        t0 = _time.perf_counter() if metrics is not None else 0.0
-        opened_before = kernel.bins_opened
-        bin_ = kernel.release(item)
-        opened = kernel.bins_opened != opened_before
-        if metrics is not None:
-            capacity = bin_.capacity
-            metrics.on_arrival(
-                _time.perf_counter() - t0,
-                opened=opened,
-                residual=bin_.residual() / capacity if capacity else 0.0,
-                open_bins=kernel.open_bin_count,
-            )
-        if self._observers:
-            self._emit(
-                ArrivalEvent(
-                    time=kernel.time,
-                    seq=kernel.arrivals,
-                    item=item,
-                    bin_uid=bin_.uid,
-                    opened=opened,
-                )
-            )
-        return bin_
+        return self._kernel.release(item)
 
     def feed_store(
         self, store: ItemStore, start: int = 0, stop: Optional[int] = None
@@ -346,20 +256,12 @@ class Engine(KernelListener):
         """Feed rows ``[start, stop)`` of an :class:`ItemStore` in order.
 
         Returns the number of rows fed; the range must lie inside the
-        store's window (:meth:`ItemStore.slice`'s check).  Without
-        metrics or observers this is the kernel's
-        :meth:`~repro.core.kernel.PlacementKernel.release_store` loop,
-        the one ``simulate()`` runs, and the engine does no per-row work
-        at all.  With either attached, the rows go one by one through
-        :meth:`feed`.
+        store's window (:meth:`ItemStore.slice`'s check).  This is the
+        kernel's :meth:`~repro.core.kernel.PlacementKernel.release_store`
+        loop, the one ``simulate()`` runs, metered or not: the engine
+        does no per-row work at all.
         """
-        if self._metrics is None and not self._observers:
-            return self._kernel.release_store(store, start, stop)
-        window = store.slice(start, len(store) if stop is None else stop)
-        feed = self.feed
-        for item in window:
-            feed(item)
-        return len(window)
+        return self._kernel.release_store(store, start, stop)
 
     def depart(self, uid: int, time: float) -> None:
         """Force an adaptive item (unknown departure) out at ``time``."""

@@ -1,36 +1,31 @@
-"""Observability for the streaming engine: counters, histograms, timings.
+"""The packing-metrics registry: one kernel listener, data only.
 
-Since the unified observability layer landed, the primitives (Counter /
-Gauge / Histogram / Timing) and the sinks live in :mod:`repro.obs` and
-are re-exported here unchanged — every name this module has always
-exported keeps working.  What remains engine-specific is
-:class:`EngineMetrics`: the registry of per-event metrics the streaming
-:class:`~repro.engine.loop.Engine` updates, which adds the wall-clock
-quantities (placement/departure latency) the frontend-independent
-:class:`~repro.obs.metrics.MetricsListener` deliberately excludes.
+:class:`EngineMetrics` records the MinUsageTime quantities of a run —
+bin lifetime, items per bin, peak load, residual at placement and the
+open-bin count — as counters and fixed-edge histograms, straight off the
+kernel's listener hooks.  Every value is a pure function of the event
+sequence (no clock is read), so the batch ``simulate(listener=...)``, a
+streaming :class:`~repro.engine.loop.Engine` fed item by item and one
+fed columnwise produce identical snapshots of the same trace, across
+reruns and across ``--no-index``.  Per-request wall time belongs to the
+serve layer (``latency_us``, ``request_latency``).
 
-Everything here is dependency-free and bounded-memory: histograms have
-fixed bucket edges, timings keep aggregates (count/total/min/max), and no
-per-event history is retained, so the metrics layer never breaks the
-engine's constant-memory contract.
+The primitives (Counter / Gauge / Histogram / Timing) and the sinks live
+in :mod:`repro.obs` and are re-exported here unchanged.
 
-Sinks are deliberately decoupled from the registry: an
-:class:`EngineMetrics` holds only data (its primitives' states travel
-inside checkpoints), while sinks — which may own file handles — are passed to
-:meth:`EngineMetrics.flush` at emission time.  Anything with an
-``emit(snapshot: dict)`` method is a sink.
-
-Snapshot layout contract: ``counters`` and ``histograms`` contain only
-**deterministic** quantities (identical across reruns, across frontends,
-and across ``--no-index``); everything wall-clock lives under
-``timings`` (including the ``placement_latency`` histogram).  The
-``--no-index`` CLI regression test relies on this split.
+Everything here is bounded-memory and data only: histograms have fixed
+bucket edges, no per-event history is kept, and the registry holds no
+kernel reference, so it pickles across process pools and its
+primitives' slots travel inside checkpoints.  Sinks, which may own file
+handles, are passed to :meth:`EngineMetrics.flush` at emission time;
+anything with an ``emit(snapshot: dict)`` method is a sink.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Union
 
+from ..core.kernel import KernelListener
 from ..obs.export import (
     CallbackSink,
     ConsoleSink,
@@ -41,7 +36,6 @@ from ..obs.export import (
 )
 from ..obs.metrics import (
     BINS_OPEN_EDGES,
-    LATENCY_EDGES,
     LIFETIME_EDGES,
     OCCUPANCY_EDGES,
     RESIDUAL_EDGES,
@@ -50,7 +44,6 @@ from ..obs.metrics import (
     Gauge,
     Histogram,
     Timing,
-    merge_metrics,
 )
 
 __all__ = [
@@ -59,7 +52,6 @@ __all__ = [
     "Histogram",
     "Timing",
     "EngineMetrics",
-    "merge_metrics",
     "MetricsSink",
     "ConsoleSink",
     "JSONSink",
@@ -68,8 +60,16 @@ __all__ = [
     "MemorySink",
 ]
 
-class EngineMetrics:
-    """Counters, histograms and timings an engine updates per event."""
+
+class EngineMetrics(KernelListener):
+    """Counters and histograms a kernel updates per event.
+
+    Attach it as a kernel listener: ``Engine(metrics=...)``,
+    ``engine.metrics = ...`` mid-run, or ``simulate(listener=...)``.
+    On attach the kernel calls :meth:`bind`, which reads its open-bin
+    count, so a registry attached after some arrivals still sees the
+    true ``bins_open``.
+    """
 
     def __init__(self) -> None:
         self.events = Counter()
@@ -83,41 +83,38 @@ class EngineMetrics:
         self.bin_lifetime = Histogram(LIFETIME_EDGES)
         self.residual_at_placement = Histogram(RESIDUAL_EDGES)
         self.bins_open = Histogram(BINS_OPEN_EDGES)
-        self.placement_latency = Histogram(LATENCY_EDGES)
-        self.arrival_latency = Timing()
-        self.departure_latency = Timing()
+        self._open = 0  # the kernel's open-bin count, not a metric
 
-    # -- engine hooks --------------------------------------------------- #
-    def on_arrival(
-        self,
-        latency_s: float,
-        *,
-        opened: bool,
-        residual: Optional[float] = None,
-        open_bins: Optional[int] = None,
-    ) -> None:
-        self.events.inc()
-        self.arrivals.inc()
+    def primitives(self) -> dict:
+        """The metric primitives by name: what merges and checkpoints."""
+        return {k: v for k, v in vars(self).items() if k != "_open"}
+
+    # -- kernel hooks --------------------------------------------------- #
+    def bind(self, kernel) -> None:
+        self._open = kernel.open_bin_count
+
+    def on_open(self, bin_) -> None:
+        self._open += 1
+
+    def on_arrival(self, item, bin_, opened: bool) -> None:
+        self.events.value += 1
+        self.arrivals.value += 1
         if opened:
-            self.bins_opened.inc()
-        self.arrival_latency.observe(latency_s)
-        self.placement_latency.observe(latency_s)
-        if residual is not None:
-            self.residual_at_placement.observe(residual)
-        if open_bins is not None:
-            self.bins_open.observe(open_bins)
+            self.bins_opened.value += 1
+        cap = bin_.capacity
+        self.residual_at_placement.observe(bin_.residual() / cap if cap else 0.0)
+        self.bins_open.observe(self._open)
 
-    def on_departure(self, latency_s: float) -> None:
-        self.events.inc()
-        self.departures.inc()
-        self.departure_latency.observe(latency_s)
+    def on_departure(self, uid, removed, bin_, t, closed) -> None:
+        self.events.value += 1
+        self.departures.value += 1
 
-    def on_bin_close(
-        self, *, n_items: int, peak_load: float, capacity: float, usage: float
-    ) -> None:
-        self.bins_closed.inc()
+    def on_close(self, bin_, t, usage, peak, n_items) -> None:
+        self._open -= 1
+        self.bins_closed.value += 1
+        cap = bin_.capacity
         self.bin_occupancy.observe(n_items)
-        self.bin_utilization.observe(peak_load / capacity if capacity else 0.0)
+        self.bin_utilization.observe(peak / cap if cap else 0.0)
         self.bin_lifetime.observe(usage)
 
     def on_checkpoint(self) -> None:
@@ -125,15 +122,14 @@ class EngineMetrics:
 
     # -- merge (per-shard aggregation) ---------------------------------- #
     def merge(self, other: "EngineMetrics") -> None:
-        """Fold another registry's totals into this one, field by field.
+        """Fold another registry's totals into this one, exactly.
 
-        Exact for counters and histograms; timings combine count/total
-        and keep the global min/max.  This is what
-        :func:`repro.parallel.replay_sharded` uses to aggregate
-        per-shard metrics into one fleet-wide registry.
+        This is how :func:`repro.parallel.replay_sharded` and the
+        placement server aggregate per-shard registries.
         """
-        for name, metric in vars(self).items():
-            metric.merge(getattr(other, name))
+        theirs = other.primitives()
+        for name, metric in self.primitives().items():
+            metric.merge(theirs[name])
 
     # -- export --------------------------------------------------------- #
     def snapshot(self, extra: Optional[dict] = None) -> dict:
@@ -153,11 +149,6 @@ class EngineMetrics:
                 "residual_at_placement": self.residual_at_placement.to_dict(),
                 "bins_open": self.bins_open.to_dict(),
             },
-            "timings": {
-                "arrival_latency": self.arrival_latency.to_dict(),
-                "departure_latency": self.departure_latency.to_dict(),
-                "placement_latency": self.placement_latency.to_dict(),
-            },
         }
         if extra:
             snap.update(extra)
@@ -175,4 +166,3 @@ class EngineMetrics:
         for sink in sinks:  # type: ignore[union-attr]
             sink.emit(snap)
         return snap
-

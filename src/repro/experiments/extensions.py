@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from typing import List, Sequence
 
-import numpy as np
-
 from ..adversary.sqrt_log import SqrtLogAdversary
 from ..algorithms.anyfit import FirstFit
 from ..algorithms.cdff import CDFF
@@ -30,7 +28,7 @@ from ..core.instance import Instance
 from ..core.simulation import simulate
 from ..core.validate import audit
 from ..offline.optimal import opt_reference
-from ..workloads.aligned import aligned_random, binary_input
+from ..workloads.aligned import binary_input
 from ..workloads.cloud import bounded_parallelism, cloud_gaming
 from .runner import ExperimentResult, register
 

@@ -18,7 +18,7 @@
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 

@@ -15,7 +15,6 @@ log μ vs μ.  This experiment measures each algorithm's ratio curve over a
 
 from __future__ import annotations
 
-import math
 from typing import Callable, List, Sequence
 
 from ..adversary.nonclairvoyant import NonClairvoyantAdversary

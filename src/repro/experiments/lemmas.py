@@ -12,7 +12,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..algorithms.hybrid import GN_TAG, HybridAlgorithm
+from ..algorithms.hybrid import HybridAlgorithm
 from ..analysis.theory import ha_gn_bound
 from ..core.profile import LoadProfile, load_profile
 from ..core.simulation import simulate

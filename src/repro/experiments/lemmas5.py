@@ -25,7 +25,6 @@ from ..algorithms.base import item_type, type_departure_deadline
 from ..algorithms.cdff import CDFF, aligned_class
 from ..algorithms.hybrid import HybridAlgorithm
 from ..analysis.binary_strings import binary
-from ..core.instance import Instance
 from ..core.objectives import optimal_bins_profile
 from ..core.simulation import IncrementalSimulation
 from ..reductions.alignment import align_departures

@@ -23,7 +23,7 @@ from typing import List
 
 from ..algorithms.anyfit import FirstFit
 from ..core.instance import Instance
-from ..core.objectives import max_bins, momentary_ratio, usage_time
+from ..core.objectives import max_bins, momentary_ratio
 from ..core.simulation import simulate
 from ..core.validate import audit
 from ..offline.optimal import opt_reference

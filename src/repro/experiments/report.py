@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pathlib
 import time
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .runner import EXPERIMENTS, ExperimentResult
 

@@ -23,13 +23,11 @@ from ..analysis.theory import (
     cdff_aligned_upper_bound,
     ff_nonclairvoyant_upper_bound,
     ha_upper_bound,
-    loglog_mu,
     lower_bound_sqrt_log,
     sqrt_log_mu,
 )
 from ..core.simulation import simulate
 from ..core.validate import audit
-from ..offline.bounds import opt_sandwich
 from ..offline.dual_coloring import dual_coloring
 from ..offline.optimal import opt_reference
 from ..workloads.aligned import aligned_random, binary_input

@@ -6,11 +6,11 @@ go", shared by every frontend:
 - :mod:`repro.obs.trace` — span/event **tracing** with a bounded ring
   buffer and a :class:`~repro.obs.trace.TracingListener` narrating every
   kernel event (``repro-dbp replay --trace out.jsonl``);
-- :mod:`repro.obs.metrics` — **counters, gauges, histograms, timings**;
-  the primitives behind :class:`~repro.engine.metrics.EngineMetrics`,
-  plus the frontend-independent, fully deterministic
-  :class:`~repro.obs.metrics.MetricsListener` (batch and streaming runs
-  of the same trace snapshot identically);
+- :mod:`repro.obs.metrics` — **counters, gauges, histograms, timings**:
+  the primitives behind the packing-metrics registry
+  :class:`~repro.engine.metrics.EngineMetrics` (a deterministic kernel
+  listener: batch and streaming runs of a trace snapshot identically)
+  and the serve layer's RED metrics;
 - :mod:`repro.obs.profile` — per-phase wall time / peak RSS /
   ``tracemalloc`` **profiling** (``repro-dbp run --profile``);
 - :mod:`repro.obs.prof` — the **continuous profiling plane**: a
@@ -86,9 +86,7 @@ from .metrics import (
     Counter,
     Gauge,
     Histogram,
-    MetricsListener,
     Timing,
-    merge_metrics,
 )
 from .prof import (
     CriticalReport,
@@ -120,8 +118,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "Timing",
-    "MetricsListener",
-    "merge_metrics",
     "OCCUPANCY_EDGES",
     "UTILIZATION_EDGES",
     "LIFETIME_EDGES",

@@ -142,8 +142,6 @@ class InvariantMonitor(KernelListener):
     end-of-run checks and collect :meth:`verdicts`.
     """
 
-    timed = False
-
     def __init__(
         self,
         *,
@@ -351,7 +349,6 @@ class InvariantMonitor(KernelListener):
         bin_: Bin,
         t: float,
         closed: bool,
-        elapsed: float,
     ) -> None:
         self._departures += 1
         length = t - removed.arrival

@@ -1,10 +1,10 @@
 """Metric primitives for the unified observability layer.
 
 These are the one set of counter/gauge/histogram/timing types used by
-every layer of the system: the streaming engine's
-:class:`~repro.engine.metrics.EngineMetrics` delegates to them, the
-frontend-independent :class:`MetricsListener` builds on them, and
-:mod:`repro.parallel` merges them across shards.
+every layer of the system: the packing-metrics registry
+:class:`~repro.engine.metrics.EngineMetrics` and the serve layer's
+request telemetry are built from them, and registries merge across
+shards primitive by primitive.
 
 Design rules (inherited from the engine's metrics layer, now enforced
 package-wide):
@@ -17,32 +17,19 @@ package-wide):
   per-shard metrics from :func:`repro.parallel.replay_sharded` combine
   into one registry with no information loss (exact for counters and
   histograms, conservative min/max for timings and gauges).
-
-:class:`MetricsListener` is the deterministic half of the obs layer: it
-implements the kernel's :class:`~repro.core.kernel.KernelListener`
-protocol and records only quantities that are pure functions of the
-event sequence (no wall-clock reads).  Attaching it to the batch
-``simulate()`` and to the streaming ``Engine`` on the same trace must
-produce identical snapshots — the obs parity property test pins this.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Iterable, Optional, Sequence
-
-from ..core.bins import Bin
-from ..core.item import Item
-from ..core.kernel import KernelListener
+from typing import Sequence
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "Timing",
-    "MetricsListener",
-    "merge_metrics",
     "OCCUPANCY_EDGES",
     "UTILIZATION_EDGES",
     "LIFETIME_EDGES",
@@ -52,7 +39,7 @@ __all__ = [
 ]
 
 # ---------------------------------------------------------------------- #
-# Default bucket edges (shared by engine metrics and the obs listener)
+# Default bucket edges (the packing registry's and the serve layer's)
 # ---------------------------------------------------------------------- #
 #: occupancy buckets: items ever packed into a bin over its lifetime
 OCCUPANCY_EDGES = (1, 2, 3, 5, 8, 13, 21, 34)
@@ -60,7 +47,7 @@ OCCUPANCY_EDGES = (1, 2, 3, 5, 8, 13, 21, 34)
 UTILIZATION_EDGES = (0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 #: bin lifetime buckets (usage time, powers of two)
 LIFETIME_EDGES = (0.5, 1, 2, 4, 8, 16, 32, 64, 128)
-#: per-placement wall-time buckets (seconds)
+#: request wall-time buckets (seconds)
 LATENCY_EDGES = (1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 1e-2)
 #: residual capacity of the chosen bin after placement (fraction of capacity)
 RESIDUAL_EDGES = (0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9)
@@ -239,110 +226,3 @@ class Timing:
             "min_us": 1e6 * self.min if self.count else 0.0,
             "max_us": 1e6 * self.max,
         }
-
-
-# ---------------------------------------------------------------------- #
-# The frontend-independent kernel metrics listener
-# ---------------------------------------------------------------------- #
-class MetricsListener(KernelListener):
-    """Deterministic packing metrics recorded straight off kernel events.
-
-    Everything here is a pure function of the event sequence — counters,
-    the bins-open gauge/distribution, residual-at-placement and per-bin
-    histograms; no wall-clock quantity is ever read.  Running the same
-    trace through the batch frontend (``simulate(..., listener=ml)``)
-    and the streaming one (``Engine(..., listeners=[ml])``) therefore
-    yields byte-identical :meth:`snapshot` dicts.
-    """
-
-    timed = False
-
-    def __init__(self) -> None:
-        self.arrivals = Counter()
-        self.departures = Counter()
-        self.bins_opened = Counter()
-        self.bins_closed = Counter()
-        self.open_bins = Gauge()
-        self.residual_at_placement = Histogram(RESIDUAL_EDGES)
-        self.bins_open_dist = Histogram(BINS_OPEN_EDGES)
-        self.bin_occupancy = Histogram(OCCUPANCY_EDGES)
-        self.bin_utilization = Histogram(UTILIZATION_EDGES)
-        self.bin_lifetime = Histogram(LIFETIME_EDGES)
-        self._open = 0
-
-    # -- KernelListener callbacks --------------------------------------- #
-    def on_open(self, bin_: Bin) -> None:
-        self.bins_opened.inc()
-        self._open += 1
-        self.open_bins.set(self._open)
-
-    def on_arrival(self, item: Item, bin_: Bin, opened: bool) -> None:
-        self.arrivals.inc()
-        cap = bin_.capacity
-        self.residual_at_placement.observe(bin_.residual() / cap if cap else 0.0)
-        self.bins_open_dist.observe(self._open)
-
-    def on_departure(self, uid, removed, bin_, t, closed, elapsed) -> None:
-        self.departures.inc()
-
-    def on_close(self, bin_: Bin, t, usage, peak, n_items) -> None:
-        self.bins_closed.inc()
-        self._open -= 1
-        self.open_bins.set(self._open)
-        cap = bin_.capacity
-        self.bin_occupancy.observe(n_items)
-        self.bin_utilization.observe(peak / cap if cap else 0.0)
-        self.bin_lifetime.observe(usage)
-
-    # -- export / merge ------------------------------------------------- #
-    def merge(self, other: "MetricsListener") -> None:
-        """Fold another listener's totals into this one (shard merge)."""
-        self.arrivals.merge(other.arrivals)
-        self.departures.merge(other.departures)
-        self.bins_opened.merge(other.bins_opened)
-        self.bins_closed.merge(other.bins_closed)
-        self.open_bins.merge(other.open_bins)
-        self.residual_at_placement.merge(other.residual_at_placement)
-        self.bins_open_dist.merge(other.bins_open_dist)
-        self.bin_occupancy.merge(other.bin_occupancy)
-        self.bin_utilization.merge(other.bin_utilization)
-        self.bin_lifetime.merge(other.bin_lifetime)
-        self._open += other._open
-
-    def snapshot(self, extra: Optional[dict] = None) -> dict:
-        snap = {
-            "counters": {
-                "arrivals": self.arrivals.value,
-                "departures": self.departures.value,
-                "bins_opened": self.bins_opened.value,
-                "bins_closed": self.bins_closed.value,
-            },
-            "gauges": {"open_bins": self.open_bins.to_dict()},
-            "histograms": {
-                "residual_at_placement": self.residual_at_placement.to_dict(),
-                "bins_open": self.bins_open_dist.to_dict(),
-                "bin_occupancy": self.bin_occupancy.to_dict(),
-                "bin_utilization": self.bin_utilization.to_dict(),
-                "bin_lifetime": self.bin_lifetime.to_dict(),
-            },
-        }
-        if extra:
-            snap.update(extra)
-        return snap
-
-
-def merge_metrics(metrics: Iterable, into=None):
-    """Merge an iterable of same-shaped metric objects into one.
-
-    Works for anything exposing ``merge(other)`` — primitives,
-    :class:`MetricsListener`, or
-    :class:`~repro.engine.metrics.EngineMetrics`.  Returns ``into`` (a
-    fresh first element's type when omitted) or ``None`` for an empty
-    iterable.
-    """
-    result = into
-    for m in metrics:
-        if result is None:
-            result = type(m)()
-        result.merge(m)
-    return result

@@ -265,8 +265,6 @@ class TracingListener(KernelListener):
     (pinned by the obs test suite).
     """
 
-    timed = False
-
     def __init__(self, tracer: Tracer) -> None:
         self.tracer = tracer
 
@@ -297,7 +295,6 @@ class TracingListener(KernelListener):
         bin_: Bin,
         t: float,
         closed: bool,
-        elapsed: float,
     ) -> None:
         if self.tracer.enabled:
             self.tracer.event(

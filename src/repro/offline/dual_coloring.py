@@ -20,7 +20,6 @@ OPT_R oracle so its conclusion does not hinge on this constant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Sequence
 

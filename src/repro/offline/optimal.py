@@ -15,10 +15,7 @@
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
-
-import numpy as np
 
 from ..core.bins import LOAD_EPS
 from ..core.errors import InvalidInstanceError

@@ -29,7 +29,7 @@ import pathlib
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar, Union
+from typing import Callable, List, Optional, Sequence, TypeVar, Union
 
 from .core.instance import Instance
 
@@ -200,11 +200,11 @@ def replay_sharded(
     shards = parallel_map(replay_task, cells, workers=workers)
     merged = None
     if metrics:
-        from .engine import EngineMetrics, merge_metrics
+        from .engine import EngineMetrics
 
-        merged = merge_metrics(
-            (s.pop("metrics") for s in shards), into=EngineMetrics()
-        )
+        merged = EngineMetrics()
+        for shard in shards:
+            merged.merge(shard.pop("metrics"))
     out = {
         "algorithm": algorithm,
         "shards": shards,

@@ -134,8 +134,8 @@ class PlacementShard:
         When the queue is full the server answers ``overloaded`` instead
         of buffering — explicit backpressure, never unbounded memory.
     metrics:
-        Attach an :class:`~repro.engine.metrics.EngineMetrics` (kernel
-        latency/residual/occupancy histograms; mergeable across shards).
+        Attach an :class:`~repro.engine.metrics.EngineMetrics` (the
+        packing-metrics registry; mergeable across shards).
     clock:
         Monotonic-seconds source for latency capture (defaults to
         :func:`time.perf_counter`).  The chaos harness passes the

@@ -233,8 +233,6 @@ class GatedNarrator(TracingListener):
     one attribute check.
     """
 
-    timed = False
-
     def __init__(self, tracer: Tracer) -> None:
         super().__init__(tracer)
         self.active = False
@@ -251,9 +249,9 @@ class GatedNarrator(TracingListener):
         if self.active:
             super().on_arrival(item, bin_, opened)
 
-    def on_departure(self, uid, removed, bin_, t, closed, elapsed) -> None:
+    def on_departure(self, uid, removed, bin_, t, closed) -> None:
         if self.active:
-            super().on_departure(uid, removed, bin_, t, closed, elapsed)
+            super().on_departure(uid, removed, bin_, t, closed)
 
     def on_close(self, bin_, t, usage, peak, n_items) -> None:
         if self.active:

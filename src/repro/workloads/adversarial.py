@@ -11,10 +11,9 @@ adaptively; this module provides the raw material and some fixed
 from __future__ import annotations
 
 import math
-from typing import Iterator, List
+from typing import List
 
 from ..core.instance import Instance
-from ..core.item import Item
 
 __all__ = [
     "sigma_star",

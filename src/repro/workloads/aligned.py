@@ -16,7 +16,6 @@ from typing import Optional
 import numpy as np
 
 from ..core.instance import Instance
-from ..core.item import Item
 
 __all__ = ["binary_input", "aligned_random"]
 

@@ -8,11 +8,8 @@ never mutate inputs.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 import numpy as np
 
-from ..core.errors import InvalidItemError
 from ..core.instance import Instance
 from ..core.item import Item
 

@@ -39,7 +39,7 @@ import io
 import json
 import pathlib
 import sys
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
 from ..core.errors import InvalidInstanceError, InvalidItemError
 from ..core.instance import Instance

@@ -9,7 +9,7 @@ from repro.adversary.sqrt_log import SqrtLogAdversary
 from repro.algorithms.anyfit import BestFit, FirstFit, NextFit
 from repro.algorithms.classify import ClassifyByDuration
 from repro.algorithms.hybrid import HybridAlgorithm
-from repro.analysis.theory import lower_bound_sqrt_log, sqrt_log_mu
+from repro.analysis.theory import lower_bound_sqrt_log
 from repro.core.validate import audit
 from repro.offline.optimal import opt_reference
 

@@ -1,7 +1,5 @@
 """Unit tests for the Any-Fit family."""
 
-import math
-
 import pytest
 
 from repro.algorithms.anyfit import (

@@ -1,7 +1,5 @@
 """Unit tests for classify-by-duration algorithms."""
 
-import math
-
 import pytest
 
 from repro.algorithms.classify import (

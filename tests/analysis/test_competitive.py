@@ -13,7 +13,6 @@ from repro.analysis.competitive import (
     measure_ratio,
 )
 from repro.analysis.theory import loglog_mu, sqrt_log_mu
-from repro.core.instance import Instance
 from repro.offline.bounds import OptSandwich
 from repro.workloads.random_general import uniform_random
 

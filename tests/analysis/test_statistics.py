@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis.statistics import Summary, bootstrap_ci, summarize
+from repro.analysis.statistics import bootstrap_ci, summarize
 
 
 class TestBootstrapCI:

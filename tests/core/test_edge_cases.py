@@ -3,7 +3,6 @@
 import math
 
 import numpy as np
-import pytest
 
 from repro.algorithms.anyfit import FirstFit
 from repro.algorithms.hybrid import HybridAlgorithm

@@ -465,8 +465,6 @@ class TestOpenBinIndex:
 # Listener callbacks
 # ---------------------------------------------------------------------- #
 class _Tape:
-    timed = False
-
     def __init__(self):
         self.events = []
 
@@ -479,7 +477,7 @@ class _Tape:
     def on_arrival(self, item, bin_, opened):
         self.events.append(("arrival", item.uid, bin_.uid, opened))
 
-    def on_departure(self, uid, removed, bin_, t, closed, elapsed):
+    def on_departure(self, uid, removed, bin_, t, closed):
         self.events.append(("departure", uid, t, closed))
 
     def on_close(self, bin_, t, usage, peak, n_items):
@@ -609,6 +607,23 @@ class TestListenerHooksBoundOnce:
         assert early.closes and late.closes
         assert seen == expected[len(expected) - len(seen):]
 
+    def test_removed_listener_hears_nothing_more(self, loud_noops):
+        instance = list(uniform_random(200, 12, seed=7))
+        tape, closes = _Tape(), _Closes()
+        k = PlacementKernel(FirstFit(), listener=[tape, closes])
+        for item in instance[:100]:
+            k.release(item)
+        heard = len(tape.events)
+        k.remove_listener(tape)
+        assert k._on_advance is None and k._on_close is not None
+        for item in instance[100:]:
+            k.release(item)
+        k.drain()
+        assert len(tape.events) == heard
+        k.remove_listener(closes)
+        assert k._on_close is None
+        k.remove_listener(closes)  # a second detach is a no-op
+
     def test_a_fanout_called_directly_still_broadcasts(self):
         tape, closes = _Tape(), _Closes()
         fanout = ListenerFanout([tape, closes])
@@ -618,26 +633,6 @@ class TestListenerHooksBoundOnce:
         assert closes.closes == [("close", 7, 2.0, 1.5, 0.5, 3)]
         assert _closes_of(tape.events) == closes.closes
         assert len(tape.events) == 2  # the open reached the tape too
-
-    def test_timed_is_read_once_per_attach(self):
-        reads = []
-
-        class Timed(KernelListener):
-            @property
-            def timed(self):
-                reads.append(1)
-                return True
-
-            def on_departure(self, uid, removed, bin_, t, closed, elapsed):
-                self.last = elapsed
-
-        listener = Timed()
-        k = PlacementKernel(FirstFit(), listener=listener)
-        for item in uniform_random(200, 12, seed=6):
-            k.release(item)
-        k.drain()
-        assert k.departures == 200 and len(reads) == 1
-        assert listener.last > 0.0  # and the departures were timed
 
 
 # ---------------------------------------------------------------------- #

@@ -2,8 +2,6 @@
 
 import math
 
-import pytest
-
 from repro.algorithms.anyfit import FirstFit
 from repro.core.instance import Instance
 from repro.core.objectives import (

@@ -8,7 +8,6 @@ import pytest
 from repro.algorithms.anyfit import FirstFit
 from repro.core.bins import BinRecord
 from repro.core.errors import PackingError
-from repro.core.instance import Instance
 from repro.core.item import Item
 from repro.core.result import PackingResult
 from repro.core.simulation import simulate

@@ -10,6 +10,7 @@ import pytest
 from repro.algorithms import CDFF, FirstFit, HybridAlgorithm, NextFit
 from repro.core.errors import CheckpointError, SimulationError
 from repro.core.item import Item
+from repro.core.kernel import KernelListener
 from repro.core.simulation import simulate
 from repro.engine import (
     Checkpoint,
@@ -171,12 +172,15 @@ def test_restored_kernel_hooks_rewired():
 
 
 def test_observers_not_checkpointed():
-    eng = Engine(FirstFit())
-    eng.subscribe(lambda e: None)
+    # listeners may hold sockets or file handles: a restore keeps only
+    # the metrics registry, attached afresh
+    eng = Engine(FirstFit(), metrics=EngineMetrics())
+    eng.attach_listener(KernelListener())
     for it in list(uniform_random(20, 4, seed=11))[:10]:
         eng.feed(it)
     resumed = restore(snapshot(eng))
-    assert resumed._observers == []
+    assert resumed.kernel._listener is resumed.metrics
+    assert resumed.metrics is not eng.metrics
 
 
 class TestCorruptedCheckpoints:

@@ -1,10 +1,8 @@
 """Unit tests for the streaming engine core (loop + kernel-owned totals)."""
 
-import math
-
 import pytest
 
-from repro.algorithms import BestFit, FirstFit, HybridAlgorithm, NextFit
+from repro.algorithms import BestFit, FirstFit, HybridAlgorithm
 from repro.core.errors import (
     ClairvoyanceError,
     InvalidInstanceError,
@@ -14,14 +12,8 @@ from repro.core.errors import (
 from repro.core.instance import Instance
 from repro.core.item import Item
 from repro.core.simulation import simulate
-from repro.engine import (
-    ArrivalEvent,
-    DepartureEvent,
-    Engine,
-    EngineMetrics,
-    replay,
-)
-from repro.core.kernel import PlacementKernel
+from repro.engine import Engine, EngineMetrics, replay
+from repro.core.kernel import KernelListener, PlacementKernel
 from repro.core.profile import open_count_profile
 from repro.workloads import uniform_random
 
@@ -140,28 +132,47 @@ class TestEngineBasics:
         assert d["items"] == 4 and d["algorithm"] == "FirstFit"
 
 
+class Recorder(KernelListener):
+    """Records each arrival and departure with the kernel's clock and
+    running count at that moment (a test probe, so it keeps the
+    kernel)."""
+
+    def bind(self, kernel):
+        self.kernel = kernel
+        self.events = []
+
+    def on_arrival(self, item, bin_, opened):
+        k = self.kernel
+        self.events.append(
+            ("arrival", item.uid, bin_.uid, opened, k.time, k.arrivals)
+        )
+
+    def on_departure(self, uid, removed, bin_, t, closed):
+        self.events.append(
+            ("departure", uid, bin_.uid, closed, t, self.kernel.departures)
+        )
+
+
 class TestObservers:
+    """Kernel events reach a listener attached through the engine."""
+
     def test_events_narrated_in_order(self):
-        events = []
-        eng = Engine(FirstFit())
-        eng.subscribe(events.append)
+        tape = Recorder()
+        eng = Engine(FirstFit(), listeners=(tape,))
         eng.run(iter(small_instance()))
-        kinds = [type(e).__name__ for e in events]
-        assert kinds.count("ArrivalEvent") == 4
-        assert kinds.count("DepartureEvent") == 4
-        times = [e.time for e in events]
+        kinds = [e[0] for e in tape.events]
+        assert kinds.count("arrival") == 4
+        assert kinds.count("departure") == 4
+        times = [e[4] for e in tape.events]
         assert times == sorted(times)
-        closed = [e for e in events if isinstance(e, DepartureEvent) and e.closed]
+        closed = [e for e in tape.events if e[0] == "departure" and e[3]]
         assert len(closed) == eng.kernel.bins_closed
 
     def test_arrival_event_payload(self):
-        events = []
-        eng = Engine(FirstFit())
-        eng.subscribe(events.append)
+        tape = Recorder()
+        eng = Engine(FirstFit(), listeners=(tape,))
         bin_ = eng.feed(Item(0.0, 1.0, 0.5, uid=0))
-        (ev,) = events
-        assert isinstance(ev, ArrivalEvent)
-        assert ev.bin_uid == bin_.uid and ev.opened
+        assert tape.events == [("arrival", 0, bin_.uid, True, 0.0, 1)]
 
 
 class TestFeedStoreWindow:
@@ -179,7 +190,7 @@ class TestFeedStoreWindow:
 
 
 class TestListenerWiring:
-    """The engine joins the kernel's listeners only for per-event work."""
+    """The engine is never a kernel listener; its registry is."""
 
     def test_plain_engine_is_not_a_listener(self):
         seen = []
@@ -195,11 +206,19 @@ class TestListenerWiring:
         assert seen == [eng.kernel]
 
     def test_metered_engine_listens(self):
-        eng = Engine(BestFit(), metrics=EngineMetrics())
-        assert eng.kernel._listener is eng
+        metrics = EngineMetrics()
+        eng = Engine(BestFit(), metrics=metrics)
+        assert eng.kernel._listener is metrics
         late = Engine(BestFit())
-        late.metrics = EngineMetrics()
-        assert late.kernel._listener is late
+        late.metrics = metrics = EngineMetrics()
+        assert late.kernel._listener is metrics
+        late.metrics = metrics  # re-assigning attaches nothing twice
+        assert late.kernel._listener is metrics
+        late.metrics = replacement = EngineMetrics()
+        assert late.kernel._listener is replacement
+        late.metrics = None
+        assert late.kernel._listener is None
+        assert late.kernel._on_arrival is None
 
     @pytest.mark.parametrize("path", ["feed", "feed_store"])
     def test_late_observer_sees_every_later_event(self, path):
@@ -210,23 +229,58 @@ class TestListenerWiring:
         for it in items[:k]:
             eng.feed(it)
         departed_before = eng.kernel.departures
-        events = []
-        eng.subscribe(events.append)
-        assert eng.kernel._listener is eng
+        tape = Recorder()
+        eng.attach_listener(tape)
         if path == "feed":
             for it in items[k:]:
                 eng.feed(it)
         else:
             eng.feed_store(inst.store, k)
         eng.finish()
-        arrivals = [e for e in events if isinstance(e, ArrivalEvent)]
-        departures = [e for e in events if isinstance(e, DepartureEvent)]
-        assert [e.item.uid for e in arrivals] == [it.uid for it in items[k:]]
-        assert [e.seq for e in arrivals] == list(range(k + 1, len(items) + 1))
+        arrivals = [e for e in tape.events if e[0] == "arrival"]
+        departures = [e for e in tape.events if e[0] == "departure"]
+        assert [e[1] for e in arrivals] == [it.uid for it in items[k:]]
+        assert [e[5] for e in arrivals] == list(range(k + 1, len(items) + 1))
         assert len(departures) == len(items) - departed_before
-        assert [e.seq for e in departures] == list(
+        assert [e[5] for e in departures] == list(
             range(departed_before + 1, len(items) + 1)
         )
+
+    def test_metered_feed_store_is_one_release_store_call(self, monkeypatch):
+        inst = uniform_random(200, 16, seed=9)
+        metrics = EngineMetrics()
+        eng = Engine(BestFit(), metrics=metrics)
+        calls = []
+        release_store = eng.kernel.release_store
+
+        def counted(*args):
+            calls.append(args[1:])
+            return release_store(*args)
+
+        def refuse(self, item):
+            raise AssertionError("feed_store went through feed")
+
+        monkeypatch.setattr(eng.kernel, "release_store", counted)
+        monkeypatch.setattr(Engine, "feed", refuse)
+        assert eng.feed_store(inst.store, 10, 150) == 140
+        assert calls == [(10, 150)]
+        assert metrics.arrivals.value == 140
+
+    def test_metered_run_reads_no_clock(self, monkeypatch):
+        import time
+
+        def refuse():
+            raise AssertionError("the clock was read")
+
+        inst = uniform_random(200, 16, seed=10)
+        items = list(inst)
+        monkeypatch.setattr(time, "perf_counter", refuse)
+        eng = Engine(BestFit(), metrics=EngineMetrics())
+        for it in items[:100]:
+            eng.feed(it)
+        eng.feed_store(inst.store, 100)
+        eng.finish()
+        assert eng.metrics.departures.value == len(items)
 
 
 class TestRunningAccounting:

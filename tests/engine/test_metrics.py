@@ -1,11 +1,11 @@
-"""Metrics layer: counters, histograms, timings, sinks."""
+"""Metrics layer: primitives, the packing-metrics registry, sinks."""
 
 import io
 import json
 
 import pytest
 
-from repro.algorithms import FirstFit
+from repro.algorithms import FirstFit, HybridAlgorithm
 from repro.engine import (
     CallbackSink,
     ConsoleSink,
@@ -17,7 +17,8 @@ from repro.engine import (
     JSONSink,
     Timing,
 )
-from repro.workloads import uniform_random
+from repro.obs.metrics import BINS_OPEN_EDGES
+from repro.workloads import poisson_random, uniform_random
 
 
 class TestPrimitives:
@@ -77,16 +78,37 @@ class TestEngineMetrics:
         # utilisation is a fraction of capacity: nothing above 1.0
         assert metrics.bin_utilization.to_dict()["buckets"]["> 1"] == 0
 
-    def test_latency_timings_populated(self):
-        metrics, inst = self.run_engine()
-        assert metrics.arrival_latency.count == len(inst)
-        assert metrics.departure_latency.count == len(inst)
-        assert metrics.arrival_latency.total > 0
+    @pytest.mark.parametrize("path", ["feed", "feed_store"])
+    def test_late_registry_sees_the_true_open_count(self, path):
+        # the path of ``engine.metrics = EngineMetrics()`` taken by a
+        # shard handed a ready engine and by a metrics-less resume
+        inst = poisson_random(12, 16, 40, seed=8)
+        items = list(inst)
+        k = len(items) // 3
+        reference = Engine(HybridAlgorithm())
+        expected = Histogram(BINS_OPEN_EDGES)
+        for i, it in enumerate(items):
+            reference.feed(it)
+            if i >= k:
+                expected.observe(reference.open_bin_count)
+
+        eng = Engine(HybridAlgorithm())
+        for it in items[:k]:
+            eng.feed(it)
+        assert eng.open_bin_count > 1
+        eng.metrics = late = EngineMetrics()
+        if path == "feed":
+            for it in items[k:]:
+                eng.feed(it)
+        else:
+            eng.feed_store(inst.store, k)
+        assert late.arrivals.value == len(items) - k
+        assert late.bins_open.to_dict() == expected.to_dict()
 
     def test_snapshot_shape(self):
         metrics, _ = self.run_engine()
         snap = metrics.snapshot(extra={"run": "test"})
-        assert set(snap) == {"counters", "histograms", "timings", "run"}
+        assert set(snap) == {"counters", "histograms", "run"}
         json.dumps(snap)  # JSON-serialisable end to end
 
 

@@ -8,8 +8,8 @@ sum of bin usages) and the instance itself (space-time demand and the
 peak of the load profile ``S_t``).  Each engine arrival path is a leg:
 
 - ``run(instance)`` unmetered — one kernel ``release_store`` call;
-- ``run(instance)`` with metrics and an observer — ``feed_store``
-  looping ``feed`` over the rows (leg ``metered``);
+- ``run(instance)`` with the metrics registry listening — the same one
+  ``release_store`` call (leg ``metered``);
 - ``run(iter(instance))`` — boxed items through ``feed`` (leg ``boxed``).
 """
 
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.profile import load_profile
 from repro.core.simulation import simulate
-from repro.engine import ArrivalEvent, Engine, EngineMetrics
+from repro.engine import Engine, EngineMetrics
 from repro.engine.parity import ALIGNED_ALGORITHMS
 from repro.parallel import _registry
 from repro.workloads import aligned_random, poisson_random, uniform_random
@@ -59,10 +59,8 @@ def test_engine_totals_match_oracle(name, leg, data):
     instance = data.draw(instances(name in ALIGNED_ALGORITHMS))
     factory = REGISTRY[name]
     result = simulate(factory(), instance)
-    events = []
     if leg == "metered":
         engine = Engine(factory(), record=True, metrics=EngineMetrics())
-        engine.subscribe(events.append)
     else:
         engine = Engine(factory(), record=True)
     summary = engine.run(iter(instance) if leg == "boxed" else instance)
@@ -76,9 +74,7 @@ def test_engine_totals_match_oracle(name, leg, data):
     assert summary.util_area == pytest.approx(demand)
     assert summary.peak_load == pytest.approx(load_profile(instance).max())
     if leg == "metered":
-        arrivals = [e for e in events if isinstance(e, ArrivalEvent)]
-        assert [e.item for e in arrivals] == list(instance)
-        assert sum(e.opened for e in arrivals) == summary.bins_opened
-        assert engine.metrics.snapshot()["counters"]["arrivals"] == len(
-            instance
-        )
+        counters = engine.metrics.snapshot()["counters"]
+        assert counters["arrivals"] == counters["departures"] == len(instance)
+        assert counters["bins_opened"] == summary.bins_opened
+        assert counters["bins_closed"] == summary.bins_closed

@@ -5,8 +5,6 @@ exercised with small parameters to verify it runs, passes its own bound
 checks, and produces well-formed tables.
 """
 
-import pytest
-
 from repro.experiments import (
     EXPERIMENTS,
     ExperimentResult,
@@ -27,7 +25,6 @@ from repro.experiments import (
     nonclairvoyant_experiment,
     prop53_experiment,
     rows_ablation,
-    threshold_ablation,
 )
 
 

@@ -1,5 +1,5 @@
 """Metric primitives: bucket edges, gauges, merging, and the
-deterministic MetricsListener."""
+deterministic packing-metrics registry as a kernel listener."""
 
 import math
 import pickle
@@ -8,16 +8,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import FirstFit, HybridAlgorithm, simulate, uniform_random
+from repro import FirstFit, simulate, uniform_random
+from repro.engine.metrics import EngineMetrics
 from repro.obs import metrics as obs_metrics
 from repro.obs import (
     BINS_OPEN_EDGES,
     Counter,
     Gauge,
     Histogram,
-    MetricsListener,
     Timing,
-    merge_metrics,
 )
 from repro.serve.telemetry import BATCH_SIZE_EDGES, DURATION_EDGES
 
@@ -219,23 +218,27 @@ class TestTiming:
 
 
 class TestMetricsListener:
+    """:class:`EngineMetrics` attached straight to the batch kernel."""
+
     def test_counts_and_conservation(self):
         inst = uniform_random(150, 16, seed=1)
-        ml = MetricsListener()
+        ml = EngineMetrics()
         simulate(FirstFit(), inst, listener=ml)
         snap = ml.snapshot()
         c = snap["counters"]
         assert c["arrivals"] == c["departures"] == 150
+        assert c["events"] == 300
         assert c["bins_opened"] == c["bins_closed"]
-        assert snap["gauges"]["open_bins"]["value"] == 0  # all drained
+        assert set(snap) == {"counters", "histograms"}  # no clock, no gauges
         assert snap["histograms"]["residual_at_placement"]["total"] == 150
+        assert snap["histograms"]["bins_open"]["total"] == 150
         assert snap["histograms"]["bin_occupancy"]["total"] == c["bins_closed"]
 
     def test_bins_open_histogram_edges(self):
-        assert MetricsListener().bins_open_dist.edges == BINS_OPEN_EDGES
+        assert EngineMetrics().bins_open.edges == BINS_OPEN_EDGES
 
     def test_merge_two_shards(self):
-        a, b = MetricsListener(), MetricsListener()
+        a, b = EngineMetrics(), EngineMetrics()
         simulate(FirstFit(), uniform_random(60, 8, seed=2), listener=a)
         simulate(FirstFit(), uniform_random(40, 8, seed=3), listener=b)
         total_bins = a.bins_opened.value + b.bins_opened.value
@@ -244,26 +247,12 @@ class TestMetricsListener:
         assert a.bins_opened.value == total_bins
         assert a.bin_lifetime.total == total_bins
 
-    def test_merge_metrics_helper(self):
-        parts = []
-        for seed in (4, 5, 6):
-            ml = MetricsListener()
-            simulate(HybridAlgorithm(), uniform_random(30, 8, seed=seed),
-                     listener=ml)
-            parts.append(ml)
-        merged = merge_metrics(parts)
-        assert isinstance(merged, MetricsListener)
-        assert merged.arrivals.value == 90
-        assert merge_metrics([]) is None
-        into = MetricsListener()
-        assert merge_metrics(parts, into=into) is into
-
     def test_pickles(self):
-        ml = MetricsListener()
+        ml = EngineMetrics()
         simulate(FirstFit(), uniform_random(40, 8, seed=7), listener=ml)
         clone = pickle.loads(pickle.dumps(ml))
         assert clone.snapshot() == ml.snapshot()
 
     def test_snapshot_extra(self):
-        snap = MetricsListener().snapshot(extra={"cost": 1.5})
+        snap = EngineMetrics().snapshot(extra={"cost": 1.5})
         assert snap["cost"] == 1.5

@@ -1,6 +1,5 @@
 """Property-based tests: binary strings, aligned inputs, the reduction."""
 
-import math
 import re
 
 from hypothesis import given, settings

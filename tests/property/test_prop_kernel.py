@@ -24,7 +24,7 @@ from repro.algorithms.base import OnlineAlgorithm
 from repro.core.instance import Instance
 from repro.core.simulation import simulate
 from repro.engine import Engine
-from repro.obs import MetricsListener
+from repro.engine.metrics import EngineMetrics
 
 from ..conftest import aligned_algorithm_factories, all_algorithm_factories
 
@@ -155,10 +155,27 @@ class TestKernelSemantics:
             assert fast.bins == slow.bins
 
 
+def _three_snapshots(factory, inst):
+    """The registry's snapshot of ``inst`` from batch ``simulate()``,
+    from ``Engine.feed`` item by item and from one ``Engine.feed_store``."""
+    batch = EngineMetrics()
+    simulate(factory(), inst, listener=batch)
+    fed = EngineMetrics()
+    eng = Engine(factory(), metrics=fed)
+    for it in inst:
+        eng.feed(it)
+    eng.finish()
+    stored = EngineMetrics()
+    eng = Engine(factory(), metrics=stored)
+    eng.feed_store(inst.store)
+    eng.finish()
+    return batch.snapshot(), fed.snapshot(), stored.snapshot()
+
+
 class TestObsParity:
-    """The deterministic obs metrics are frontend-independent: the same
-    trace through batch ``simulate()`` and the streaming ``Engine`` must
-    produce byte-identical MetricsListener snapshots."""
+    """The packing metrics are frontend-independent: the same trace
+    through batch ``simulate()`` and the streaming ``Engine`` (``feed``
+    and ``feed_store``) must produce identical EngineMetrics snapshots."""
 
     @given(traces())
     @settings(max_examples=25, deadline=None)
@@ -171,14 +188,9 @@ class TestObsParity:
             (n, f) for n, f in all_algorithm_factories() if n != "RenTang64"
         ] + [("RenTang8", lambda: RenTang(8.0, min_length=0.5))]
         for name, factory in factories:
-            ml_batch = MetricsListener()
-            simulate(factory(), inst, listener=ml_batch)
-            ml_engine = MetricsListener()
-            eng = Engine(factory(), listeners=(ml_engine,))
-            for it in inst:
-                eng.feed(it)
-            eng.finish()
-            assert ml_engine.snapshot() == ml_batch.snapshot(), name
+            batch, fed, stored = _three_snapshots(factory, inst)
+            assert fed == batch, name
+            assert stored == batch, name
 
     def test_aligned_algorithms_on_binary_input(self):
         """CDFF and friends need aligned inputs; check them on σ_k."""
@@ -186,11 +198,6 @@ class TestObsParity:
 
         inst = binary_input(64)
         for name, factory in aligned_algorithm_factories():
-            ml_batch = MetricsListener()
-            simulate(factory(), inst, listener=ml_batch)
-            ml_engine = MetricsListener()
-            eng = Engine(factory(), listeners=(ml_engine,))
-            for it in inst:
-                eng.feed(it)
-            eng.finish()
-            assert ml_engine.snapshot() == ml_batch.snapshot(), name
+            batch, fed, stored = _three_snapshots(factory, inst)
+            assert fed == batch, name
+            assert stored == batch, name

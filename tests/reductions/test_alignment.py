@@ -1,7 +1,5 @@
 """Unit tests for the Section 3/5 reductions."""
 
-import math
-
 import pytest
 
 from repro.algorithms.base import item_type

@@ -1,7 +1,6 @@
 """Unit tests for the hard-instance search harness."""
 
 import numpy as np
-import pytest
 
 from repro.algorithms.anyfit import FirstFit
 from repro.algorithms.cdff import CDFF

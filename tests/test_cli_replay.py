@@ -194,11 +194,8 @@ class TestReplay:
         assert cost_line in slow_out  # bit-identical summary line
         fast = json.loads(m_fast.read_text())
         slow = json.loads(m_slow.read_text())
-        # counters+histograms are deterministic by contract; timings are
-        # wall-clock and legitimately differ between the two runs
-        assert fast["counters"] == slow["counters"]
-        assert fast["histograms"] == slow["histograms"]
-        assert fast["cost"] == slow["cost"]
+        # the registry reads no clock: the whole snapshot is deterministic
+        assert fast == slow
 
 
 class TestReplayObservability:

@@ -1,9 +1,5 @@
 """Unit tests for the ASCII renderers and figure regeneration."""
 
-import math
-
-import pytest
-
 from repro.algorithms.cdff import CDFF
 from repro.core.instance import Instance
 from repro.core.item import Item
