@@ -1,13 +1,9 @@
 """Adaptive adversaries: the paper's lower bound and the cited Ω(μ) one."""
 
-from .base import AdaptiveAdversary, AdversaryOutcome, realized_instance
-from .nonclairvoyant import NonClairvoyantAdversary
-from .sqrt_log import SqrtLogAdversary
+from .._exports import lazy_exports
 
-__all__ = [
-    "AdaptiveAdversary",
-    "AdversaryOutcome",
-    "realized_instance",
-    "SqrtLogAdversary",
-    "NonClairvoyantAdversary",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": ("AdaptiveAdversary", "AdversaryOutcome", "realized_instance"),
+    ".nonclairvoyant": ("NonClairvoyantAdversary",),
+    ".sqrt_log": ("SqrtLogAdversary",),
+})

@@ -1,61 +1,18 @@
 """Online packing algorithms: baselines and the paper's HA and CDFF."""
 
-from .anyfit import (
-    BEST_FIT,
-    FIRST_FIT,
-    LAST_FIT,
-    WORST_FIT,
-    AnyFit,
-    BestFit,
-    FirstFit,
-    FitRule,
-    LastFit,
-    NextFit,
-    RandomFit,
-    WorstFit,
-)
-from .base import (
-    OnlineAlgorithm,
-    SimulationView,
-    duration_class,
-    first_fit_choice,
-    item_type,
-    type_departure_deadline,
-)
-from .cdff import CDFF, StaticRowsCDFF, aligned_class, trailing_zeros
-from .classify import ClassifyByDuration, RenTang, optimal_rentang_n
-from .greedy import LeastExpansion
-from .hybrid import CD_TAG, GN_TAG, HybridAlgorithm, sqrt_threshold
+from .._exports import lazy_exports
 
-__all__ = [
-    "OnlineAlgorithm",
-    "SimulationView",
-    "duration_class",
-    "item_type",
-    "type_departure_deadline",
-    "first_fit_choice",
-    "AnyFit",
-    "FitRule",
-    "FIRST_FIT",
-    "BEST_FIT",
-    "WORST_FIT",
-    "LAST_FIT",
-    "FirstFit",
-    "BestFit",
-    "WorstFit",
-    "LastFit",
-    "NextFit",
-    "RandomFit",
-    "ClassifyByDuration",
-    "RenTang",
-    "optimal_rentang_n",
-    "LeastExpansion",
-    "HybridAlgorithm",
-    "sqrt_threshold",
-    "GN_TAG",
-    "CD_TAG",
-    "CDFF",
-    "StaticRowsCDFF",
-    "aligned_class",
-    "trailing_zeros",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".anyfit": (
+        "AnyFit", "FitRule", "FIRST_FIT", "BEST_FIT", "WORST_FIT", "LAST_FIT",
+        "FirstFit", "BestFit", "WorstFit", "LastFit", "NextFit", "RandomFit",
+    ),
+    ".base": (
+        "OnlineAlgorithm", "SimulationView", "duration_class", "item_type",
+        "type_departure_deadline", "first_fit_choice",
+    ),
+    ".cdff": ("CDFF", "StaticRowsCDFF", "aligned_class", "trailing_zeros"),
+    ".classify": ("ClassifyByDuration", "RenTang", "optimal_rentang_n"),
+    ".greedy": ("LeastExpansion",),
+    ".hybrid": ("HybridAlgorithm", "sqrt_threshold", "GN_TAG", "CD_TAG"),
+})

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Optional, Sequence
 
-import numpy as np
-
 from ..core.bins import Bin
 from ..core.item import Item
 from .base import OnlineAlgorithm
@@ -193,9 +191,11 @@ class RandomFit(OnlineAlgorithm):
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self.name = f"RandomFit(seed={seed})"
-        self._rng = np.random.default_rng(seed)
+        self.reset()
 
     def reset(self) -> None:
+        import numpy as np
+
         self._rng = np.random.default_rng(self.seed)
 
     def place(self, item: Item, sim) -> Bin:

@@ -1,61 +1,22 @@
 """Analysis: binary strings, competitive ratios, closed-form bounds."""
 
-from .binary_strings import (
-    binary,
-    expected_max_zero_run,
-    lemma59_bound,
-    lsb_zero_run,
-    max_zero_run,
-    max_zero_run_all,
-    sample_max_zero_run,
-    sum_max_zero_run,
-)
-from .competitive import (
-    GrowthFit,
-    RatioEstimate,
-    best_law,
-    fit_growth,
-    measure_ratio,
-)
-from .statistics import Summary, bootstrap_ci, summarize
-from .theory import (
-    cdff_aligned_upper_bound,
-    cdff_binary_upper_bound,
-    ff_nonclairvoyant_upper_bound,
-    ha_gn_bound,
-    ha_upper_bound,
-    log2_safe,
-    loglog_mu,
-    lower_bound_sqrt_log,
-    rentang_upper_bound,
-    sqrt_log_mu,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "binary",
-    "max_zero_run",
-    "lsb_zero_run",
-    "max_zero_run_all",
-    "expected_max_zero_run",
-    "sum_max_zero_run",
-    "sample_max_zero_run",
-    "lemma59_bound",
-    "RatioEstimate",
-    "measure_ratio",
-    "GrowthFit",
-    "fit_growth",
-    "best_law",
-    "Summary",
-    "bootstrap_ci",
-    "summarize",
-    "log2_safe",
-    "sqrt_log_mu",
-    "loglog_mu",
-    "ha_upper_bound",
-    "ha_gn_bound",
-    "cdff_binary_upper_bound",
-    "cdff_aligned_upper_bound",
-    "rentang_upper_bound",
-    "ff_nonclairvoyant_upper_bound",
-    "lower_bound_sqrt_log",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".binary_strings": (
+        "binary", "max_zero_run", "lsb_zero_run", "max_zero_run_all",
+        "expected_max_zero_run", "sum_max_zero_run", "sample_max_zero_run",
+        "lemma59_bound",
+    ),
+    ".competitive": (
+        "RatioEstimate", "measure_ratio", "GrowthFit", "fit_growth",
+        "best_law",
+    ),
+    ".statistics": ("Summary", "bootstrap_ci", "summarize"),
+    ".theory": (
+        "log2_safe", "sqrt_log_mu", "loglog_mu", "ha_upper_bound",
+        "ha_gn_bound", "cdff_binary_upper_bound", "cdff_aligned_upper_bound",
+        "rentang_upper_bound", "ff_nonclairvoyant_upper_bound",
+        "lower_bound_sqrt_log",
+    ),
+})

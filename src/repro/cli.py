@@ -41,8 +41,6 @@ import argparse
 import sys
 from typing import Iterable, Sequence
 
-from .experiments import EXPERIMENTS
-
 _GROUPS = {
     "table1": ["T1.GEN.UB", "T1.GEN.LB", "T1.ALIGN.UB", "T1.NC"],
     "figures": ["FIG1", "FIG2", "FIG3"],
@@ -55,6 +53,28 @@ _GROUPS = {
                    "EXT.NRGAP", "EXT.ADAPT", "EXT.RANDOM", "OPEN.ALIGN",
                    "OPEN.GEN"],
 }
+
+
+def _bounded(kind, *, positive: bool):
+    """An argparse ``type=`` parsing a ``kind`` number that is ``> 0``
+    (``positive``) or ``>= 0``, so a bad flag is one usage error."""
+
+    def parse(text: str):
+        value = kind(text)
+        if value > 0 or (value == 0 and not positive):
+            return value
+        raise argparse.ArgumentTypeError(
+            f"must be {'> 0' if positive else '>= 0'}, got {text!r}"
+        )
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" text
+    return parse
+
+
+_positive_int = _bounded(int, positive=True)
+_positive_float = _bounded(float, positive=True)
+_non_negative_int = _bounded(int, positive=False)
+_non_negative_float = _bounded(float, positive=False)
 
 
 def _ledger_dir(args):
@@ -131,6 +151,7 @@ def _run(
     sampler=None,
     profile_info=None,
 ) -> int:
+    from .experiments import EXPERIMENTS
     from .experiments.runner import run_experiment
 
     failures = 0
@@ -219,7 +240,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "-a", "--algorithm", default="HybridAlgorithm",
         help="algorithm name (see --list-algorithms)",
     )
-    packp.add_argument("--capacity", type=float, default=1.0)
+    packp.add_argument("--capacity", type=_positive_float, default=1.0)
     packp.add_argument(
         "--no-index", action="store_true",
         help="disable the kernel's O(log n) open-bin index "
@@ -248,7 +269,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         default="HybridAlgorithm",
         help="algorithm name (see `pack --list-algorithms`)",
     )
-    replayp.add_argument("--capacity", type=float, default=1.0)
+    replayp.add_argument("--capacity", type=_positive_float, default=1.0)
     replayp.add_argument(
         "--no-index", action="store_true",
         help="disable the kernel's O(log n) open-bin index "
@@ -263,7 +284,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="write a metrics snapshot (counters/histograms)",
     )
     replayp.add_argument(
-        "--checkpoint-every", type=int, metavar="N", default=0,
+        "--checkpoint-every", type=_non_negative_int, metavar="N", default=0,
         help="snapshot engine+algorithm state every N items",
     )
     replayp.add_argument(
@@ -275,7 +296,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="restore from a checkpoint and skip the items already fed",
     )
     replayp.add_argument(
-        "--limit", type=int, metavar="N", default=0,
+        "--limit", type=_non_negative_int, metavar="N", default=0,
         help="replay only the first N items of the trace (0 = all)",
     )
     replayp.add_argument(
@@ -288,7 +309,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="record a kernel event trace (spans+events) to a JSONL file",
     )
     replayp.add_argument(
-        "--trace-capacity", type=int, metavar="N", default=0,
+        "--trace-capacity", type=_non_negative_int, metavar="N", default=0,
         help="trace ring-buffer capacity (default: 32768; oldest events "
         "are dropped beyond this)",
     )
@@ -411,22 +432,23 @@ def main(argv: Sequence[str] | None = None) -> int:
         default="HybridAlgorithm",
         help="algorithm name (see `pack --list-algorithms`)",
     )
-    servep.add_argument("--capacity", type=float, default=1.0)
+    servep.add_argument("--capacity", type=_positive_float, default=1.0)
     servep.add_argument(
-        "--shards", type=int, default=1,
+        "--shards", type=_positive_int, default=1,
         help="worker shards (one kernel each; consistent-hash routed)",
     )
     servep.add_argument(
-        "--max-queue", type=int, default=1024,
+        "--max-queue", type=_positive_int, default=1024,
         help="per-shard queue bound in micro-batches; beyond it clients "
         "get {'error': 'overloaded', 'retry_after': ...}",
     )
     servep.add_argument(
-        "--batch-max", type=int, default=1,
+        "--batch-max", type=_positive_int, default=1,
         help="micro-batch size (1 = batching off)",
     )
     servep.add_argument(
-        "--batch-delay", type=float, default=0.0, metavar="SECONDS",
+        "--batch-delay", type=_non_negative_float, default=0.0,
+        metavar="SECONDS",
         help="micro-batch age bound (0 = batching off)",
     )
     servep.add_argument(
@@ -563,6 +585,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "list":
+        from .experiments import EXPERIMENTS
+
         for eid in sorted(EXPERIMENTS):
             print(eid)
         return 0
@@ -607,6 +631,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         finally:
             _finish_sampler(sampler, args, "run.prof.json")
     if args.command == "all":
+        from .experiments import EXPERIMENTS
+
         return _run(sorted(EXPERIMENTS))
     return _run(_GROUPS[args.command])
 

@@ -11,14 +11,14 @@ the cost — an identity the test-suite checks on every run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Dict, Mapping
 
 from .bins import BinRecord
 from .errors import PackingError
 from .item import Item
-from .profile import LoadProfile, open_count_profile
+
+if TYPE_CHECKING:
+    from .profile import LoadProfile
 
 __all__ = ["PackingResult"]
 
@@ -82,6 +82,10 @@ class PackingResult:
     # ------------------------------------------------------------------ #
     def open_bins_profile(self) -> LoadProfile:
         """``ON_t`` — number of open bins as a step function of time."""
+        import numpy as np
+
+        from .profile import open_count_profile
+
         n = len(self.bins)
         times = np.concatenate(
             [

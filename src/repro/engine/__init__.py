@@ -30,52 +30,18 @@ Arrivals reach the kernel through one per-item path,
 chunks for the latter.
 """
 
-from .checkpoint import (
-    Checkpoint,
-    CheckpointError,
-    load_checkpoint,
-    restore,
-    save_checkpoint,
-    snapshot,
-)
-from .loop import Engine, EngineSummary, replay
-from .metrics import (
-    CallbackSink,
-    ConsoleSink,
-    Counter,
-    EngineMetrics,
-    Gauge,
-    Histogram,
-    JSONLSink,
-    JSONSink,
-    MemorySink,
-    MetricsSink,
-    Timing,
-)
-from .stream import ItemSource, open_trace, trace_format
+from .._exports import lazy_exports
 
-__all__ = [
-    "Engine",
-    "EngineSummary",
-    "replay",
-    "Checkpoint",
-    "CheckpointError",
-    "snapshot",
-    "restore",
-    "save_checkpoint",
-    "load_checkpoint",
-    "EngineMetrics",
-    "MetricsSink",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Timing",
-    "ConsoleSink",
-    "JSONSink",
-    "JSONLSink",
-    "CallbackSink",
-    "MemorySink",
-    "ItemSource",
-    "open_trace",
-    "trace_format",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".checkpoint": (
+        "Checkpoint", "CheckpointError", "snapshot", "restore",
+        "save_checkpoint", "load_checkpoint",
+    ),
+    ".loop": ("Engine", "EngineSummary", "replay"),
+    ".metrics": (
+        "EngineMetrics", "MetricsSink", "Counter", "Gauge", "Histogram",
+        "Timing", "ConsoleSink", "JSONSink", "JSONLSink", "CallbackSink",
+        "MemorySink",
+    ),
+    ".stream": ("ItemSource", "open_trace", "trace_format"),
+})

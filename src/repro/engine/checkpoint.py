@@ -46,11 +46,10 @@ from __future__ import annotations
 import importlib
 import json
 import pathlib
+import sys
 import types
 from dataclasses import dataclass, fields
 from typing import Union
-
-import numpy as np
 
 from ..algorithms.base import OnlineAlgorithm
 from ..core.bins import Bin
@@ -124,7 +123,9 @@ def _encode(value, kernel=None):
             return {"$bin": value.uid}
         if t is Item and any(value.uid in b for b in kernel.open_bins):
             return {"$item": value.uid}
-        if t is np.random.Generator:
+        # a Generator can exist only once numpy is loaded
+        np = sys.modules.get("numpy")
+        if np is not None and t is np.random.Generator:
             return {"$rng": _encode(value.bit_generator.state)}
         if t is types.FunctionType:
             return {"$function": _named(value)}
@@ -153,6 +154,8 @@ def _decode(value, refs=None):
     if tag in ("$bin", "$item"):
         return None if refs is None else refs[tag, body]
     if tag == "$rng" and body["bit_generator"] in _BIT_GENERATORS:
+        import numpy as np
+
         rng = np.random.Generator(getattr(np.random, body["bit_generator"])())
         rng.bit_generator.state = _decode(body)
         return rng

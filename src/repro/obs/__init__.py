@@ -38,138 +38,36 @@ Quickstart::
     tracer.write_jsonl("run.jsonl")
 """
 
-from .export import (
-    CallbackSink,
-    ConsoleSink,
-    JSONLSink,
-    JSONSink,
-    MemorySink,
-    MetricsSink,
-    render_prometheus,
-    render_summary,
-    summarize_trace,
-)
-from .invariants import (
-    RATIO_BOUNDS,
-    InvariantMonitor,
-    InvariantViolationError,
-    Violation,
-    ratio_bound_for,
-)
-from .ledger import (
-    DEFAULT_LEDGER_DIR,
-    DEFAULT_TOLERANCES,
-    LEDGER_ENV,
-    Drift,
-    LedgerSink,
-    RegressReport,
-    RunRecord,
-    config_hash,
-    diff_records,
-    flatten_metrics,
-    git_sha,
-    parse_tolerances,
-    read_baseline,
-    read_ledger,
-    read_record,
-    regress,
-    render_drifts,
-    resolve_ledger_dir,
-)
-from .metrics import (
-    BINS_OPEN_EDGES,
-    LATENCY_EDGES,
-    LIFETIME_EDGES,
-    OCCUPANCY_EDGES,
-    RESIDUAL_EDGES,
-    UTILIZATION_EDGES,
-    Counter,
-    Gauge,
-    Histogram,
-    Timing,
-)
-from .prof import (
-    CriticalReport,
-    Profile,
-    StackSampler,
-    analyze_trace,
-    render_top,
-    to_collapsed,
-    to_speedscope,
-)
-from .profile import PhaseProfiler, PhaseStats, ProfileReport, profiled
-from .trace import (
-    DEFAULT_CAPACITY,
-    TraceEvent,
-    Tracer,
-    TracingListener,
-    read_trace,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    # trace
-    "DEFAULT_CAPACITY",
-    "Tracer",
-    "TraceEvent",
-    "TracingListener",
-    "read_trace",
-    # metrics
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Timing",
-    "OCCUPANCY_EDGES",
-    "UTILIZATION_EDGES",
-    "LIFETIME_EDGES",
-    "LATENCY_EDGES",
-    "RESIDUAL_EDGES",
-    "BINS_OPEN_EDGES",
-    # profile
-    "PhaseProfiler",
-    "PhaseStats",
-    "ProfileReport",
-    "profiled",
-    # prof (continuous profiling plane)
-    "StackSampler",
-    "Profile",
-    "CriticalReport",
-    "analyze_trace",
-    "render_top",
-    "to_collapsed",
-    "to_speedscope",
-    # export
-    "MetricsSink",
-    "ConsoleSink",
-    "JSONSink",
-    "JSONLSink",
-    "CallbackSink",
-    "MemorySink",
-    "render_summary",
-    "render_prometheus",
-    "summarize_trace",
-    # invariants
-    "InvariantMonitor",
-    "InvariantViolationError",
-    "Violation",
-    "RATIO_BOUNDS",
-    "ratio_bound_for",
-    # ledger + sentinel
-    "LEDGER_ENV",
-    "DEFAULT_LEDGER_DIR",
-    "DEFAULT_TOLERANCES",
-    "RunRecord",
-    "LedgerSink",
-    "RegressReport",
-    "Drift",
-    "resolve_ledger_dir",
-    "git_sha",
-    "config_hash",
-    "read_record",
-    "read_ledger",
-    "read_baseline",
-    "flatten_metrics",
-    "diff_records",
-    "regress",
-    "render_drifts",
-    "parse_tolerances",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".export": (
+        "MetricsSink", "ConsoleSink", "JSONSink", "JSONLSink", "CallbackSink",
+        "MemorySink", "render_summary", "render_prometheus", "summarize_trace",
+    ),
+    ".invariants": (
+        "InvariantMonitor", "InvariantViolationError", "Violation",
+        "RATIO_BOUNDS", "ratio_bound_for",
+    ),
+    ".ledger": (
+        "LEDGER_ENV", "DEFAULT_LEDGER_DIR", "DEFAULT_TOLERANCES", "RunRecord",
+        "LedgerSink", "RegressReport", "Drift", "resolve_ledger_dir",
+        "git_sha", "config_hash", "read_record", "read_ledger",
+        "read_baseline", "flatten_metrics", "diff_records", "regress",
+        "render_drifts", "parse_tolerances",
+    ),
+    ".metrics": (
+        "Counter", "Gauge", "Histogram", "Timing", "OCCUPANCY_EDGES",
+        "UTILIZATION_EDGES", "LIFETIME_EDGES", "LATENCY_EDGES",
+        "RESIDUAL_EDGES", "BINS_OPEN_EDGES",
+    ),
+    ".prof": (
+        "StackSampler", "Profile", "CriticalReport", "analyze_trace",
+        "render_top", "to_collapsed", "to_speedscope",
+    ),
+    ".profile": ("PhaseProfiler", "PhaseStats", "ProfileReport", "profiled"),
+    ".trace": (
+        "DEFAULT_CAPACITY", "Tracer", "TraceEvent", "TracingListener",
+        "read_trace",
+    ),
+})

@@ -18,52 +18,19 @@ overhead contract (sampling on vs off on the 1e5-item replay path) is
 frozen by ``benchmarks/bench_profiler.py`` and gated in CI.
 """
 
-from .critical import (
-    CriticalReport,
-    PhaseSlice,
-    RequestPath,
-    SpanNode,
-    analyze_events,
-    analyze_trace,
-)
-from .flame import (
-    SPEEDSCOPE_SCHEMA,
-    frame_label,
-    render_top,
-    to_collapsed,
-    to_speedscope,
-    top_functions,
-    write_speedscope,
-)
-from .sampler import (
-    DEFAULT_HZ,
-    DEFAULT_MAX_STACKS,
-    Frame,
-    Profile,
-    Stack,
-    StackSampler,
-    merge_profiles,
-)
+from ..._exports import lazy_exports
 
-__all__ = [
-    "DEFAULT_HZ",
-    "DEFAULT_MAX_STACKS",
-    "Frame",
-    "Profile",
-    "Stack",
-    "StackSampler",
-    "merge_profiles",
-    "SPEEDSCOPE_SCHEMA",
-    "frame_label",
-    "render_top",
-    "to_collapsed",
-    "to_speedscope",
-    "top_functions",
-    "write_speedscope",
-    "CriticalReport",
-    "PhaseSlice",
-    "RequestPath",
-    "SpanNode",
-    "analyze_events",
-    "analyze_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".critical": (
+        "CriticalReport", "PhaseSlice", "RequestPath", "SpanNode",
+        "analyze_events", "analyze_trace",
+    ),
+    ".flame": (
+        "SPEEDSCOPE_SCHEMA", "frame_label", "render_top", "to_collapsed",
+        "to_speedscope", "top_functions", "write_speedscope",
+    ),
+    ".sampler": (
+        "DEFAULT_HZ", "DEFAULT_MAX_STACKS", "Frame", "Profile", "Stack",
+        "StackSampler", "merge_profiles",
+    ),
+})

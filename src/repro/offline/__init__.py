@@ -1,4 +1,10 @@
-"""Offline machinery: bounds, exact oracles, and offline packers."""
+"""Offline machinery: bounds, exact oracles, and offline packers.
+
+Unlike the other packages this one imports its exports eagerly: the
+functions ``dual_coloring`` and ``waterfill`` share their names with
+their submodules, and a lazily read name would turn into the module
+object once its submodule is imported.
+"""
 
 from .binpack import ffd, l2_lower_bound, min_bins, min_bins_bounded
 from .bounds import (

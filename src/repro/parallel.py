@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import pathlib
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, List, Optional, Sequence, TypeVar, Union
 
 from .core.instance import Instance
@@ -75,6 +73,9 @@ def parallel_map(
         chunksize = max(1, len(items) // (4 * workers))
     if workers == 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items, chunksize=chunksize))

@@ -1,19 +1,11 @@
 """Randomised search for hard (oblivious) instances."""
 
-from .hardening import InstanceSearch, SearchOutcome, certified_ratio
-from .mutators import (
-    aligned_mutator,
-    aligned_sampler,
-    general_mutator,
-    general_sampler,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "InstanceSearch",
-    "SearchOutcome",
-    "certified_ratio",
-    "aligned_sampler",
-    "aligned_mutator",
-    "general_sampler",
-    "general_mutator",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".hardening": ("InstanceSearch", "SearchOutcome", "certified_ratio"),
+    ".mutators": (
+        "aligned_sampler", "aligned_mutator", "general_sampler",
+        "general_mutator",
+    ),
+})

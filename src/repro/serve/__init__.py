@@ -30,61 +30,21 @@ See ``docs/serving.md`` for the protocol spec and lifecycle, and
 ``docs/testing.md`` for the chaos-testing story built on these seams.
 """
 
-from .batcher import MicroBatcher
-from .client import PlacementClient
-from .loadgen import WORKLOADS, LoadReport, make_workload, run_loadgen
-from .protocol import (
-    ERROR_CODES,
-    OPS,
-    PROTOCOL_VERSION,
-    RETRYABLE_ERROR_CODES,
-    ProtocolError,
-    Request,
-    error_reply,
-    ok_reply,
-    parse_request,
-)
-from .server import PlacementServer, ServeConfig
-from .shard import HashRing, PlacementShard, stable_hash
-from .telemetry import (
-    BATCH_SIZE_EDGES,
-    PHASES,
-    GatedNarrator,
-    RequestContext,
-    ServiceTelemetry,
-    ShardTelemetry,
-    render_service_prometheus,
-)
-from .transport import TcpTransport, Transport
+from .._exports import lazy_exports
 
-__all__ = [
-    "BATCH_SIZE_EDGES",
-    "ERROR_CODES",
-    "OPS",
-    "PHASES",
-    "PROTOCOL_VERSION",
-    "RETRYABLE_ERROR_CODES",
-    "GatedNarrator",
-    "HashRing",
-    "LoadReport",
-    "MicroBatcher",
-    "PlacementClient",
-    "PlacementServer",
-    "PlacementShard",
-    "ProtocolError",
-    "Request",
-    "RequestContext",
-    "ServeConfig",
-    "ServiceTelemetry",
-    "ShardTelemetry",
-    "TcpTransport",
-    "Transport",
-    "WORKLOADS",
-    "error_reply",
-    "make_workload",
-    "ok_reply",
-    "parse_request",
-    "render_service_prometheus",
-    "run_loadgen",
-    "stable_hash",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".batcher": ("MicroBatcher",),
+    ".client": ("PlacementClient",),
+    ".loadgen": ("LoadReport", "WORKLOADS", "make_workload", "run_loadgen"),
+    ".protocol": (
+        "ERROR_CODES", "OPS", "PROTOCOL_VERSION", "RETRYABLE_ERROR_CODES",
+        "ProtocolError", "Request", "error_reply", "ok_reply", "parse_request",
+    ),
+    ".server": ("PlacementServer", "ServeConfig"),
+    ".shard": ("HashRing", "PlacementShard", "stable_hash"),
+    ".telemetry": (
+        "BATCH_SIZE_EDGES", "PHASES", "GatedNarrator", "RequestContext",
+        "ServiceTelemetry", "ShardTelemetry", "render_service_prometheus",
+    ),
+    ".transport": ("TcpTransport", "Transport"),
+})

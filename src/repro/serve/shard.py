@@ -154,6 +154,10 @@ class PlacementShard:
         engine: Optional[Engine] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
+        if max_queue < 1:
+            # asyncio.Queue(0) is unbounded: overload would never be
+            # answered and memory would grow without limit
+            raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         self.shard_id = shard_id
         if engine is not None:
             self.engine = engine

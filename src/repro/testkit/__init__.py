@@ -37,33 +37,15 @@ Entry points: ``repro-dbp chaos`` (CLI sweep/replay/minimize) and
 ``tests/chaos/`` (the pytest suite).  See ``docs/testing.md``.
 """
 
-from .chaos_client import ChaosClient, ClientReport
-from .clock import SimDeadlockError, SimLoop, sim_run
-from .faults import FaultPlan, NetWindow, ShardEvent, generate_plan
-from .harness import ChaosReport, run_chaos
-from .oracle import OracleVerdict, check_oracles
-from .reference import ReferenceSim, reference_run
-from .shrink import minimize, write_artifact
-from .simnet import SimNet, SimNetPolicy
+from .._exports import lazy_exports
 
-__all__ = [
-    "ChaosClient",
-    "ChaosReport",
-    "ClientReport",
-    "FaultPlan",
-    "NetWindow",
-    "OracleVerdict",
-    "ReferenceSim",
-    "ShardEvent",
-    "SimDeadlockError",
-    "SimLoop",
-    "SimNet",
-    "SimNetPolicy",
-    "check_oracles",
-    "generate_plan",
-    "minimize",
-    "reference_run",
-    "run_chaos",
-    "sim_run",
-    "write_artifact",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".chaos_client": ("ChaosClient", "ClientReport"),
+    ".clock": ("SimDeadlockError", "SimLoop", "sim_run"),
+    ".faults": ("FaultPlan", "NetWindow", "ShardEvent", "generate_plan"),
+    ".harness": ("ChaosReport", "run_chaos"),
+    ".oracle": ("OracleVerdict", "check_oracles"),
+    ".reference": ("ReferenceSim", "reference_run"),
+    ".shrink": ("minimize", "write_artifact"),
+    ".simnet": ("SimNet", "SimNetPolicy"),
+})

@@ -1,16 +1,11 @@
 """ASCII visualisation and paper-figure regeneration."""
 
-from .ascii import render_instance, render_packing, render_rows, timeline_scale
-from .figures import figure1, figure2, figure3
-from .plots import ascii_chart
+from .._exports import lazy_exports
 
-__all__ = [
-    "render_instance",
-    "render_packing",
-    "render_rows",
-    "timeline_scale",
-    "figure1",
-    "figure2",
-    "figure3",
-    "ascii_chart",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".ascii": (
+        "render_instance", "render_packing", "render_rows", "timeline_scale",
+    ),
+    ".figures": ("figure1", "figure2", "figure3"),
+    ".plots": ("ascii_chart",),
+})

@@ -120,6 +120,17 @@ def arrive(id, arrival, departure, size, seq=None) -> Request:
                    departure=departure, size=size)
 
 
+class TestShardQueue:
+    def test_queue_is_bounded(self):
+        assert PlacementShard(0, FirstFit(), max_queue=3).queue.maxsize == 3
+
+    @pytest.mark.parametrize("max_queue", [0, -1])
+    def test_rejects_a_queue_bound_below_one(self, max_queue):
+        # asyncio.Queue(0) would be unbounded: overload never answered
+        with pytest.raises(ValueError, match="max_queue"):
+            PlacementShard(0, FirstFit(), max_queue=max_queue)
+
+
 class TestShardApply:
     @pytest.mark.parametrize("metrics", [True, False])
     def test_arrive_places_and_reports_bin(self, metrics):

@@ -40,8 +40,9 @@ class TestParallelMap:
         def broken_pool(*args, **kwargs):
             raise PermissionError("fork blocked by sandbox")
 
+        # parallel_map imports the pool class when it first needs a pool
         monkeypatch.setattr(
-            "repro.parallel.ProcessPoolExecutor", broken_pool
+            "concurrent.futures.ProcessPoolExecutor", broken_pool
         )
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
             out = parallel_map(square, [1, 2, 3], workers=4)
