@@ -516,7 +516,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="workload generator (see --list-workloads)",
     )
     loadgenp.add_argument(
-        "-n", "--items", type=int, default=1000,
+        "-n", "--items", type=_positive_int, default=1000,
         help="number of arrive requests to send",
     )
     loadgenp.add_argument(
@@ -612,7 +612,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "serve":
         return _serve(args)
     if args.command == "loadgen":
-        return _loadgen(args)
+        return _loadgen(args, loadgenp)
     if args.command == "chaos":
         return _chaos(args)
     if args.command == "run":
@@ -1120,7 +1120,7 @@ def _serve_top(args) -> int:
         return 1
 
 
-def _loadgen(args) -> int:
+def _loadgen(args, parser) -> int:
     import asyncio
     import json as _json
 
@@ -1137,7 +1137,10 @@ def _loadgen(args) -> int:
             file=sys.stderr,
         )
         return 1
-    instance = make_workload(args.workload, args.items, args.seed)
+    try:
+        instance = make_workload(args.workload, args.items, args.seed)
+    except ValueError as exc:  # too few items for the generator
+        parser.error(f"argument -n/--items: {exc}")
     try:
         report = asyncio.run(
             run_loadgen(

@@ -76,15 +76,25 @@ Frontends observe it through one hook passed at construction,
 event order.  Each callback is resolved once per attach, and one the
 listener only inherits as a :class:`KernelListener` no-op is never
 called.  The totals never depend on it: the listeners are observers
-only (the packing-metrics registry, tracing, invariant monitors), and
-the kernel reads no clock.
+only (tracing, invariant monitors), and the kernel reads no clock.
+
+Two outputs are columns instead of callbacks:
+
+- **decisions**: :meth:`~PlacementKernel.release_store` appends each
+  row's bin uid and opened flag to caller-owned columns when asked
+  (the serve shard encodes a micro-batch's replies from them);
+- **packing values**: :meth:`~PlacementKernel.log_packing` makes the
+  kernel append two values per arrival and three per close to the
+  packing-metrics registry's bounded buffers, which the registry folds
+  into its histograms (:class:`~repro.engine.metrics.EngineMetrics`).
+
+Neither costs the kernel anything per row when not asked for.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from itertools import islice
 from bisect import bisect_left, insort
 from typing import Hashable, List, Optional, Tuple
 
@@ -105,6 +115,10 @@ __all__ = [
 ]
 
 _NEG_INF = float("-inf")
+
+#: values a packing-log buffer holds before the kernel asks its owner
+#: to fold it (see :meth:`PlacementKernel.log_packing`)
+LOG_BOUND = 1024
 
 #: the clock, counters and float totals, which
 #: :meth:`PlacementKernel.export_state` keeps under these names, as written
@@ -133,6 +147,19 @@ def _rows(cols: dict) -> List[Item]:
     ]
 
 
+def _deciding(commit, put_bin, put_opened):
+    """``commit`` that also appends each placement's bin uid and opened
+    flag to a caller's decision columns."""
+
+    def deciding_commit(item, view, chosen, opened):
+        bin_ = commit(item, view, chosen, opened)
+        put_bin(bin_.uid)
+        put_opened(opened)
+        return bin_
+
+    return deciding_commit
+
+
 def _own_hook(algorithm, name: str):
     """``algorithm``'s bound ``name`` hook, or ``None`` when it is the
     :class:`~repro.algorithms.base.OnlineAlgorithm` no-op it inherits
@@ -150,10 +177,13 @@ class KernelListener:
 
     All methods are optional no-ops; the kernel calls only the ones a
     listener overrides.  The run's totals live in the kernel itself;
-    listeners such as the packing-metrics registry
-    (:class:`~repro.engine.metrics.EngineMetrics`), the tracing bridge
-    and the invariant monitors observe them.  A listener with a
-    ``bind(kernel)`` method is handed the kernel on attach.
+    listeners such as the tracing bridge and the invariant monitors
+    observe them.  A listener with a ``bind(kernel)`` method is handed
+    the kernel on attach, and one with ``unbind(kernel)`` is told when
+    :meth:`PlacementKernel.remove_listener` detaches it.  The
+    packing-metrics registry (:class:`~repro.engine.metrics.EngineMetrics`)
+    is a listener of that kind with no callbacks: it reads the kernel's
+    packing log (:meth:`PlacementKernel.log_packing`).
     """
 
     def on_advance(self, t: float) -> None:
@@ -504,6 +534,8 @@ class PlacementKernel:
         # needs them (see _make_index / _make_lanes); not run state
         self._index: Optional[OpenBinIndex] = None
         self._lanes: Optional[dict[Hashable, dict[int, Bin]]] = None
+        # the packing log (see log_packing): off until a registry binds
+        self._arrived = self._closed = self._log_full = None
         if isinstance(listener, (list, tuple)):
             listener = (
                 None
@@ -593,6 +625,9 @@ class PlacementKernel:
             and listener in self._listener.listeners
         ):
             self._listener.listeners.remove(listener)
+        unbind = getattr(listener, "unbind", None)
+        if callable(unbind):
+            unbind(self)
         self.rebind_listeners()
 
     def rebind_listeners(self) -> None:
@@ -627,6 +662,34 @@ class PlacementKernel:
         bind = getattr(listener, "bind", None)
         if callable(bind):
             bind(self)
+
+    def log_packing(self, arrived, closed, full) -> None:
+        """Append packing values to caller-owned buffers; ``None``s stop.
+
+        How the packing-metrics registry is fed
+        (:meth:`~repro.engine.metrics.EngineMetrics.bind` calls it):
+        after each arrival's commit ``arrived`` gets the chosen bin's
+        load and the open-bin count, and after each close ``closed``
+        gets the bin's items held, peak load and usage (as floats, so an
+        ``array('d')`` holds them).  Once either holds
+        :data:`LOG_BOUND` values the kernel calls ``full()``, which must
+        empty both.  A kernel logs to one pair of buffers.
+        While logging, ``_commit`` and ``_close`` are the logging
+        variants (instance attributes, which call the class's own
+        methods first); otherwise those run and the log costs nothing.
+        """
+        if arrived is None:
+            vars(self).pop("_commit", None)
+            vars(self).pop("_close", None)
+            self._arrived = self._closed = self._log_full = None
+            return
+        if self._arrived is not None and self._arrived is not arrived:
+            raise SimulationError(
+                "a kernel feeds one packing-metrics registry"
+            )
+        self._arrived, self._closed, self._log_full = arrived, closed, full
+        self._commit = self._logged_commit
+        self._close = self._logged_close
 
     def open_bin(self, tag: Hashable = None) -> Bin:
         """Called *by the algorithm inside place()* to open a fresh bin.
@@ -765,64 +828,108 @@ class PlacementKernel:
             self._on_arrival(item, bin_, opened)
         return bin_
 
-    def release_store(self, store, start: int = 0, stop: Optional[int] = None):
+    def release_store(
+        self,
+        store,
+        start: int = 0,
+        stop: Optional[int] = None,
+        bins=None,
+        opened=None,
+    ):
         """Release rows ``[start, stop)`` of an :class:`ItemStore` in order.
 
         The columnar :meth:`release`, hand-inlined straight over the
-        store's columns — no per-row method dispatch, no ``_advance``
+        window's columns — no per-row method dispatch, no ``_advance``
         call when no departure is due — returning the number of rows
-        released.  The rows are ``store.slice(start, stop)``'s, so an
-        out-of-window range raises :class:`InvalidInstanceError`.
-        Decision-for-decision identical to calling :meth:`release` on
-        each row's item.
+        released.  The range is checked as :meth:`ItemStore.slice`
+        checks it (:class:`InvalidInstanceError`), and only its rows are
+        read.  Decision-for-decision identical to calling
+        :meth:`release` on each row's item.
+
+        ``bins`` and ``opened`` (both or neither) are caller-owned
+        decision columns, such as an ``array('q')`` and a ``bytearray``:
+        each released row appends its bin's uid and whether that bin was
+        opened for it.  After a raise the columns hold exactly the rows
+        released before the raising one, so that row is ``start`` plus
+        the number of rows they gained.  A rejected row (out of order,
+        or an unknown departure for a clairvoyant algorithm) raises
+        before it touches the kernel; a row whose listener or packing
+        log raised after its placement has been placed, and
+        :attr:`arrivals` counts it.
         """
         if stop is None:
             stop = len(store)
-        arr, dep, siz, uids, lo, hi = store.slice(start, stop).columns()
+        arr, dep, siz, uids, lo, hi = store.window(start, stop)
+        if lo or hi != len(arr):
+            # copy the window out: zip over the whole columns would
+            # walk every row before ``lo``
+            arr, dep, siz, uids = (
+                arr[lo:hi], dep[lo:hi], siz[lo:hi], uids[lo:hi]
+            )
         masked = self._masked
         place = self.algorithm.place
         advance = self._advance
         commit = self._commit
+        decisions = None
+        if bins is not None:
+            # the loop's ``opened`` is each row's flag, so keep the
+            # columns and their lengths under other names
+            decisions = (bins, len(bins), opened, len(opened))
+            commit = _deciding(commit, bins.append, opened.append)
         dq = self._departures
         push = heapq.heappush
         # zip iteration over the raw columns is ~2x cheaper than
-        # per-index array reads; islice bounds it to the window
-        for arrival, d, size, uid in islice(
-            zip(arr, dep, siz, uids), lo, hi
-        ):
-            departure = d if d == d else None
-            if arrival < self.time:
-                raise SimulationError(
-                    "items must be released in arrival order: "
-                    f"{item_view(arrival, departure, size, uid)} "
-                    f"arrives at {arrival} but the clock is at {self.time}"
+        # per-index array reads
+        arrivals0, uid = self.arrivals, None
+        try:
+            for arrival, d, size, uid in zip(arr, dep, siz, uids):
+                departure = d if d == d else None
+                if arrival < self.time:
+                    raise SimulationError(
+                        "items must be released in arrival order: "
+                        f"{item_view(arrival, departure, size, uid)} "
+                        f"arrives at {arrival} but the clock is at "
+                        f"{self.time}"
+                    )
+                if departure is None and not masked:
+                    raise ClairvoyanceError(
+                        f"clairvoyant algorithm {self.algorithm!r} received "
+                        "an item with unknown departure"
+                    )
+                if dq and dq[0][0] <= arrival:
+                    advance(arrival)
+                elif arrival > self.time:  # _advance's no-departure tail
+                    if self.time != _NEG_INF:
+                        self.util_area += self.load * (arrival - self.time)
+                    if self._on_advance is not None:
+                        self._on_advance(arrival)
+                    self.time = arrival
+                item = item_view(arrival, departure, size, uid)
+                view = (
+                    item_view(arrival, None, size, uid) if masked else item
                 )
-            if departure is None and not masked:
-                raise ClairvoyanceError(
-                    f"clairvoyant algorithm {self.algorithm!r} received an "
-                    "item with unknown departure"
-                )
-            if dq and dq[0][0] <= arrival:
-                advance(arrival)
-            elif arrival > self.time:  # _advance's no-departure tail
-                if self.time != _NEG_INF:
-                    self.util_area += self.load * (arrival - self.time)
-                if self._on_advance is not None:
-                    self._on_advance(arrival)
-                self.time = arrival
-            item = item_view(arrival, departure, size, uid)
-            view = item_view(arrival, None, size, uid) if masked else item
-            chosen = place(view, self)
-            opened = self._pending_bin is not None
-            bin_ = commit(item, view, chosen, opened)
-            if departure is not None:
-                push(dq, (departure, self._seq, uid))
-                self._seq += 1
-            else:
-                self._adaptive.add(uid)
-            on_arrival = self._on_arrival
-            if on_arrival is not None:
-                on_arrival(item, bin_, opened)
+                chosen = place(view, self)
+                opened = self._pending_bin is not None
+                bin_ = commit(item, view, chosen, opened)
+                if departure is not None:
+                    push(dq, (departure, self._seq, uid))
+                    self._seq += 1
+                else:
+                    self._adaptive.add(uid)
+                on_arrival = self._on_arrival
+                if on_arrival is not None:
+                    on_arrival(item, bin_, opened)
+        except BaseException:
+            if decisions is not None:
+                # the raising row: ``uid`` is its uid; it was placed
+                # when ``arrivals`` counts it (a listener or the
+                # packing log raised after its commit)
+                row = self.arrivals - arrivals0
+                if row and (row == len(uids) or uids[row] != uid):
+                    row -= 1
+                bin_uids, n_bins, flags, n_flags = decisions
+                del bin_uids[n_bins + row:], flags[n_flags + row:]
+            raise
         return hi - lo
 
     def depart(self, uid: int, time: float) -> None:
@@ -1033,6 +1140,26 @@ class PlacementKernel:
                 members.append(item.uid)
             self._items.append(item)
         return chosen
+
+    def _logged_commit(self, item: Item, view: Item, chosen, opened: bool):
+        """:meth:`_commit`, then the arrival's two packing-log values."""
+        bin_ = type(self)._commit(self, item, view, chosen, opened)
+        log = self._arrived
+        log.append(bin_._load)
+        log.append(len(self._open))
+        if len(log) >= LOG_BOUND:
+            self._log_full()
+        return bin_
+
+    def _logged_close(self, bin_: Bin, t: float) -> None:
+        """:meth:`_close`, then the close's three packing-log values."""
+        type(self)._close(self, bin_, t)
+        log = self._closed
+        log.append(bin_.items_held)
+        log.append(bin_.peak_load)
+        log.append(t - bin_.opened_at)
+        if len(log) >= LOG_BOUND:
+            self._log_full()
 
     # ------------------------------------------------------------------ #
     # Run state (checkpointing): plain data, never the object graph

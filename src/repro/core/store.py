@@ -314,20 +314,30 @@ class ItemStore:
         allowed (the window's bounds are fixed, so it never sees the new
         rows).
         """
-        n = len(self)
+        child = object.__new__(ItemStore)
+        (child.arrivals, child.departures, child.sizes, child.uids,
+         child._start, child._stop) = self.window(start, stop)
+        child._uid_rows = None
+        return child
+
+    def window(self, start: int, stop: int):
+        """:meth:`columns` narrowed to the window-relative rows
+        ``[start, stop)``, range-checked as :meth:`slice` checks them,
+        without building the sliced store."""
+        lo = self._start
+        n = (len(self.arrivals) if self._stop is None else self._stop) - lo
         if not (0 <= start <= stop <= n):
             raise InvalidInstanceError(
                 f"slice [{start}, {stop}) out of range for {n} items"
             )
-        child = object.__new__(ItemStore)
-        child.arrivals = self.arrivals
-        child.departures = self.departures
-        child.sizes = self.sizes
-        child.uids = self.uids
-        child._start = self._start + start
-        child._stop = self._start + stop
-        child._uid_rows = None
-        return child
+        return (
+            self.arrivals,
+            self.departures,
+            self.sizes,
+            self.uids,
+            lo + start,
+            lo + stop,
+        )
 
     @property
     def is_view(self) -> bool:

@@ -23,11 +23,10 @@ construction*, not by mirroring.  What the engine layers on top:
   :class:`~repro.core.result.PackingResult` (the parity harness uses
   this; it restores the batch path's memory profile).
 - **Observability.**  The optional packing-metrics registry
-  (:class:`~repro.engine.metrics.EngineMetrics`), a tracer, an
-  invariant monitor and any other
-  :class:`~repro.core.kernel.KernelListener` ride on the kernel's
-  listener hooks; the engine itself is not a listener and reads no
-  clock.
+  (:class:`~repro.engine.metrics.EngineMetrics`, fed from the kernel's
+  packing log), a tracer, an invariant monitor and any other
+  :class:`~repro.core.kernel.KernelListener` attach to the kernel as
+  listeners; the engine itself is not a listener and reads no clock.
 
 Per-bin usage is accumulated in close order inside the kernel, so the
 final cost is bit-for-bit equal to ``simulate()``'s (the regression guard
@@ -96,9 +95,9 @@ class Engine:
         Bin capacity, as in the batch simulator.
     metrics:
         Optional :class:`~repro.engine.metrics.EngineMetrics`, attached
-        as a kernel listener.  Assigning one later
-        (``engine.metrics = ...``) attaches it from the next event on
-        and detaches the one it replaces.
+        as a kernel listener (it binds to the kernel's packing log).
+        Assigning one later (``engine.metrics = ...``) attaches it from
+        the next event on and detaches the one it replaces, folded.
     record:
         Keep full history (items, bin records, assignment) so
         :meth:`result` works.  Off by default — on, memory grows with

@@ -26,6 +26,7 @@ from ..core.instance import Instance
 from ..core.kernel import KernelListener
 from ..core.simulation import simulate
 from .loop import Engine
+from .metrics import EngineMetrics
 
 __all__ = [
     "LEGS", "Outcome", "ParityReport", "check_against_batch",
@@ -46,7 +47,9 @@ TOTALS = (
 class Outcome:
     """What one run decided, one entry per item in uid order; a total
     left ``None`` is one the caller does not have and is not compared
-    (``records``: per-bin :class:`~repro.core.bins.BinRecord` tuples)."""
+    (``records``: per-bin :class:`~repro.core.bins.BinRecord` tuples;
+    ``metrics``: a packing-metrics registry snapshot of the whole run,
+    compared exactly with the batch run's)."""
 
     bins: Sequence[Optional[int]]
     opened: Sequence[Optional[bool]]
@@ -57,6 +60,7 @@ class Outcome:
     util_area: Optional[float] = None
     bins_closed: Optional[int] = None
     records: Optional[tuple] = None
+    metrics: Optional[dict] = None
 
     @classmethod
     def of_result(cls, result, **totals) -> "Outcome":
@@ -93,9 +97,10 @@ def check_against_batch(
     ``factory()`` on ``instance``; ``listener`` (e.g. an invariant
     monitor) observes the batch run."""
     bound = _Bound()
+    metered = None if outcome.metrics is None else EngineMetrics()
     batch = simulate(
         factory(), instance, capacity=capacity,
-        listener=bound if listener is None else [bound, listener],
+        listener=[m for m in (bound, listener, metered) if m is not None],
     )
     kernel = bound.kernel
     want = Outcome.of_result(
@@ -124,7 +129,23 @@ def check_against_batch(
             problems.append(f"{name} {value!r} vs batch {expected!r}")
     if got.records is not None and tuple(got.records) != want.records:
         problems.append("per-bin records differ")
+    if metered is not None:
+        problems += _metrics_problems(got.metrics, metered.snapshot())
     return tuple(problems)
+
+
+def _metrics_problems(got: dict, want: dict) -> List[str]:
+    """One line per registry counter or histogram that differs."""
+    problems = []
+    for section in ("counters", "histograms"):
+        mine, theirs = got.get(section, {}), want[section]
+        for name in sorted(set(mine) | set(theirs)):
+            if mine.get(name) != theirs.get(name):
+                problems.append(
+                    f"metrics {section}.{name} {mine.get(name)!r} vs batch "
+                    f"{theirs.get(name)!r}"
+                )
+    return problems
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ go", shared by every frontend:
   kernel event (``repro-dbp replay --trace out.jsonl``);
 - :mod:`repro.obs.metrics` — **counters, gauges, histograms, timings**:
   the primitives behind the packing-metrics registry
-  :class:`~repro.engine.metrics.EngineMetrics` (a deterministic kernel
-  listener: batch and streaming runs of a trace snapshot identically)
+  :class:`~repro.engine.metrics.EngineMetrics` (fed from the kernel's
+  packing log: batch and streaming runs of a trace snapshot identically)
   and the serve layer's RED metrics;
 - :mod:`repro.obs.profile` — per-phase wall time / peak RSS /
   ``tracemalloc`` **profiling** (``repro-dbp run --profile``);

@@ -6,8 +6,11 @@ arrival-ordered trace must make **bit-identical decisions** to batch
 micro-batching, the queue and the shard worker may not perturb one.
 :func:`check_service_parity` serves one (algorithm, instance) cell over
 a real localhost TCP round-trip, ``advance``s past the last departure,
-and hands the replies and final ``stats`` to
-:func:`~repro.engine.parity.check_against_batch`.
+and hands the replies, the final ``stats`` and the server's merged
+packing-metrics snapshot to
+:func:`~repro.engine.parity.check_against_batch`, which compares the
+snapshot with a registry on the batch run, counters and histograms
+exactly.
 :func:`service_parity_suite` sweeps the engine sweep's cells; CI runs
 ``python -m repro.serve.parity``.
 """
@@ -43,7 +46,9 @@ async def _serve_instance(
 
     Returns the arrive replies in submission order plus the final stats
     reply (taken after advancing past the last departure, so every
-    scheduled departure has been processed and the cost is final).
+    scheduled departure has been processed and the cost is final), with
+    the server's merged packing-metrics snapshot of that moment added
+    under ``"metrics"`` (the wire reply has none).
     """
     server = PlacementServer(ServeConfig(
         shards=1, algorithm=algorithm, capacity=capacity,
@@ -66,6 +71,7 @@ async def _serve_instance(
                 max((it.departure for it in instance), default=0.0)
             )
             stats = await client.stats()
+            stats["metrics"] = server.merged_metrics().snapshot()
         finally:
             await client.aclose()
     finally:
@@ -98,7 +104,8 @@ def served_problems(
     capacity: float = 1.0,
 ) -> Tuple[str, ...]:
     """Mismatches between one shard's arrive replies (in submission
-    order, which is uid order) plus its final ``stats`` reply and batch
+    order, which is uid order) plus its final ``stats`` reply (with the
+    metrics snapshot under ``"metrics"``, when it has one) and batch
     ``simulate()``; an error reply is a mismatch too."""
     from ..parallel import _registry
 
@@ -110,6 +117,7 @@ def served_problems(
         cost=float(totals.get("cost", float("nan"))),
         max_open=int(totals.get("max_open", -1)),
         bins_opened=int(totals.get("bins_opened", -1)),
+        metrics=stats.get("metrics"),
     )
     found = check_against_batch(
         outcome, instance, _registry()[algorithm], capacity

@@ -37,6 +37,10 @@ Successful placement::
     {"ok": true, "op": "arrive", "seq": 1, "id": 7, "bin": 3,
      "opened": false, "shard": 0, "latency_us": 38.4}
 
+``latency_us`` is the shard's kernel time per request: the wall time of
+the one kernel call that placed the request's run of consecutive
+``arrive`` requests in its micro-batch, divided by the run's length.
+
 Errors carry a machine-readable code (see :data:`ERROR_CODES`) plus a
 human message; ``overloaded`` replies additionally carry
 ``retry_after`` (seconds), the service's explicit backpressure signal::
@@ -56,7 +60,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from ..core.errors import InvalidItemError
 from ..core.store import validate_item_values
@@ -73,6 +77,7 @@ __all__ = [
     "error_reply",
     "encode",
     "encode_arrive_ok",
+    "encode_arrive_oks",
     "decode",
 ]
 
@@ -465,6 +470,26 @@ def encode_arrive_ok(
         f'"bin":{bin_},"opened":{"true" if opened else "false"},'
         f'"shard":{shard},"latency_us":{latency_us!r}{traced}}}\n'
     ).encode()
+
+
+def encode_arrive_oks(
+    seqs, ids, uids, bins, opened, shard: int, latency_us: float,
+    trace: Optional[str] = None,
+) -> List[bytes]:
+    """:func:`encode_arrive_ok` of each row of parallel columns that
+    share one ``shard``, ``latency_us`` and ``trace``: a run's replies,
+    straight from its decision columns (``opened`` may hold 0/1).  The
+    same bytes, built with the shared tail formatted once."""
+    traced = "" if trace is None else (
+        f',"trace":{encode_basestring_ascii(trace)}'
+    )
+    tail = f',"shard":{shard},"latency_us":{latency_us!r}{traced}}}\n'
+    return [
+        f'{{"ok":true,"op":"arrive","seq":{seq},'
+        f'"id":{encode_basestring_ascii(id_)},"uid":{uid},'
+        f'"bin":{bin_},"opened":{"true" if fresh else "false"}{tail}'.encode()
+        for seq, id_, uid, bin_, fresh in zip(seqs, ids, uids, bins, opened)
+    ]
 
 
 def encode(obj: dict) -> bytes:

@@ -10,12 +10,18 @@ deterministic and lets the parity harness compare a single-shard server
 bit-for-bit against batch ``simulate()``.
 
 A job is one micro-batch: ``(requests, contexts, slot)``.  The worker
-runs it through :meth:`PlacementShard.apply_batch` — one loop over
-``Engine.feed`` that writes each canonical ``arrive`` ok reply straight
-to its wire bytes — and hands the list of replies to ``slot`` once
+runs it through :meth:`PlacementShard.apply_batch`, which applies each
+run of consecutive ``arrive`` requests with one
+:meth:`~repro.core.kernel.PlacementKernel.release_store` call over the
+shard's :class:`~repro.core.store.ItemStore` (refilled per run),
+encodes the replies from the kernel's decision columns (a canonical
+``arrive`` ok reply straight to its wire bytes), and hands the list of
+replies to ``slot`` once
 (``slot.done()``/``slot.set_result(replies)``, so an
-``asyncio.Future`` serves as well).  :meth:`PlacementShard.apply` is
-the one-request case, with a dict reply.
+``asyncio.Future`` serves as well).  A run of one is the kernel's
+per-item ``release``; ``depart`` and ``advance`` are applied one at a
+time.  :meth:`PlacementShard.apply` is the one-request case, with a
+dict reply.
 
 Routing uses a **consistent-hash ring** (:class:`HashRing`) over the
 request's routing key (tenant, falling back to item id), built on
@@ -40,6 +46,7 @@ import hashlib
 import json
 import pathlib
 import time as _time
+from array import array
 from bisect import bisect_right
 from functools import lru_cache, partial
 from itertools import islice
@@ -47,6 +54,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from ..core.errors import ClairvoyanceError, PackingError, SimulationError
 from ..core.item import item_view
+from ..core.store import ItemStore
 from ..engine.checkpoint import (
     Checkpoint,
     restore as restore_engine,
@@ -56,12 +64,20 @@ from ..engine.checkpoint import (
 from ..engine.loop import Engine
 from ..engine.metrics import EngineMetrics
 from ..obs.metrics import LATENCY_EDGES, Histogram
-from .protocol import Request, encode_arrive_ok, error_reply, ok_reply
+from .protocol import (
+    Request,
+    encode_arrive_ok,
+    encode_arrive_oks,
+    error_reply,
+    ok_reply,
+)
 
 __all__ = ["HashRing", "PlacementShard", "stable_hash", "ROUTE_MEMO_CAP"]
 
 #: sentinel that stops a shard worker (queue-ordered, after pending work)
 _STOP = object()
+
+_NAN = float("nan")
 
 #: bound of the ``(client, seq) → reply`` retry-dedup cache, in entries
 #: (FIFO eviction; must exceed any client's in-flight × retry window)
@@ -184,6 +200,8 @@ class PlacementShard:
         self.telemetry = None
         self._narrator = None
         self._adaptive_uids: dict[str, int] = {}  # live unknown-departure ids
+        #: a run's item columns and decision columns, reused run to run
+        self._columns = (ItemStore(), array("q"), bytearray())
         self._task: Optional[asyncio.Task] = None
         self._now = clock if clock is not None else _time.perf_counter
         #: at-most-once retry dedup: ``(client, seq) → ok reply``.  The
@@ -401,58 +419,286 @@ class PlacementShard:
         - a telemetry ``RequestContext``: a dict reply, and the
           request's queue and kernel phases are stamped on the context.
 
-        Requests carrying a ``(client, seq)`` idempotency key are applied
-        **at most once**: a resend of an already-applied request returns
-        the original ok reply verbatim instead of touching the kernel,
-        which is what makes client retries after lost acks safe.
+        Each run of consecutive ``arrive`` requests that reach the
+        kernel is one kernel call (:meth:`_run`, or :meth:`_one` for a
+        run of one); a traced request is a run of one.  Requests
+        carrying a ``(client, seq)`` idempotency key are applied **at
+        most once**: a resend of an already-applied request returns the
+        original ok reply verbatim instead of touching the kernel, which
+        is what makes client retries after lost acks safe.
         """
         replies = []
         now = self._now
-        applied = 0  # once the shard fail-stops, the rest are refused
-        for i, req in enumerate(reqs):
-            if self.crashed:  # fail-stopped mid-batch
-                replies.append(self._unavailable(req))
-                continue
+        n = len(reqs)
+        i = 0  # requests applied; once the shard fail-stops, the rest are refused
+        while i < n and not self.crashed:
+            left = self._crash_after_applies
+            stop = n if left is None else min(n, i + left)
             ctx = None if ctxs is None else ctxs[i]
             if ctx is None or type(ctx) is float:
-                reply = self._apply(req, ctx is not None)
-            else:  # a telemetry RequestContext rides with the request
+                j, canonical = self._run_end(reqs, ctxs, i, stop)
+                if j == i:  # answered without the kernel
+                    replies.append(self._apply(reqs[i]))
+                    j, canonical = i + 1, False
+                elif j == i + 1:
+                    replies.append(
+                        self._one(reqs[i], ctx is not None, canonical)
+                    )
+                else:
+                    self._run(reqs, ctxs, i, j, canonical, replies)
+            else:  # a telemetry RequestContext: a run of one, stamped
                 ctx.t_dequeued = now()
                 narrator = self._narrator
                 if narrator is not None and ctx.sampled:
                     narrator.active = True
                 ctx.t_kernel0 = now()
-                reply = self._apply(req, False)
+                j = i + 1
+                canonical = False
+                if self._run_end(reqs, None, i, j)[0] == i:
+                    replies.append(self._apply(reqs[i]))
+                else:
+                    replies.append(self._one(reqs[i], False, False))
                 ctx.t_kernel1 = now()
                 if narrator is not None:
                     narrator.active = False
-            if ctx is not None and type(reply) is dict:
-                reply.setdefault("shard", self.shard_id)
-            replies.append(reply)
-            applied += 1
-            if self._crash_after_applies is not None:
-                self._crash_after_applies -= 1
-                if self._crash_after_applies <= 0:
-                    self._crash_after_applies = None
+            if ctxs is not None and not canonical:
+                for reply in islice(replies, i, j):
+                    if type(reply) is dict:
+                        reply.setdefault("shard", self.shard_id)
+            if left is not None:
+                left -= j - i
+                self._crash_after_applies = left if left > 0 else None
+                if left <= 0:
                     self._fail_stop()
-        if ctxs is not None and applied:
+            i = j
+        if i < n:
+            replies += [self._unavailable(req) for req in islice(reqs, i, n)]
+        if ctxs is not None and i:
             t_done = now()
             observe = self.request_latency.observe
-            for ctx in islice(ctxs, applied):
+            for ctx in islice(ctxs, i):
                 observe(t_done - (ctx if type(ctx) is float else ctx.t_recv))
         return replies
 
-    def _apply(self, req: Request, wire: bool):
+    def _run(self, reqs, ctxs, i: int, j: int, canonical: bool,
+             replies: list) -> None:
+        """Apply ``reqs[i:j]``, a run of ``arrive`` requests that reach
+        the kernel (:meth:`_run_end`), with one ``release_store`` over
+        the shard's columns, and append their replies.
+
+        A row that raises gets its error reply, the rows before it
+        stand, and the run resumes after it.  Each reply's
+        ``latency_us`` is the run's kernel time divided by its rows.
+        """
+        run = reqs[i:j]
+        m = j - i
+        kernel = self.engine.kernel
+        base = kernel.arrivals  # uids are sequential per shard
+        # the shard's own columns, refilled per run (parse_request
+        # already validated the values)
+        store, bins, opened = self._columns
+        arr, dep, siz, uids = (
+            store.arrivals, store.departures, store.sizes, store.uids
+        )
+        del arr[:], dep[:], siz[:], uids[:], bins[:], opened[:]
+        try:
+            for req in run:
+                arr.append(req.arrival)
+                d = req.departure
+                dep.append(_NAN if d is None else d)
+                siz.append(req.size)
+        except (TypeError, ValueError, OverflowError):
+            # a hand-built request the columns cannot hold: apply the
+            # rows alone, which refuses the culprit
+            for r, req in enumerate(run):
+                replies.append(self._one(
+                    req, ctxs is not None and type(ctxs[i + r]) is float,
+                    False,
+                ))
+            return
+        uids.extend(range(base, base + m))
+        failed = {}  # run row -> its error reply (the clock as it was)
+        now = self._now
+        t0 = now()
+        k = 0
+        while k < m:
+            done, placed = len(bins), kernel.arrivals
+            try:
+                kernel.release_store(store, k, m, bins, opened)
+                break
+            except Exception as exc:  # noqa: BLE001 - answered per row
+                k += len(bins) - done  # the row that raised
+                if kernel.arrivals - placed > len(bins) - done:
+                    # placed, then a listener raised: its uid is spent
+                    failed[k] = self._internal(run[k], exc)
+                else:  # untouched: the later rows move up a uid
+                    failed[k] = self._rejection(run[k], exc)
+                    for r in range(k + 1, m):
+                        uids[r] -= 1
+                k += 1
+        latency = round(1e6 * (now() - t0) / m, 3)
+        self.accepted += m - len(failed)
+        self.rejected += len(failed)
+        if canonical and not failed:  # the served common case
+            replies += encode_arrive_oks(
+                [req.seq for req in run], [req.id for req in run],
+                uids, bins, opened, self.shard_id, latency,
+            )
+            return
+        wire = ctxs is not None
+        d = 0  # decision row
+        for r, req in enumerate(run):
+            if failed and r in failed:
+                replies.append(failed[r])
+                continue
+            replies.append(self._arrive_ok(
+                req, uids[r], bins[d], opened[d] == 1, latency,
+                wire and type(ctxs[i + r]) is float,
+            ))
+            d += 1
+
+    def _one(self, req: Request, wire: bool, canonical: bool):
+        """Apply one ``arrive`` that reaches the kernel (a run of one)
+        with the kernel's per-item ``release``, which costs less than a
+        ``release_store`` call for one row.  ``canonical`` as
+        :meth:`_run_end` says it."""
+        kernel = self.engine.kernel
+        uid = kernel.arrivals  # sequential per shard
+        opened_before = kernel.bins_opened
+        now = self._now
+        t0 = now()
+        try:
+            bin_ = kernel.release(
+                item_view(req.arrival, req.departure, req.size, uid)
+            )
+        except Exception as exc:  # noqa: BLE001 - never kills the worker
+            self.rejected += 1
+            if kernel.arrivals != uid:  # placed, then a listener raised
+                return self._internal(req, exc)
+            return self._rejection(req, exc)
+        latency = round(1e6 * (now() - t0), 3)
+        self.accepted += 1
+        opened = kernel.bins_opened != opened_before
+        if canonical:
+            return encode_arrive_ok(req.seq, req.id, uid, bin_.uid, opened,
+                                    self.shard_id, latency)
+        return self._arrive_ok(req, uid, bin_.uid, opened, latency, wire)
+
+    def _arrive_ok(self, req: Request, uid: int, bin_: int, opened: bool,
+                   latency: float, wire: bool):
+        """The ok reply of a placed ``arrive``: its wire bytes when
+        ``wire`` and canonical, else a dict (cached for resends when the
+        request carries a dedup key)."""
+        if req.departure is None:
+            self._adaptive_uids[req.id] = uid
+        seq = req.seq
+        keyed = self.dedup_enabled and req.client is not None \
+            and seq is not None
+        if wire and not keyed and type(seq) is int:
+            return encode_arrive_ok(seq, req.id, uid, bin_, opened,
+                                    self.shard_id, latency)
+        reply = ok_reply(
+            "arrive",
+            seq=seq,
+            id=req.id,
+            uid=uid,  # per-shard apply order — the chaos oracle's key
+            bin=bin_,
+            opened=opened,
+            shard=self.shard_id,
+            latency_us=latency,
+        )
+        if keyed:
+            self._remember((req.client, seq), reply)
+        return reply
+
+    def _run_end(self, reqs, ctxs, i: int, stop: int):
+        """Where the kernel run starting at ``reqs[i]`` ends, and whether
+        every row of it gets a canonical wire reply (served, int
+        ``seq``, no dedup key, a known departure).
+
+        It ends (before ``stop``) at a request that is not an
+        ``arrive``, carries a telemetry context, or is answered without
+        the kernel: a dedup hit or a live adaptive id, or a dedup key or
+        adaptive id an earlier row of the run may make one.
+        """
+        cache = self._applied if self.dedup_enabled else None
+        live = self._adaptive_uids
+        keys = ids = None
+        canonical = ctxs is not None
+        j = i
+        while j < stop:
+            req = reqs[j]
+            if req.op != "arrive":
+                break
+            if ctxs is not None:
+                ctx = ctxs[j]
+                if type(ctx) is not float:
+                    if ctx is not None:
+                        break
+                    canonical = False
+                if type(req.seq) is not int:
+                    canonical = False
+            if req.client is not None and req.seq is not None \
+                    and cache is not None:
+                key = (req.client, req.seq)
+                if key in cache or (keys is not None and key in keys):
+                    break
+                if keys is None:
+                    keys = set()
+                keys.add(key)
+            if req.departure is None:
+                if req.id in live or (ids is not None and req.id in ids):
+                    break
+                if ids is None:
+                    ids = set()
+                ids.add(req.id)
+            j += 1
+        return j, canonical and keys is None and ids is None
+
+    def _rejection(self, req: Request, exc: Exception) -> dict:
+        """The error reply of an ``arrive`` the kernel refused."""
+        if isinstance(exc, ClairvoyanceError):
+            # an adaptive item needs a non-clairvoyant algorithm — a
+            # client mistake, not a server fault
+            return error_reply(
+                "bad-item", str(exc),
+                seq=req.seq, id=req.id, shard=self.shard_id,
+            )
+        if isinstance(exc, SimulationError):
+            return error_reply(
+                "out-of-order", str(exc),
+                seq=req.seq, id=req.id, shard=self.shard_id,
+                clock=self._clock(),
+            )
+        return self._internal(req, exc)
+
+    def _internal(self, req: Request, exc: Exception) -> dict:
+        return error_reply("internal", f"{type(exc).__name__}: {exc}",
+                           seq=req.seq, shard=self.shard_id)
+
+    def _remember(self, key: tuple, reply: dict) -> None:
+        """Cache ``reply`` for resends of ``key`` (FIFO eviction)."""
+        if len(self._applied) >= _DEDUP_CAP:
+            self._applied.pop(next(iter(self._applied)))
+        self._applied[key] = reply
+
+    def _apply(self, req: Request) -> dict:
+        """Answer one request that is not part of a kernel run."""
         key = req.dedup_key if self.dedup_enabled else None
         if key is not None:
             cached = self._applied.get(key)
             if cached is not None:
                 return cached
-            wire = False  # the dedup cache keeps dict replies
         try:
-            if req.op == "arrive":
-                reply = self._arrive(req, wire)
-            elif req.op == "depart":
+            if req.op == "arrive":  # _run declined it: a live adaptive id
+                self.rejected += 1
+                return error_reply(
+                    "duplicate-id",
+                    f"adaptive item id {req.id!r} is still active on "
+                    "this shard",
+                    seq=req.seq, id=req.id, shard=self.shard_id,
+                )
+            if req.op == "depart":
                 reply = self._depart(req)
             elif req.op == "advance":
                 reply = self._advance(req)
@@ -460,63 +706,10 @@ class PlacementShard:
                 raise PackingError(f"op {req.op!r} is not a shard op")
         except Exception as exc:  # a bad request must never kill the worker
             self.rejected += 1
-            return error_reply("internal", f"{type(exc).__name__}: {exc}",
-                               seq=req.seq, shard=self.shard_id)
+            return self._internal(req, exc)
         if key is not None and reply.get("ok", False):
-            if len(self._applied) >= _DEDUP_CAP:  # FIFO eviction
-                self._applied.pop(next(iter(self._applied)))
-            self._applied[key] = reply
+            self._remember(key, reply)
         return reply
-
-    def _arrive(self, req: Request, wire: bool):
-        if req.departure is None and req.id in self._adaptive_uids:
-            self.rejected += 1
-            return error_reply(
-                "duplicate-id",
-                f"adaptive item id {req.id!r} is still active on this shard",
-                seq=req.seq, id=req.id, shard=self.shard_id,
-            )
-        kernel = self.engine.kernel
-        uid = kernel.arrivals  # sequential per shard
-        # parse_request already validated these values
-        item = item_view(req.arrival, req.departure, req.size, uid)
-        opened_before = kernel.bins_opened
-        t0 = self._now()
-        try:
-            bin_ = self.engine.feed(item)
-        except ClairvoyanceError as exc:
-            # an adaptive item needs a non-clairvoyant algorithm — a
-            # client mistake, not a server fault
-            self.rejected += 1
-            return error_reply(
-                "bad-item", str(exc),
-                seq=req.seq, id=req.id, shard=self.shard_id,
-            )
-        except SimulationError as exc:
-            self.rejected += 1
-            return error_reply(
-                "out-of-order", str(exc),
-                seq=req.seq, id=req.id, shard=self.shard_id,
-                clock=self._clock(),
-            )
-        if req.departure is None:
-            self._adaptive_uids[req.id] = uid
-        self.accepted += 1
-        latency = round(1e6 * (self._now() - t0), 3)
-        opened = kernel.bins_opened != opened_before
-        if wire and type(req.seq) is int:
-            return encode_arrive_ok(req.seq, req.id, uid, bin_.uid, opened,
-                                    self.shard_id, latency)
-        return ok_reply(
-            "arrive",
-            seq=req.seq,
-            id=req.id,
-            uid=uid,  # per-shard apply order — the chaos oracle's key
-            bin=bin_.uid,
-            opened=opened,
-            shard=self.shard_id,
-            latency_us=latency,
-        )
 
     def _depart(self, req: Request) -> dict:
         uid = self._adaptive_uids.get(req.id)

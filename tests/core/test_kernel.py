@@ -9,6 +9,7 @@ guarantee the refactor exists for.
 
 import inspect
 import random
+from array import array
 
 import pytest
 
@@ -168,6 +169,100 @@ class TestReleaseStoreWindow:
         k = PlacementKernel(FirstFit(), record=True)
         assert k.release_store(view, 1) == 2
         assert [it.uid for it in k.finish().items] == [3, 4]
+
+    @pytest.mark.parametrize("how", ["range", "view", "engine"])
+    def test_reads_only_the_window_rows(self, how):
+        # a window at offset lo must not walk the lo rows before it
+        store = self._root()
+        read = set()
+        for name in ("arrivals", "departures", "sizes", "uids"):
+            setattr(store, name, _SpyColumn(getattr(store, name), read))
+        if how == "range":
+            PlacementKernel(FirstFit()).release_store(store, 6, 9)
+        elif how == "view":
+            PlacementKernel(FirstFit()).release_store(store.slice(6, 9))
+        else:
+            Engine(FirstFit()).feed_store(store, 6, 9)
+        assert read == {6, 7, 8}
+
+
+class _SpyColumn(array):
+    """A column that records every row index read from it."""
+
+    def __new__(cls, column, read):
+        spy = super().__new__(cls, column.typecode, column)
+        spy.read = read
+        return spy
+
+    def __iter__(self):
+        for j in range(len(self)):
+            self.read.add(j)
+            yield super().__getitem__(j)
+
+    def __getitem__(self, key):
+        rows = range(len(self))[key]
+        self.read.update([rows] if isinstance(rows, int) else rows)
+        return super().__getitem__(key)
+
+
+class TestDecisionColumns:
+    """``release_store``'s optional bin-uid and opened-flag columns."""
+
+    def test_columns_match_release(self):
+        inst = uniform_random(300, 16, seed=4)
+        boxed = PlacementKernel(HybridAlgorithm())
+        want = []
+        for it in inst:
+            before = boxed.bins_opened
+            want.append((boxed.release(it).uid, boxed.bins_opened > before))
+        k = PlacementKernel(HybridAlgorithm())
+        bins, opened = array("q"), bytearray()
+        assert k.release_store(inst.store, 0, 120, bins, opened) == 120
+        k.release_store(inst.store, 120, None, bins, opened)
+        assert list(zip(bins, map(bool, opened))) == want
+
+    def test_rejected_row_leaves_the_rows_before_it(self):
+        store = ItemStore()
+        for a in (0.0, 1.0, 0.5, 2.0):  # row 2 is out of order
+            store.append(a, a + 4.0, 0.4, uid=int(2 * a))
+        k = PlacementKernel(FirstFit())
+        bins, opened = array("q"), bytearray()
+        with pytest.raises(SimulationError, match="arrival order"):
+            k.release_store(store, 0, 4, bins, opened)
+        assert list(bins) == [0, 0] and list(opened) == [1, 0]
+        assert k.arrivals == 2 and k.time == 1.0
+        k.release_store(store, 3, 4, bins, opened)
+        assert list(bins) == [0, 0, 1] and list(opened) == [1, 0, 1]
+
+    def test_a_listener_raising_after_placement(self):
+        # the raising row was placed (arrivals counts it), but the
+        # columns keep only the rows before it
+        class Raises(KernelListener):
+            def on_arrival(self, item, bin_, opened):
+                if item.uid == 2:
+                    raise RuntimeError("refused")
+
+        store = ItemStore()
+        for a in range(5):
+            store.append(float(a), a + 4.0, 0.4, uid=a)
+        k = PlacementKernel(FirstFit(), listener=Raises())
+        bins, opened = array("q"), bytearray()
+        with pytest.raises(RuntimeError, match="refused"):
+            k.release_store(store, 0, 5, bins, opened)
+        assert len(bins) == len(opened) == 2 and k.arrivals == 3
+        k.release_store(store, 3, 5, bins, opened)
+        assert len(bins) == len(opened) == 4 and k.arrivals == 5
+
+    def test_no_columns_no_wrapper(self, monkeypatch):
+        # without decision columns the loop calls the kernel's own commit
+        import repro.core.kernel as kernel_mod
+
+        def refuse(*args):
+            raise AssertionError("decision wrapper built")
+
+        monkeypatch.setattr(kernel_mod, "_deciding", refuse)
+        k = PlacementKernel(FirstFit())
+        assert k.release_store(uniform_random(20, 4, seed=1).store) == 20
 
 
 # ---------------------------------------------------------------------- #

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import asyncio
 
+import pytest
+
+import repro.serve.shard as shard_module
+from repro.engine.metrics import EngineMetrics
 from repro.engine.parity import (
     ALIGNED_ALGORITHMS,
     GENERAL_ALGORITHMS,
@@ -96,3 +100,37 @@ class TestReport:
         problems = served_problems(replies, stats, "FirstFit", inst)
         assert any("1 bin decisions differ (first: item 7" in p
                    for p in problems), problems
+
+
+class DropsLastClose(EngineMetrics):
+    """A registry whose fold loses the last close it has buffered."""
+
+    def fold(self):
+        del self._closed[-3:]
+        super().fold()
+
+
+class TestMetricsGate:
+    """Serve parity compares the served registry with a batch one."""
+
+    def test_served_snapshot_is_compared(self):
+        inst = uniform_random(60, 8.0, seed=6)
+        replies, stats = _served("HybridAlgorithm", inst)
+        assert stats["metrics"]["counters"]["arrivals"] == 60
+        assert served_problems(replies, stats, "HybridAlgorithm", inst) == ()
+        stats["metrics"]["counters"]["bins_closed"] += 1
+        problems = served_problems(replies, stats, "HybridAlgorithm", inst)
+        assert any(p.startswith("metrics counters.bins_closed")
+                   for p in problems), problems
+
+    @pytest.mark.parametrize("batch", [(1, 0.0), (16, 0.0005)])
+    def test_fold_dropping_its_last_close_fails(self, batch, monkeypatch):
+        monkeypatch.setattr(shard_module, "EngineMetrics", DropsLastClose)
+        inst = uniform_random(80, 8.0, seed=7)
+        report = check_service_parity(
+            "FirstFit", inst, workload="uniform",
+            batch_max=batch[0], batch_delay=batch[1],
+        )
+        assert not report.ok
+        assert any(p.startswith("metrics histograms.bin_occupancy")
+                   for p in report.problems), report.problems

@@ -20,6 +20,7 @@ from repro.serve.protocol import (
     decode,
     encode,
     encode_arrive_ok,
+    encode_arrive_oks,
     error_reply,
     ok_reply,
     parse_request,
@@ -347,6 +348,19 @@ class TestEncodeMatchesJsonDumps:
         fields["id_"] = fields.pop("id")
         fields["bin_"] = fields.pop("bin")
         assert encode_arrive_ok(**fields) == reference_encode(reply)
+
+    @given(st.lists(arrive_replies(), max_size=6), ints, latencies)
+    def test_encode_arrive_oks_writes_a_run(self, replies, shard, latency):
+        # one run's replies share their shard and latency; ``opened``
+        # comes as the kernel's 0/1 decision column
+        for reply in replies:
+            reply.update(shard=shard, latency_us=latency)
+        columns = [[r[k] for r in replies]
+                   for k in ("seq", "id", "uid", "bin")]
+        opened = bytearray(r["opened"] for r in replies)
+        assert encode_arrive_oks(*columns, opened, shard, latency) == [
+            reference_encode(r) for r in replies
+        ]
 
     @given(off_template_replies())
     def test_bent_arrive_replies(self, reply):

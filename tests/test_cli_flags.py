@@ -51,3 +51,23 @@ def test_bad_numeric_flag_is_a_usage_error(argv, capsys):
 def test_zero_and_positive_values_still_parse(argv, capsys):
     assert main(argv) == 0
     assert "cost=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("items", ["0", "1", "-5"])
+def test_loadgen_too_few_items_is_a_usage_error(items):
+    # -n 1 passes the flag's own check but not the default (uniform)
+    # generator's; it must not end in a traceback either
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "loadgen", "--port", "1",
+         "-n", items],
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": str(src), "PATH": ""},
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert errors == [errors[0]] and "argument -n/--items" in errors[0]
