@@ -121,7 +121,8 @@ def _child(mode: str, trace: str) -> None:
         release = kernel.release
         for item in items:
             release(item)
-        result = kernel.finish()
+        kernel.drain()
+        result = kernel.result()
         items_n, cost = len(result.items), result.cost
     elif mode in ("columnar", "linear"):  # shipping path
         from repro.core.simulation import simulate

@@ -49,7 +49,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "load_csv", "dump_jsonl", "load_jsonl",
     ),
     ".engine": (
-        "Engine", "EngineSummary", "EngineMetrics", "replay", "open_trace",
+        "Engine", "EngineSummary", "EngineMetrics", "open_trace",
         "save_checkpoint", "load_checkpoint",
     ),
 })

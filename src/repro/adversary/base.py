@@ -5,9 +5,9 @@ runs, reacting to the algorithm's observable state (its open bins).  This
 is exactly the model behind the paper's lower bound (Theorem 4.3): "release
 a prefix of σ*_t and stop as soon as ON opens √log μ bins".
 
-Adversaries drive a recording :class:`~repro.core.kernel.PlacementKernel`
-directly — the same kernel behind both the batch simulator and the
-streaming engine, exposing the full
+Adversaries drive an :class:`~repro.core.simulation.IncrementalSimulation`
+— a recording :class:`~repro.core.kernel.PlacementKernel`, the same kernel
+behind both the batch simulator and the streaming engine, exposing the full
 :class:`~repro.algorithms.base.SimulationView` surface plus
 ``release``/``depart``/``run_until`` — and return an
 :class:`AdversaryOutcome` bundling the algorithm's audited result with the
@@ -67,9 +67,9 @@ class AdaptiveAdversary(ABC):
     def run(self, algorithm, *, capacity: float = 1.0, verify: bool = True
             ) -> AdversaryOutcome:
         """Play against ``algorithm`` and return the audited outcome."""
-        from ..core.kernel import PlacementKernel
+        from ..core.simulation import IncrementalSimulation
 
-        sim = PlacementKernel(algorithm, capacity=capacity, record=True)
+        sim = IncrementalSimulation(algorithm, capacity=capacity)
         self.drive(sim)
         result = sim.finish()
         if verify:

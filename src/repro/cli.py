@@ -86,6 +86,18 @@ def _ledger_dir(args):
     return resolve_ledger_dir(getattr(args, "ledger_dir", None))
 
 
+def _algorithm_class(name: str):
+    """The registered algorithm class ``name``, or ``None`` after one
+    ``unknown algorithm`` line on stderr."""
+    from .parallel import ALGORITHM_REGISTRY, _registry
+
+    cls = _registry().get(name)
+    if cls is None:
+        print(f"unknown algorithm {name!r}; options: "
+              + ", ".join(ALGORITHM_REGISTRY), file=sys.stderr)
+    return cls
+
+
 def _add_ledger_flags(parser) -> None:
     parser.add_argument(
         "--ledger-dir", metavar="DIR", default=None,
@@ -638,7 +650,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _pack(args) -> int:
-    from .parallel import ALGORITHM_REGISTRY, _registry
+    from .parallel import ALGORITHM_REGISTRY
 
     if args.list_algorithms:
         for name in ALGORITHM_REGISTRY:
@@ -648,13 +660,8 @@ def _pack(args) -> int:
         print("pack: a CSV path is required (or --list-algorithms)",
               file=sys.stderr)
         return 1
-    registry = _registry()
-    if args.algorithm not in registry:
-        print(
-            f"unknown algorithm {args.algorithm!r}; options: "
-            + ", ".join(ALGORITHM_REGISTRY),
-            file=sys.stderr,
-        )
+    algorithm = _algorithm_class(args.algorithm)
+    if algorithm is None:
         return 1
     from .core.errors import InvalidInstanceError
     from .core.simulation import simulate
@@ -667,7 +674,7 @@ def _pack(args) -> int:
     except (InvalidInstanceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    result = simulate(registry[args.algorithm](), instance,
+    result = simulate(algorithm(), instance,
                       capacity=args.capacity, indexed=not args.no_index)
     audit(result)
     st = instance.stats
@@ -726,20 +733,14 @@ def _replay(args) -> int:
         open_trace,
         save_checkpoint,
     )
-    from .parallel import ALGORITHM_REGISTRY, _registry
 
-    registry = _registry()
-    if args.algorithm not in registry:
-        print(
-            f"unknown algorithm {args.algorithm!r}; options: "
-            + ", ".join(ALGORITHM_REGISTRY),
-            file=sys.stderr,
-        )
+    algorithm = _algorithm_class(args.algorithm)
+    if algorithm is None:
         return 1
 
     tracer = None
     if args.trace_out:
-        from .obs import DEFAULT_CAPACITY, Tracer
+        from .obs import DEFAULT_CAPACITY, Tracer, TracingListener
 
         tracer = Tracer(args.trace_capacity or DEFAULT_CAPACITY)
     profiler = None
@@ -770,6 +771,17 @@ def _replay(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if engine is not None:
+        # --verify, the invariant monitor and the ledger read -a and
+        # --capacity, so they must name the run the checkpoint holds
+        held, cap = type(engine.algorithm), engine.capacity
+        if held is not algorithm or cap != args.capacity:
+            print(
+                f"error: {args.resume} holds a {held.__name__} run at "
+                f"capacity {cap:g}; resume it with -a {held.__name__} "
+                f"--capacity {cap:g}",
+                file=sys.stderr,
+            )
+            return 2
         if args.verify and not engine.record:
             print(
                 "--verify needs a checkpoint taken from a --verify run "
@@ -781,18 +793,18 @@ def _replay(args) -> int:
             engine.metrics = metrics
         metrics = engine.metrics
         if tracer is not None:
-            engine.attach_tracer(tracer)
+            engine.add_listener(TracingListener(tracer))
         if monitor is not None:
             engine.invariants = monitor
-            engine.attach_listener(monitor)
-        skip = engine.kernel.arrivals
+            engine.add_listener(monitor)
+        skip = engine.arrivals
         print(
             f"resumed from {args.resume}: {skip} items already fed, "
             f"t={engine.time:g}, cost so far {engine.cost_so_far:g}"
         )
     else:
         engine = Engine(
-            registry[args.algorithm](),
+            algorithm(),
             capacity=args.capacity,
             metrics=metrics,
             record=args.verify,
@@ -856,7 +868,7 @@ def _replay(args) -> int:
     elapsed = _time.perf_counter() - t0
     profile_info = _finish_sampler(sampler, args, f"{args.trace}.prof.json")
 
-    events = summary.items + engine.kernel.departures
+    events = summary.items + engine.departures
     rate = events / elapsed if elapsed > 0 else float("inf")
     print(
         f"{args.trace}: {summary.items} items replayed "
@@ -900,7 +912,7 @@ def _replay(args) -> int:
             config={
                 "capacity": args.capacity,
                 "limit": args.limit,
-                "indexed": not args.no_index,
+                "indexed": engine.indexed,
                 "format": args.format,
                 "resumed": bool(args.resume),
             },
@@ -919,7 +931,7 @@ def _replay(args) -> int:
         problems = check_against_batch(
             Outcome.of_run(streamed, summary),
             Instance(list(streamed.items), reassign_uids=False),
-            registry[args.algorithm],
+            algorithm,
             args.capacity,
         )
         if problems:
@@ -936,17 +948,11 @@ def _replay(args) -> int:
 def _serve(args) -> int:
     import asyncio
 
-    from .parallel import ALGORITHM_REGISTRY, _registry
     from .serve import PlacementServer, ServeConfig
 
     if args.mode == "top":
         return _serve_top(args)
-    if args.algorithm not in _registry():
-        print(
-            f"unknown algorithm {args.algorithm!r}; options: "
-            + ", ".join(ALGORITHM_REGISTRY),
-            file=sys.stderr,
-        )
+    if _algorithm_class(args.algorithm) is None:
         return 1
     config = ServeConfig(
         host=args.host,
@@ -984,7 +990,7 @@ def _serve(args) -> int:
         gc.set_threshold(50_000, 50, 50)
         resumed = [
             s.shard_id for s in server.shards
-            if s.engine.kernel.arrivals > 0
+            if s.engine.arrivals > 0
         ]
         print(
             f"serving {config.algorithm} on {config.host}:{server.port} "

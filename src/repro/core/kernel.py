@@ -1,14 +1,14 @@
 """The placement kernel: single owner of all packing-simulation state.
 
-Every frontend that drives an online algorithm — the batch
-:func:`~repro.core.simulation.simulate`, the incremental
+Every frontend that drives an online algorithm runs one
+:class:`PlacementKernel`: the batch
+:func:`~repro.core.simulation.simulate` builds one, and the incremental
 :class:`~repro.core.simulation.IncrementalSimulation` used by the
-Section-4 adaptive adversaries (a recording kernel subclass), and the
-streaming :class:`~repro.engine.loop.Engine` — runs one
-:class:`PlacementKernel`.  Arrivals enter through exactly two doors:
-:meth:`~PlacementKernel.release` for one boxed item and
-:meth:`~PlacementKernel.release_store` for a columnar window.  The
-kernel owns, in one place:
+Section-4 adaptive adversaries and the streaming
+:class:`~repro.engine.loop.Engine` are kernel subclasses.  Arrivals
+enter through exactly two doors: :meth:`~PlacementKernel.release` for
+one boxed item and :meth:`~PlacementKernel.release_store` for a columnar
+window.  The kernel owns, in one place:
 
 - the **open-bin table** (insertion order = opening order = first-fit
   order) and the **pending-bin open/commit protocol** that validates
@@ -68,8 +68,9 @@ their own.  The Any-Fit queries on ``sim`` (:meth:`first_fit`,
 
 The kernel hands itself to ``algorithm.place(view, sim)`` and the notify
 hooks: it satisfies the :class:`~repro.algorithms.base.SimulationView`
-protocol, and :class:`~repro.core.simulation.IncrementalSimulation` is a
-kernel subclass, so ``sim`` is always the object the caller built.
+protocol, and both :class:`~repro.core.simulation.IncrementalSimulation`
+and :class:`~repro.engine.loop.Engine` are kernel subclasses, so ``sim``
+is always the object the caller built.
 Frontends observe it through one hook passed at construction,
 ``listener``, which receives ``on_advance`` / ``on_open`` /
 ``on_arrival`` / ``on_departure`` / ``on_close`` callbacks in exact
@@ -998,11 +999,6 @@ class PlacementKernel:
             departed_at=dict(self._departed_at),
             capacity=self.capacity,
         )
-
-    def finish(self) -> PackingResult:
-        """:meth:`drain` then :meth:`result` — the batch-style ending."""
-        self.drain()
-        return self.result()
 
     # ------------------------------------------------------------------ #
     # Internals — the one copy of the event semantics

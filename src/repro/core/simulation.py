@@ -16,9 +16,9 @@ at equal ``t``, release-order tie-breaks, bin-closes-when-empty,
 clairvoyance masking, the pending-bin commit protocol — live in
 :class:`~repro.core.kernel.PlacementKernel`; ``IncrementalSimulation`` is
 that kernel with recording switched on, and ``simulate`` drives a
-recording kernel through one instance.  The streaming engine
-(:mod:`repro.engine.loop`) wraps the *same* kernel, so batch/stream parity
-holds by construction.
+recording kernel through one instance.  The streaming
+:class:`~repro.engine.loop.Engine` is another subclass of the *same*
+kernel, so batch/stream parity holds by construction.
 """
 
 from __future__ import annotations
@@ -78,6 +78,11 @@ class IncrementalSimulation(PlacementKernel):
             listener=listener,
         )
 
+    def finish(self) -> PackingResult:
+        """:meth:`drain` then :meth:`result` — the batch-style ending."""
+        self.drain()
+        return self.result()
+
 
 def simulate(
     algorithm,
@@ -108,7 +113,8 @@ def simulate(
         release = kernel.release
         for item in instance:
             release(item)
-    return kernel.finish()
+    kernel.drain()
+    return kernel.result()
 
 
 def simulate_many(

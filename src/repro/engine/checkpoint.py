@@ -219,9 +219,6 @@ class Checkpoint:
             raise CheckpointError("checkpoint envelope fields are mistyped")
         return cls(**doc)
 
-    def save(self, path: Union[str, pathlib.Path]) -> None:
-        pathlib.Path(path).write_bytes(self.dumps())
-
     @classmethod
     def load(cls, path: Union[str, pathlib.Path]) -> "Checkpoint":
         return cls.loads(pathlib.Path(path).read_bytes())
@@ -233,16 +230,16 @@ def snapshot(engine: Engine) -> Checkpoint:
     An algorithm attribute the encoder does not accept raises
     :class:`CheckpointError` here, at save time.
     """
-    kernel, metrics = engine.kernel, engine.metrics
+    metrics = engine.metrics
     state = {
-        "kernel": _encode(kernel.export_state()),
-        "algorithm": _encode(kernel.algorithm, kernel),
+        "kernel": _encode(engine.export_state()),
+        "algorithm": _encode(engine.algorithm, engine),
         "metrics": None if metrics is None else {
             name: {s: _encode(getattr(m, s)) for s in type(m).__slots__}
             for name, m in metrics.primitives().items()
         },
     }
-    return Checkpoint(CHECKPOINT_VERSION, kernel.arrivals, engine.time,
+    return Checkpoint(CHECKPOINT_VERSION, engine.arrivals, engine.time,
                       engine.cost_so_far, state)
 
 
@@ -263,9 +260,8 @@ def restore(checkpoint: Checkpoint) -> Engine:
     snapshot.  It has whatever metrics were captured (attached once the
     kernel state is in, so the registry reads the true open-bin count)
     but no tracer, invariant monitor or other listeners: re-attach those
-    via
-    :meth:`~repro.engine.loop.Engine.attach_tracer` /
-    :meth:`~repro.engine.loop.Engine.attach_listener`.
+    with :meth:`~repro.core.kernel.PlacementKernel.add_listener` (a
+    tracer as a :class:`~repro.obs.trace.TracingListener`).
     """
     state = checkpoint.state
     try:
@@ -282,7 +278,7 @@ def restore(checkpoint: Checkpoint) -> Engine:
             record_profile=kernel_state["record_events"],
             indexed=kernel_state["indexed"],
         )
-        engine.kernel.import_state(kernel_state)
+        engine.import_state(kernel_state)
         if state["metrics"] is not None:
             engine.metrics = _metrics(state["metrics"])
         refs = {}
@@ -302,7 +298,7 @@ def restore(checkpoint: Checkpoint) -> Engine:
 def save_checkpoint(engine: Engine, path: Union[str, pathlib.Path]) -> Checkpoint:
     """Snapshot ``engine`` to ``path``; returns the checkpoint."""
     ckpt = snapshot(engine)
-    ckpt.save(path)
+    pathlib.Path(path).write_bytes(ckpt.dumps())
     if engine.metrics is not None:
         engine.metrics.on_checkpoint()
     return ckpt

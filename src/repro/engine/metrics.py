@@ -15,7 +15,8 @@ columnwise produce identical snapshots of the same trace, across reruns
 and across ``--no-index``.  Per-request wall time belongs to the serve
 layer (``latency_us``, ``request_latency``).
 
-The primitives (Counter / Gauge / Histogram / Timing) and the sinks live
+The primitives (Counter / Gauge / Histogram / Timing), the
+:class:`~repro.obs.export.MetricsSink` protocol and the JSON sink live
 in :mod:`repro.obs` and are re-exported here unchanged.
 
 Everything here is bounded-memory and data only: histograms have fixed
@@ -33,14 +34,7 @@ from array import array
 from typing import Iterable, Optional, Union
 
 from ..core.kernel import KernelListener
-from ..obs.export import (
-    CallbackSink,
-    ConsoleSink,
-    JSONLSink,
-    JSONSink,
-    MemorySink,
-    MetricsSink,
-)
+from ..obs.export import JSONSink, MetricsSink
 from ..obs.metrics import (
     BINS_OPEN_EDGES,
     LIFETIME_EDGES,
@@ -60,11 +54,7 @@ __all__ = [
     "Timing",
     "EngineMetrics",
     "MetricsSink",
-    "ConsoleSink",
     "JSONSink",
-    "JSONLSink",
-    "CallbackSink",
-    "MemorySink",
 ]
 
 

@@ -17,8 +17,8 @@ go", shared by every frontend:
   statistical stack sampler (``--sample-hz``), flamegraph/speedscope
   exporters (``repro-dbp obs flame``), and trace critical-path
   analytics (``repro-dbp obs critical-path``);
-- :mod:`repro.obs.export` — sinks (memory, JSON, JSONL, console) and
-  human-readable summaries (``repro-dbp obs summarize``);
+- :mod:`repro.obs.export` — the JSON metrics sink, the Prometheus text
+  rendering and trace summaries (``repro-dbp obs summarize``);
 - :mod:`repro.obs.invariants` — online **theory-invariant monitors**
   (capacity, cost identity, ``span ≤ cost``, Table-1 ratio bounds)
   emitting structured ``invariant.violation`` events;
@@ -42,8 +42,7 @@ from .._exports import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".export": (
-        "MetricsSink", "ConsoleSink", "JSONSink", "JSONLSink", "CallbackSink",
-        "MemorySink", "render_summary", "render_prometheus", "summarize_trace",
+        "MetricsSink", "JSONSink", "render_prometheus", "summarize_trace",
     ),
     ".invariants": (
         "InvariantMonitor", "InvariantViolationError", "Violation",

@@ -3,37 +3,30 @@
 Sinks are deliberately decoupled from metric objects: a metrics registry
 holds only data (so its state travels inside checkpoints), while sinks —
 which may own file handles — are handed snapshots at emission time.
-Anything with an ``emit(snapshot: dict)`` method is a sink; the engine's
-``EngineMetrics.flush`` and the CLI both speak this protocol.
+Anything with an ``emit(snapshot: dict)`` method is a
+:class:`MetricsSink`; the engine's ``EngineMetrics.flush`` and the CLI
+both speak this protocol.
 
 Three export shapes:
 
-- **in-memory** (:class:`MemorySink`) — collect snapshots in a list, for
-  tests and embedded use;
-- **files** (:class:`JSONSink`, :class:`JSONLSink`) — the JSONL sink
-  follows the same append-one-object-per-line convention as the engine's
-  trace streams (:mod:`repro.engine.stream`);
-- **human-readable** (:func:`render_summary`, :func:`summarize_trace`) —
-  terminal summaries of a metrics snapshot or of a JSONL trace file
-  written by :meth:`repro.obs.trace.Tracer.write_jsonl` (this is what
-  ``repro-dbp obs summarize`` prints).
+- **files** (:class:`JSONSink`, and the run ledger's
+  :class:`~repro.obs.ledger.LedgerSink`);
+- **scrapes** (:func:`render_prometheus`) — a snapshot in Prometheus
+  text exposition format;
+- **human-readable** (:func:`summarize_trace`) — a terminal summary of a
+  JSONL trace file written by :meth:`repro.obs.trace.Tracer.write_jsonl`
+  (this is what ``repro-dbp obs summarize`` prints).
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-import sys
-from typing import Callable, List, Optional, Protocol, Union
+from typing import List, Optional, Protocol, Union
 
 __all__ = [
     "MetricsSink",
-    "ConsoleSink",
     "JSONSink",
-    "JSONLSink",
-    "CallbackSink",
-    "MemorySink",
-    "render_summary",
     "render_prometheus",
     "summarize_trace",
 ]
@@ -45,18 +38,6 @@ class MetricsSink(Protocol):
     def emit(self, snapshot: dict) -> None: ...
 
 
-class ConsoleSink:
-    """Pretty-print the snapshot to a stream (stderr by default)."""
-
-    def __init__(self, stream=None) -> None:
-        self.stream = stream
-
-    def emit(self, snapshot: dict) -> None:
-        stream = self.stream if self.stream is not None else sys.stderr
-        json.dump(snapshot, stream, indent=2, sort_keys=True)
-        stream.write("\n")
-
-
 class JSONSink:
     """Write the latest snapshot to ``path`` (overwriting)."""
 
@@ -65,43 +46,6 @@ class JSONSink:
 
     def emit(self, snapshot: dict) -> None:
         self.path.write_text(json.dumps(snapshot, indent=2, sort_keys=True))
-
-
-class JSONLSink:
-    """Append one snapshot per line — for periodic mid-stream flushes."""
-
-    def __init__(self, path: Union[str, pathlib.Path]) -> None:
-        self.path = pathlib.Path(path)
-
-    def emit(self, snapshot: dict) -> None:
-        with self.path.open("a") as fh:
-            fh.write(json.dumps(snapshot, sort_keys=True) + "\n")
-
-
-class CallbackSink:
-    """Adapt a plain callable into a sink."""
-
-    def __init__(self, fn: Callable[[dict], None]) -> None:
-        self.fn = fn
-
-    def emit(self, snapshot: dict) -> None:
-        self.fn(snapshot)
-
-
-class MemorySink:
-    """Collect every emitted snapshot in :attr:`snapshots` (newest last)."""
-
-    def __init__(self) -> None:
-        self.snapshots: List[dict] = []
-
-    def emit(self, snapshot: dict) -> None:
-        self.snapshots.append(snapshot)
-
-    @property
-    def last(self) -> dict:
-        if not self.snapshots:
-            raise LookupError("no snapshot has been emitted yet")
-        return self.snapshots[-1]
 
 
 # ---------------------------------------------------------------------- #
@@ -118,44 +62,6 @@ def _table(headers, rows) -> List[str]:
     for r in cells:
         out.append("  ".join(r[k].rjust(widths[k]) for k in range(len(r))))
     return out
-
-
-def render_summary(snapshot: dict) -> str:
-    """A terminal-friendly summary of a metrics snapshot dict."""
-    lines: List[str] = []
-    counters = snapshot.get("counters", {})
-    if counters:
-        lines.append("counters:")
-        for name, value in counters.items():
-            lines.append(f"  {name:24s} {value:>12,}")
-    gauges = snapshot.get("gauges", {})
-    if gauges:
-        lines.append("gauges:")
-        for name, g in gauges.items():
-            lines.append(
-                f"  {name:24s} {g.get('value', 0):>12g}   "
-                f"(min {g.get('min')}, max {g.get('max')})"
-            )
-    for section in ("histograms", "timings"):
-        entries = snapshot.get(section, {})
-        if not entries:
-            continue
-        lines.append(f"{section}:")
-        for name, h in entries.items():
-            if "buckets" in h:
-                lines.append(
-                    f"  {name} (n={h['total']}, mean={h['mean']:g}):"
-                )
-                for label, count in h["buckets"].items():
-                    bar = "#" * min(40, count)
-                    lines.append(f"    {label:>14s} {count:>10,} {bar}")
-            else:
-                lines.append(
-                    f"  {name:24s} n={h.get('count', 0):<9,} "
-                    f"mean={h.get('mean_us', 0.0):.1f}us "
-                    f"max={h.get('max_us', 0.0):.1f}us"
-                )
-    return "\n".join(lines)
 
 
 def _prom_name(prefix: str, name: str) -> str:

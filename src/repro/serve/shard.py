@@ -1,11 +1,11 @@
 """Worker shards: one placement kernel per shard, consistent-hash routed.
 
 A :class:`PlacementShard` owns one streaming
-:class:`~repro.engine.loop.Engine` (and therefore one
-:class:`~repro.core.kernel.PlacementKernel` + algorithm instance) behind
-a bounded :class:`asyncio.Queue`.  A single worker coroutine drains the
-queue, so every shard processes its requests **strictly in enqueue
-order** — the property that makes per-shard decision streams
+:class:`~repro.engine.loop.Engine` (a
+:class:`~repro.core.kernel.PlacementKernel` with its algorithm instance)
+behind a bounded :class:`asyncio.Queue`.  A single worker coroutine
+drains the queue, so every shard processes its requests **strictly in
+enqueue order** — the property that makes per-shard decision streams
 deterministic and lets the parity harness compare a single-shard server
 bit-for-bit against batch ``simulate()``.
 
@@ -231,7 +231,7 @@ class PlacementShard:
         self.telemetry = shard_tel
         self._narrator = narrator
         if narrator is not None:
-            self.engine.attach_listener(narrator)
+            self.engine.add_listener(narrator)
 
     # ------------------------------------------------------------------ #
     # Worker lifecycle
@@ -358,7 +358,7 @@ class PlacementShard:
         self.crashed = False
         self._task = None
         if self._narrator is not None:  # rebuilt engine, fresh fan-out
-            self.engine.attach_listener(self._narrator)
+            self.engine.add_listener(self._narrator)
         self.start()
 
     def _fail_stop(self) -> None:
@@ -492,8 +492,8 @@ class PlacementShard:
         """
         run = reqs[i:j]
         m = j - i
-        kernel = self.engine.kernel
-        base = kernel.arrivals  # uids are sequential per shard
+        engine = self.engine
+        base = engine.arrivals  # uids are sequential per shard
         # the shard's own columns, refilled per run (parse_request
         # already validated the values)
         store, bins, opened = self._columns
@@ -522,13 +522,13 @@ class PlacementShard:
         t0 = now()
         k = 0
         while k < m:
-            done, placed = len(bins), kernel.arrivals
+            done, placed = len(bins), engine.arrivals
             try:
-                kernel.release_store(store, k, m, bins, opened)
+                engine.release_store(store, k, m, bins, opened)
                 break
             except Exception as exc:  # noqa: BLE001 - answered per row
                 k += len(bins) - done  # the row that raised
-                if kernel.arrivals - placed > len(bins) - done:
+                if engine.arrivals - placed > len(bins) - done:
                     # placed, then a listener raised: its uid is spent
                     failed[k] = self._internal(run[k], exc)
                 else:  # untouched: the later rows move up a uid
@@ -562,23 +562,23 @@ class PlacementShard:
         with the kernel's per-item ``release``, which costs less than a
         ``release_store`` call for one row.  ``canonical`` as
         :meth:`_run_end` says it."""
-        kernel = self.engine.kernel
-        uid = kernel.arrivals  # sequential per shard
-        opened_before = kernel.bins_opened
+        engine = self.engine
+        uid = engine.arrivals  # sequential per shard
+        opened_before = engine.bins_opened
         now = self._now
         t0 = now()
         try:
-            bin_ = kernel.release(
+            bin_ = engine.release(
                 item_view(req.arrival, req.departure, req.size, uid)
             )
         except Exception as exc:  # noqa: BLE001 - never kills the worker
             self.rejected += 1
-            if kernel.arrivals != uid:  # placed, then a listener raised
+            if engine.arrivals != uid:  # placed, then a listener raised
                 return self._internal(req, exc)
             return self._rejection(req, exc)
         latency = round(1e6 * (now() - t0), 3)
         self.accepted += 1
-        opened = kernel.bins_opened != opened_before
+        opened = engine.bins_opened != opened_before
         if canonical:
             return encode_arrive_ok(req.seq, req.id, uid, bin_.uid, opened,
                                     self.shard_id, latency)
@@ -756,16 +756,16 @@ class PlacementShard:
     # Introspection (safe between event-loop steps: one thread, no locks)
     # ------------------------------------------------------------------ #
     def stats(self) -> dict:
-        kernel = self.engine.kernel
+        engine = self.engine
         return {
             "shard": self.shard_id,
-            "indexed": self.engine.indexed,
-            "items": kernel.arrivals,
-            "departures": kernel.departures,
-            "open_bins": kernel.open_bin_count,
-            "bins_opened": kernel.bins_opened,
-            "max_open": kernel.max_open,
-            "cost": kernel.cost_so_far,
+            "indexed": engine.indexed,
+            "items": engine.arrivals,
+            "departures": engine.departures,
+            "open_bins": engine.open_bin_count,
+            "bins_opened": engine.bins_opened,
+            "max_open": engine.max_open,
+            "cost": engine.cost_so_far,
             "time": self._clock(),
             "accepted": self.accepted,
             "rejected": self.rejected,
@@ -854,13 +854,13 @@ class PlacementShard:
         if meta_path.exists():
             shard._load_meta(json.loads(meta_path.read_text()))
         else:
-            shard.accepted = engine.kernel.arrivals
+            shard.accepted = engine.arrivals
         return shard
 
     def __repr__(self) -> str:
         return (
             f"PlacementShard(id={self.shard_id}, items="
-            f"{self.engine.kernel.arrivals}, "
+            f"{self.engine.arrivals}, "
             f"open={self.engine.open_bin_count}, "
             f"queue={self.queue.qsize()})"
         )

@@ -336,11 +336,6 @@ class SimNet:
         self._handler_tasks.append(task)
         return s2c.reader, _SimWriter(c2s)
 
-    def kill_all_connections(self) -> None:
-        """Reset every live connection (a network-wide blip)."""
-        for conn in self._connections:
-            conn.kill()
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"SimNet(listeners={sorted(self._listeners)}, "

@@ -50,7 +50,8 @@ class TestKernelDriving:
         k.release(Item(0.0, 2.0, 0.5, uid=0))
         k.release(Item(0.0, 3.0, 0.5, uid=1))
         assert k.open_bin_count == 1
-        result = k.finish()
+        k.drain()
+        result = k.result()
         assert result.cost == pytest.approx(3.0)
         assert result.assignment == {0: 0, 1: 0}
 
@@ -71,7 +72,8 @@ class TestKernelDriving:
         k = PlacementKernel(FirstFit(clairvoyant=False), record=True)
         k.release(Item(0.0, None, 0.5, uid=0))
         k.depart(0, 4.0)
-        assert k.finish().cost == pytest.approx(4.0)
+        k.drain()
+        assert k.result().cost == pytest.approx(4.0)
 
     def test_depart_scheduled_item_rejected(self):
         k = PlacementKernel(FirstFit(), record=True)
@@ -168,7 +170,8 @@ class TestReleaseStoreWindow:
         view = self._root().slice(2, 5)
         k = PlacementKernel(FirstFit(), record=True)
         assert k.release_store(view, 1) == 2
-        assert [it.uid for it in k.finish().items] == [3, 4]
+        k.drain()
+        assert [it.uid for it in k.result().items] == [3, 4]
 
     @pytest.mark.parametrize("how", ["range", "view", "engine"])
     def test_reads_only_the_window_rows(self, how):
@@ -553,7 +556,7 @@ class TestOpenBinIndex:
         assert k.open_bin_count == 1
         k.release(Item(0.0, 1.0, 0.01, uid=3))
         assert k.open_bin_count == 2
-        k.finish()
+        k.drain()
 
 
 # ---------------------------------------------------------------------- #
@@ -736,8 +739,13 @@ class TestListenerHooksBoundOnce:
 class TestFrontendsAreAdapters:
     def test_both_frontends_satisfy_simulation_view(self):
         assert isinstance(IncrementalSimulation(FirstFit()), SimulationView)
-        assert isinstance(Engine(FirstFit()).kernel, SimulationView)
         assert isinstance(PlacementKernel(FirstFit()), SimulationView)
+
+    def test_engine_is_a_kernel(self):
+        eng = Engine(FirstFit())
+        assert isinstance(eng, SimulationView)
+        assert isinstance(eng, PlacementKernel)
+        assert not hasattr(eng, "kernel") and not hasattr(eng, "_kernel")
 
     def test_incremental_simulation_passes_itself_as_facade(self):
         seen = []
@@ -752,6 +760,7 @@ class TestFrontendsAreAdapters:
         assert seen[0] is sim
 
     def test_engine_passes_its_kernel_as_facade(self):
+        # the engine is its kernel: place() sees the engine itself
         seen = []
 
         class Probe(FirstFit):
@@ -761,7 +770,7 @@ class TestFrontendsAreAdapters:
 
         eng = Engine(Probe())
         eng.feed(Item(0.0, 1.0, 0.5, uid=0))
-        assert seen[0] is eng.kernel
+        assert seen[0] is eng
 
     def test_is_open(self):
         sim = IncrementalSimulation(FirstFit())

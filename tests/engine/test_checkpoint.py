@@ -145,41 +145,50 @@ def test_reject_v1_checkpoint_with_clear_message(tmp_path):
 
 
 def test_restored_kernel_hooks_rewired():
-    # the kernel drops its listener at pickle time; restore must re-wire
-    # it (the engine listens only when metered), place() must see the
-    # restored kernel itself, and the kernel's totals keep tracking events
+    # a checkpoint holds no listener; restore must re-wire the metrics
+    # registry (the engine listens only when metered), place() must see
+    # the restored engine itself — as it sees a fresh one — and the
+    # engine's totals keep tracking events
     items = list(uniform_random(40, 8, seed=12))
     eng = Engine(FirstFit())
     for it in items[:20]:
         eng.feed(it)
     resumed = restore(snapshot(eng))
-    assert resumed._kernel._listener is None
+    assert resumed._listener is None
     metered = Engine(FirstFit(), metrics=EngineMetrics())
-    assert restore(snapshot(metered))._kernel._listener is not None
+    restored = restore(snapshot(metered))
+    assert restored.metrics is not None
+    assert restored._listener is restored.metrics
     seen = []
-    place = resumed.algorithm.place
 
-    def probe(item, sim):
-        seen.append(sim)
-        return place(item, sim)
+    def probe(engine):
+        place = engine.algorithm.place
 
-    resumed.algorithm.place = probe
-    before = resumed.kernel.arrivals
+        def recording(item, sim):
+            seen.append((engine, sim))
+            return place(item, sim)
+
+        engine.algorithm.place = recording
+
+    probe(eng)
+    probe(resumed)
+    before = resumed.arrivals
     for it in items[20:]:
+        eng.feed(it)
         resumed.feed(it)
-    assert resumed.kernel.arrivals == before + 20
-    assert seen and all(sim is resumed._kernel for sim in seen)
+    assert resumed.arrivals == before + 20
+    assert len(seen) == 40 and all(sim is engine for engine, sim in seen)
 
 
 def test_observers_not_checkpointed():
     # listeners may hold sockets or file handles: a restore keeps only
     # the metrics registry, attached afresh
     eng = Engine(FirstFit(), metrics=EngineMetrics())
-    eng.attach_listener(KernelListener())
+    eng.add_listener(KernelListener())
     for it in list(uniform_random(20, 4, seed=11))[:10]:
         eng.feed(it)
     resumed = restore(snapshot(eng))
-    assert resumed.kernel._listener is resumed.metrics
+    assert resumed._listener is resumed.metrics
     assert resumed.metrics is not eng.metrics
 
 
@@ -341,7 +350,7 @@ class TestV2Compat:
         """The totals the v2 blob kept in the engine's own accounting
         survived the conversion into the kernel state."""
         eng = load_checkpoint(self.FIXTURE)
-        assert eng.kernel.arrivals == expected["arrivals"]
+        assert eng.arrivals == expected["arrivals"]
         self._resume(eng, expected["arrivals"])
         resumed = eng.finish()
         straight = Engine(FirstFit()).run(open_trace(self.TRACE))
@@ -369,7 +378,7 @@ class TestV3BestFitCompat:
         instance = load_jsonl(self.TRACE)
         batch = simulate(BestFit(), instance)
         eng = load_checkpoint(self.DATA / "v4_from_v3_bestfit.ckpt")
-        assert eng.kernel.arrivals == 400
+        assert eng.arrivals == 400
         assert eng.indexed
         eng.feed_store(instance.store, 400)
         summary = eng.finish()
@@ -418,7 +427,7 @@ class TestV3HybridCompat:
 
     def _resumed(self, instance):
         eng = load_checkpoint(self.DATA / "v4_from_v3_hybrid.ckpt")
-        assert eng.kernel.arrivals == 450
+        assert eng.arrivals == 450
         assert eng.indexed
         eng.feed_store(instance.store, 450)
         return eng, eng.finish()
@@ -427,12 +436,11 @@ class TestV3HybridCompat:
         from repro.algorithms.hybrid import CD_TAG, GN_LANE
 
         eng = load_checkpoint(self.DATA / "v4_from_v3_hybrid.ckpt")
-        kernel = eng.kernel
-        assert kernel.lane_count(GN_LANE) == 1
-        cd_tags = {b.tag for b in kernel.open_bins if b.tag[0] == CD_TAG}
-        assert sum(kernel.lane_count(tag) for tag in cd_tags) == 40
-        alg = kernel.algorithm
-        assert alg.gn_open(kernel) == 1 and alg.cd_open(kernel) == 40
+        assert eng.lane_count(GN_LANE) == 1
+        cd_tags = {b.tag for b in eng.open_bins if b.tag[0] == CD_TAG}
+        assert sum(eng.lane_count(tag) for tag in cd_tags) == 40
+        alg = eng.algorithm
+        assert alg.gn_open(eng) == 1 and alg.cd_open(eng) == 40
 
     def test_resume_matches_simulate_and_frozen_totals(self):
         from repro.workloads.io import load_jsonl
@@ -482,7 +490,7 @@ class TestV3CDFFCompat:
 
         instance = aligned_random(16, 300, seed=5, horizon=64)
         eng = load_checkpoint(self.DATA / "v4_from_v3_cdff.ckpt")
-        assert eng.kernel.arrivals == 100
+        assert eng.arrivals == 100
         eng.feed_store(instance.store, 100)
         summary = eng.finish()
         batch = simulate(CDFF(), instance)
@@ -567,7 +575,7 @@ class TestNoUnpickling:
             monkeypatch.setattr(pickle, name, refuse)
 
         resumed = load_checkpoint(tmp_path / "engine.ckpt")
-        assert resumed.kernel.arrivals == 30
+        assert resumed.arrivals == 30
         restored = PlacementShard.restore(0, tmp_path / "shard.ckpt")
         assert restored.stats()["items"] == restored.accepted == 20
 
@@ -636,9 +644,9 @@ def test_round_trip_is_bit_identical(name, factory, instance, record, metered):
         ckpt = snapshot(live)
         resumed = restore(Checkpoint.loads(ckpt.dumps()))
         # the run state, including every float total, survives exactly
-        assert resumed.kernel.export_state() == live.kernel.export_state()
+        assert resumed.export_state() == live.export_state()
         assert snapshot(resumed).state == ckpt.state
-        for b, r in zip(live.kernel.open_bins, resumed.kernel.open_bins):
+        for b, r in zip(live.open_bins, resumed.open_bins):
             assert (r.tag, r.load, r.peak_load) == (b.tag, b.load, b.peak_load)
             residue |= b.load != sum(it.size for it in b.contents)
             if name.startswith("HA") or name == "HybridAlgorithm":

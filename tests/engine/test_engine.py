@@ -12,7 +12,7 @@ from repro.core.errors import (
 from repro.core.instance import Instance
 from repro.core.item import Item
 from repro.core.simulation import simulate
-from repro.engine import Engine, EngineMetrics, replay
+from repro.engine import Engine, EngineMetrics
 from repro.core.kernel import KernelListener, PlacementKernel
 from repro.core.profile import open_count_profile
 from repro.workloads import uniform_random
@@ -32,12 +32,6 @@ class TestEngineBasics:
         assert summary.cost == batch.cost
         assert summary.max_open == batch.max_open
         assert summary.bins_opened == batch.n_bins
-
-    def test_replay_convenience(self):
-        inst = uniform_random(50, 8, seed=1)
-        assert replay(FirstFit(), iter(inst)).cost == simulate(
-            FirstFit(), inst
-        ).cost
 
     def test_out_of_order_rejected(self):
         eng = Engine(FirstFit())
@@ -63,15 +57,15 @@ class TestEngineBasics:
         assert eng.cost_so_far == pytest.approx(3.0 + 2.0)
         assert eng.open_bin_count == 1
         eng.finish()
-        assert eng.kernel.closed_usage == pytest.approx(4.0 + 2.0)
+        assert eng.closed_usage == pytest.approx(4.0 + 2.0)
 
     def test_constant_memory_keeps_no_history(self):
         inst = uniform_random(200, 16, seed=2)
         eng = Engine(FirstFit())
         eng.run(iter(inst))
-        assert eng.kernel._items == []
-        assert eng.kernel._records == []
-        assert eng.kernel._assignment == {}
+        assert eng._items == []
+        assert eng._records == []
+        assert eng._assignment == {}
         with pytest.raises(SimulationError):
             eng.result()
 
@@ -166,7 +160,7 @@ class TestObservers:
         times = [e[4] for e in tape.events]
         assert times == sorted(times)
         closed = [e for e in tape.events if e[0] == "departure" and e[3]]
-        assert len(closed) == eng.kernel.bins_closed
+        assert len(closed) == eng.bins_closed
 
     def test_arrival_event_payload(self):
         tape = Recorder()
@@ -184,9 +178,9 @@ class TestFeedStoreWindow:
             eng.feed_store(store, 5, 3)  # used to return -2
         with pytest.raises(InvalidInstanceError):
             eng.feed_store(store.slice(1, 3), 0, len(store))
-        assert eng.kernel.arrivals == 0
+        assert eng.arrivals == 0
         assert eng.feed_store(store, 1, 3) == 2
-        assert eng.kernel.arrivals == 2
+        assert eng.arrivals == 2
 
 
 class TestListenerWiring:
@@ -201,24 +195,24 @@ class TestListenerWiring:
                 return super().place(item, sim)
 
         eng = Engine(Probe())
-        assert eng.kernel._listener is None
+        assert eng._listener is None
         eng.feed(Item(0.0, 1.0, 0.5, uid=0))
-        assert seen == [eng.kernel]
+        assert seen == [eng]
 
     def test_metered_engine_listens(self):
         metrics = EngineMetrics()
         eng = Engine(BestFit(), metrics=metrics)
-        assert eng.kernel._listener is metrics
+        assert eng._listener is metrics
         late = Engine(BestFit())
         late.metrics = metrics = EngineMetrics()
-        assert late.kernel._listener is metrics
+        assert late._listener is metrics
         late.metrics = metrics  # re-assigning attaches nothing twice
-        assert late.kernel._listener is metrics
+        assert late._listener is metrics
         late.metrics = replacement = EngineMetrics()
-        assert late.kernel._listener is replacement
+        assert late._listener is replacement
         late.metrics = None
-        assert late.kernel._listener is None
-        assert late.kernel._on_arrival is None
+        assert late._listener is None
+        assert late._on_arrival is None
 
     @pytest.mark.parametrize("path", ["feed", "feed_store"])
     def test_late_observer_sees_every_later_event(self, path):
@@ -228,9 +222,9 @@ class TestListenerWiring:
         eng = Engine(BestFit())
         for it in items[:k]:
             eng.feed(it)
-        departed_before = eng.kernel.departures
+        departed_before = eng.departures
         tape = Recorder()
-        eng.attach_listener(tape)
+        eng.add_listener(tape)
         if path == "feed":
             for it in items[k:]:
                 eng.feed(it)
@@ -247,23 +241,19 @@ class TestListenerWiring:
         )
 
     def test_metered_feed_store_is_one_release_store_call(self, monkeypatch):
+        # the engine's two doors are the kernel's, not wrappers of them
+        assert Engine.feed_store is PlacementKernel.release_store
+        assert Engine.feed is PlacementKernel.release
         inst = uniform_random(200, 16, seed=9)
         metrics = EngineMetrics()
         eng = Engine(BestFit(), metrics=metrics)
-        calls = []
-        release_store = eng.kernel.release_store
-
-        def counted(*args):
-            calls.append(args[1:])
-            return release_store(*args)
 
         def refuse(self, item):
             raise AssertionError("feed_store went through feed")
 
-        monkeypatch.setattr(eng.kernel, "release_store", counted)
         monkeypatch.setattr(Engine, "feed", refuse)
+        monkeypatch.setattr(PlacementKernel, "release", refuse)
         assert eng.feed_store(inst.store, 10, 150) == 140
-        assert calls == [(10, 150)]
         assert metrics.arrivals.value == 140
 
     def test_metered_run_reads_no_clock(self, monkeypatch):
@@ -314,7 +304,7 @@ class TestRunningAccounting:
         batch = simulate(FirstFit(), inst)
         eng = Engine(FirstFit(), record_profile=True)
         eng.run(iter(inst))
-        prof = open_count_profile(eng.kernel.open_count_events)
+        prof = open_count_profile(eng.open_count_events)
         expected = batch.open_bins_profile()
         assert prof.integral() == pytest.approx(expected.integral())
         assert int(prof.max()) == batch.max_open
@@ -327,8 +317,8 @@ class TestRunningAccounting:
         eng = Engine(FirstFit())
         eng.feed(Item(0.0, 4.0, 0.5, uid=0))
         eng.feed(Item(1.0, 2.0, 0.25, uid=1))
-        assert eng.kernel.load == pytest.approx(0.75)
+        assert eng.load == pytest.approx(0.75)
         eng.advance_to(3.0)
-        assert eng.kernel.load == pytest.approx(0.5)
+        assert eng.load == pytest.approx(0.5)
         eng.finish()
-        assert eng.kernel.load == 0.0
+        assert eng.load == 0.0

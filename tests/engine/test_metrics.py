@@ -1,19 +1,15 @@
 """Metrics layer: primitives, the packing-metrics registry, sinks."""
 
-import io
 import json
 
 import pytest
 
 from repro.algorithms import FirstFit, HybridAlgorithm
 from repro.engine import (
-    CallbackSink,
-    ConsoleSink,
     Counter,
     Engine,
     EngineMetrics,
     Histogram,
-    JSONLSink,
     JSONSink,
     Timing,
 )
@@ -112,34 +108,26 @@ class TestEngineMetrics:
         json.dumps(snap)  # JSON-serialisable end to end
 
 
+class _ListSink(list):
+    def emit(self, snapshot: dict) -> None:
+        self.append(snapshot)
+
+
 class TestSinks:
     def test_json_sink(self, tmp_path):
         path = tmp_path / "m.json"
         EngineMetrics().flush(JSONSink(path))
         assert json.loads(path.read_text())["counters"]["events"] == 0
 
-    def test_jsonl_sink_appends(self, tmp_path):
-        path = tmp_path / "m.jsonl"
-        m = EngineMetrics()
-        m.flush(JSONLSink(path))
-        m.events.inc()
-        m.flush(JSONLSink(path))
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        assert json.loads(lines[1])["counters"]["events"] == 1
-
-    def test_console_sink(self):
-        buf = io.StringIO()
-        EngineMetrics().flush(ConsoleSink(buf))
-        assert "counters" in buf.getvalue()
-
     def test_callback_sink_and_multi_flush(self):
-        seen = []
-        m = EngineMetrics()
-        m.flush([CallbackSink(seen.append), CallbackSink(seen.append)])
-        assert len(seen) == 2 and seen[0] == seen[1]
+        first, second = _ListSink(), _ListSink()
+        EngineMetrics().flush([first, second])
+        assert len(first) == len(second) == 1 and first == second
 
     def test_flush_accepts_single_sink(self):
-        seen = []
-        EngineMetrics().flush(CallbackSink(seen.append))
-        assert len(seen) == 1
+        sink = _ListSink()
+        m = EngineMetrics()
+        m.flush(sink)
+        m.events.inc()
+        m.flush(sink)
+        assert [s["counters"]["events"] for s in sink] == [0, 1]

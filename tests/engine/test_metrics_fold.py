@@ -149,7 +149,7 @@ class TestFrontends:
             eng.feed(it)
         assert eng.open_bin_count > 1
         eng.metrics = folded = EngineMetrics()
-        eng.attach_listener(ref := PerEvent())
+        eng.add_listener(ref := PerEvent())
         eng.feed_store(inst.store, len(items) // 3)
         eng.finish()
         assert folded.snapshot() == ref.snapshot()
@@ -168,7 +168,7 @@ class TestFrontends:
         assert set(encoded) == set(folded.primitives())  # slots only
         resumed = restore(Checkpoint.loads(data))
         assert resumed.metrics.snapshot() == ref.snapshot()
-        resumed.attach_listener(ref)
+        resumed.add_listener(ref)
         resumed.feed_store(inst.store, cut)
         resumed.finish()
         assert resumed.metrics.snapshot() == ref.snapshot()
@@ -200,9 +200,9 @@ class TestTravel:
         monkeypatch.setattr(kernel_module, "LOG_BOUND", 10**9)
         folded, ref = EngineMetrics(), PerEvent()
         eng = Engine(_factory("FirstFit")(), metrics=folded)
-        eng.attach_listener(ref)
+        eng.add_listener(ref)
         eng.feed_store(_instance("FirstFit").store)
-        eng.kernel.remove_listener(ref)
+        eng.remove_listener(ref)
         eng.metrics = None
         assert folded._kernel is None
         eng.finish()  # later events reach neither

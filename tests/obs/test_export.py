@@ -1,4 +1,4 @@
-"""Exporters: sinks, snapshot summaries, and trace aggregation."""
+"""Exporters: the JSON sink and trace aggregation."""
 
 import json
 
@@ -6,18 +6,7 @@ import pytest
 
 from repro import FirstFit, uniform_random
 from repro.engine import EngineMetrics
-from repro.obs import (
-    CallbackSink,
-    ConsoleSink,
-    Gauge,
-    JSONLSink,
-    JSONSink,
-    MemorySink,
-    Timing,
-    Tracer,
-    render_summary,
-    summarize_trace,
-)
+from repro.obs import JSONSink, Tracer, summarize_trace
 
 
 @pytest.fixture
@@ -30,62 +19,12 @@ def snapshot():
 
 
 class TestSinks:
-    def test_memory_sink(self, snapshot):
-        sink = MemorySink()
-        with pytest.raises(LookupError):
-            sink.last
-        sink.emit(snapshot)
-        sink.emit({"counters": {}})
-        assert len(sink.snapshots) == 2
-        assert sink.last == {"counters": {}}
-
     def test_json_sink_overwrites(self, tmp_path, snapshot):
         path = tmp_path / "m.json"
         sink = JSONSink(path)
         sink.emit({"counters": {"arrivals": 1}})
         sink.emit(snapshot)
         assert json.loads(path.read_text()) == snapshot
-
-    def test_jsonl_sink_appends(self, tmp_path, snapshot):
-        path = tmp_path / "m.jsonl"
-        sink = JSONLSink(path)
-        sink.emit(snapshot)
-        sink.emit(snapshot)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        assert json.loads(lines[0]) == snapshot
-
-    def test_callback_and_console(self, snapshot):
-        import io
-
-        seen = []
-        CallbackSink(seen.append).emit(snapshot)
-        assert seen == [snapshot]
-        buf = io.StringIO()
-        ConsoleSink(buf).emit(snapshot)
-        assert json.loads(buf.getvalue()) == snapshot
-
-
-class TestRenderSummary:
-    def test_sections_rendered(self, snapshot):
-        gauge = Gauge()
-        gauge.set(3)
-        text = render_summary({**snapshot, "gauges": {"depth": gauge.to_dict()}})
-        assert "counters:" in text
-        assert "arrivals" in text
-        assert "gauges:" in text
-        assert "histograms:" in text
-        assert "#" in text  # bucket bars
-
-    def test_timings_section(self):
-        timing = Timing()
-        timing.observe(2e-5)
-        text = render_summary({"timings": {"phase_kernel": timing.to_dict()}})
-        assert "timings:" in text
-        assert "phase_kernel" in text
-
-    def test_empty_snapshot(self):
-        assert render_summary({}) == ""
 
 
 class TestSummarizeTrace:

@@ -245,7 +245,7 @@ class TestCheckpointInteraction:
         # and marks itself partial so the whole-run bounds are skipped
         fresh = InvariantMonitor()
         resumed.invariants = fresh
-        resumed.attach_listener(fresh)
+        resumed.add_listener(fresh)
         for item in items[25:]:
             resumed.feed(item)
         summary = resumed.finish()

@@ -145,7 +145,7 @@ class TestTracingListener:
         eng.run(iter(inst))
         # construct-time switch: no listener attached, nothing recorded
         assert tr.total == 0
-        assert eng._kernel._listener is None
+        assert eng._listener is None
 
     def test_engine_traces_when_enabled(self):
         inst = uniform_random(50, 8, seed=4)

@@ -98,7 +98,7 @@ def _outcome(shard: PlacementShard, replies: list):
     metrics = shard.engine.metrics
     return (
         [_masked(r) for r in replies],
-        shard.crashed or shard.engine.kernel.export_state(),
+        shard.crashed or shard.engine.export_state(),
         metrics.snapshot(),
         shard.accepted,
         shard.rejected,
@@ -150,7 +150,7 @@ def _arrives(n: int):
 
 def _listened(raising) -> PlacementShard:
     shard = PlacementShard(0, HybridAlgorithm(), clock=lambda: 0.0)
-    shard.engine.kernel.add_listener(RaisesOnArrival(raising))
+    shard.engine.add_listener(RaisesOnArrival(raising))
     return shard
 
 
@@ -171,4 +171,4 @@ def test_a_listener_raising_after_placement_fails_only_its_row():
                 assert reply["ok"] and reply["uid"] == row  # uid spent
         assert batched.accepted == n - len(raising)
         assert batched.rejected == len(raising)
-        assert batched.engine.kernel.arrivals == n
+        assert batched.engine.arrivals == n

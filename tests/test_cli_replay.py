@@ -174,6 +174,59 @@ class TestReplay:
             == 1
         )
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["-a", "BestFit"], ["-a", "FirstFit", "--capacity", "2"], []],
+        ids=["algorithm", "capacity", "default-algorithm"],
+    )
+    def test_resume_with_other_run_flags_is_one_error_line(
+        self, jsonl_path, tmp_path, capsys, flags
+    ):
+        # --verify, the invariant monitor and the ledger read -a and
+        # --capacity: on another run's values they would check the
+        # restored run against the wrong algorithm or capacity
+        ckpt = tmp_path / "engine.ckpt"
+        assert main(
+            ["replay", jsonl_path, "-a", "FirstFit", "--verify",
+             "--checkpoint-every", "150", "--checkpoint", str(ckpt),
+             "--no-ledger"]
+        ) == 0
+        capsys.readouterr()
+        rc = main(["replay", jsonl_path, *flags, "--resume", str(ckpt),
+                   "--verify", "--no-ledger"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        err = err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "FirstFit run at capacity 1;" in err[0]
+        assert "MISMATCH" not in out
+
+    def test_resume_verify_invariants_trace(self, jsonl_path, tmp_path,
+                                            capsys):
+        ckpt = tmp_path / "engine.ckpt"
+        trace = tmp_path / "resumed.jsonl"
+        led = tmp_path / "led"
+        assert main(
+            ["replay", jsonl_path, "-a", "FirstFit", "--verify",
+             "--checkpoint-every", "150", "--checkpoint", str(ckpt),
+             "--no-ledger"]
+        ) == 0
+        capsys.readouterr()
+        assert main(
+            ["replay", jsonl_path, "-a", "FirstFit", "--no-index",
+             "--resume", str(ckpt), "--verify", "--invariants",
+             "--trace", str(trace), "--ledger-dir", str(led)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "parity vs simulate(): Δcost=0" in out and "-> ok" in out
+        assert "invariants:" in out and "-> ok" in out.split("invariants:")[1]
+        assert trace.read_text().strip()
+        from repro.obs.ledger import read_ledger
+
+        (rec,) = read_ledger(led)
+        # the checkpoint's engine is indexed; --no-index does not reach it
+        assert rec.config["indexed"] is True
+
     def test_no_index_bit_identical_costs_and_counters(
         self, jsonl_path, tmp_path, capsys
     ):
