@@ -8,7 +8,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "FirstFit", "BestFit", "WorstFit", "LastFit", "NextFit", "RandomFit",
     ),
     ".base": (
-        "OnlineAlgorithm", "SimulationView", "duration_class", "item_type",
+        "OnlineAlgorithm", "SimulationView", "algorithm_name",
+        "duration_class", "item_type",
         "type_departure_deadline", "first_fit_choice",
     ),
     ".cdff": ("CDFF", "StaticRowsCDFF", "aligned_class", "trailing_zeros"),

@@ -151,6 +151,12 @@ def type_departure_deadline(T: tuple[int, int]) -> float:
     return (c + 1) * 2.0**i
 
 
+def algorithm_name(algorithm) -> str:
+    """``algorithm``'s :attr:`~OnlineAlgorithm.name`, or its class name
+    when it has none (an object that only duck-types the protocol)."""
+    return getattr(algorithm, "name", type(algorithm).__name__)
+
+
 class OnlineAlgorithm(ABC):
     """Protocol for online MinUsageTime packing algorithms.
 

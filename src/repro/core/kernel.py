@@ -99,6 +99,7 @@ import math
 from bisect import bisect_left, insort
 from typing import Hashable, List, Optional, Tuple
 
+from ..algorithms.base import algorithm_name
 from .bins import LOAD_EPS, Bin, BinRecord, first_fit_choice
 from .errors import (
     ClairvoyanceError,
@@ -220,48 +221,18 @@ class ListenerFanout(KernelListener):
     :class:`repro.obs.trace.TracingListener`) next to a frontend's own
     listener can never change semantics.  The kernel calls the members
     through :meth:`hook`, so a member is called only for the events it
-    overrides; the ``on_*`` methods broadcast to every member for
-    callers that dispatch by hand.
+    overrides; so does anything else that dispatches to a fan-out.
     """
 
     def __init__(self, listeners) -> None:
         self.listeners = list(listeners)
 
-    def on_advance(self, t: float) -> None:
-        for listener in self.listeners:
-            listener.on_advance(t)
-
-    def on_open(self, bin_: Bin) -> None:
-        for listener in self.listeners:
-            listener.on_open(bin_)
-
-    def on_arrival(self, item: Item, bin_: Bin, opened: bool) -> None:
-        for listener in self.listeners:
-            listener.on_arrival(item, bin_, opened)
-
-    def on_departure(
-        self,
-        uid: int,
-        removed: Item,
-        bin_: Bin,
-        t: float,
-        closed: bool,
-    ) -> None:
-        for listener in self.listeners:
-            listener.on_departure(uid, removed, bin_, t, closed)
-
-    def on_close(
-        self, bin_: Bin, t: float, usage: float, peak: float, n_items: int
-    ) -> None:
-        for listener in self.listeners:
-            listener.on_close(bin_, t, usage, peak, n_items)
-
     def hook(self, name: str):
         """The members' own ``name`` callbacks as one callable, or
-        ``None`` when no member overrides it (what the kernel calls; a
-        direct ``on_*`` call still reaches every member).  A member
-        appended to ``listeners`` by hand is seen by the kernel only
-        after its ``rebind_listeners()``; ``add_listener`` does that."""
+        ``None`` when no member overrides it (what the kernel calls).
+        A member appended to ``listeners`` by hand is seen by the kernel
+        only after its ``rebind_listeners()``; ``add_listener`` does
+        that."""
         hooks = [
             hook
             for hook in (_listener_hook(m, name) for m in self.listeners)
@@ -990,9 +961,7 @@ class PlacementKernel:
         if self._item_bin:
             raise SimulationError("result() before the stream is drained")
         return PackingResult(
-            algorithm=getattr(
-                self.algorithm, "name", type(self.algorithm).__name__
-            ),
+            algorithm=algorithm_name(self.algorithm),
             items=tuple(self._items),
             assignment=dict(self._assignment),
             bins=tuple(self._records),
@@ -1271,7 +1240,7 @@ class PlacementKernel:
         }
 
     def __repr__(self) -> str:
-        name = getattr(self.algorithm, "name", type(self.algorithm).__name__)
+        name = algorithm_name(self.algorithm)
         return (
             f"{type(self).__name__}(algorithm={name!r}, t={self.time:g}, "
             f"open={len(self._open)}, cost={self.cost_so_far:.6g})"

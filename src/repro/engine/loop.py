@@ -28,6 +28,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import List, Optional
 
+from ..algorithms.base import algorithm_name
 from ..core.instance import Instance
 from ..core.kernel import KernelListener, PlacementKernel
 from ..core.store import ItemStore
@@ -192,9 +193,7 @@ class Engine(PlacementKernel):
 
     def summary(self) -> EngineSummary:
         return EngineSummary(
-            algorithm=getattr(
-                self.algorithm, "name", type(self.algorithm).__name__
-            ),
+            algorithm=algorithm_name(self.algorithm),
             capacity=self.capacity,
             items=self.arrivals,
             cost=self.cost_so_far,

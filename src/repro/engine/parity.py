@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
+from ..algorithms.base import algorithm_name
 from ..core.instance import Instance
 from ..core.kernel import KernelListener
 from ..core.simulation import simulate
@@ -190,7 +191,7 @@ def check_parity(
             found = (f"{type(exc).__name__}: {exc}",)
         problems += [f"{leg}: {p}" for p in found]
     algorithm = algorithm_factory()
-    name = getattr(algorithm, "name", type(algorithm).__name__)
+    name = algorithm_name(algorithm)
     return ParityReport("engine", name, workload, len(instance),
                         tuple(problems))
 

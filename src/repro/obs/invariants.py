@@ -50,6 +50,7 @@ from ..analysis.theory import (
     ff_nonclairvoyant_upper_bound,
     ha_upper_bound,
 )
+from ..algorithms.base import algorithm_name
 from ..core.bins import LOAD_EPS, Bin
 from ..core.errors import ReproError
 from ..core.item import Item
@@ -106,8 +107,8 @@ RATIO_BOUNDS: Dict[str, Callable[[float], float]] = {
 
 def ratio_bound_for(algorithm) -> Optional[Callable[[float], float]]:
     """The Table-1 ratio bound for an algorithm (object or name), if any."""
-    name = algorithm if isinstance(algorithm, str) else getattr(
-        algorithm, "name", type(algorithm).__name__
+    name = algorithm if isinstance(algorithm, str) else algorithm_name(
+        algorithm
     )
     return RATIO_BOUNDS.get(name)
 

@@ -14,8 +14,13 @@ then hands the whole list to its ``sink`` in arrival order.  One queue
 slot then carries the whole burst, so a shard pays one scheduling
 round-trip per batch instead of per request.
 
-Degenerate configurations short-circuit: ``max_batch=1`` or
-``max_delay=0`` means every :meth:`~MicroBatcher.add_nowait` reports the
+The pending batch is whatever container the ``pending`` factory makes
+(a list by default; the server's is a
+:class:`~repro.serve.shard.ArriveBatch` of item columns): the caller
+appends rows to :attr:`~MicroBatcher.pending` itself and then calls
+:meth:`~MicroBatcher.added`, so the batcher keeps no entry of its own
+per row.  Degenerate configurations short-circuit: ``max_batch=1`` or
+``max_delay=0`` means every :meth:`~MicroBatcher.added` reports the
 batch due at once (batching off — the default, and what the parity
 harness uses).
 
@@ -27,7 +32,7 @@ accepted-but-unflushed requests.
 from __future__ import annotations
 
 import asyncio
-from typing import Awaitable, Callable, List, Optional
+from typing import Awaitable, Callable, Optional
 
 __all__ = ["MicroBatcher"]
 
@@ -38,8 +43,8 @@ class MicroBatcher:
     Parameters
     ----------
     sink:
-        ``async def sink(batch: list) -> None`` receiving each flushed
-        batch (in submission order, never empty).
+        ``async def sink(batch) -> None`` receiving each flushed batch
+        (in submission order, never empty).
     max_batch:
         Flush as soon as this many pieces are pending (≥ 1).
     max_delay:
@@ -52,15 +57,19 @@ class MicroBatcher:
         :meth:`aclose` calls).  The telemetry plane uses this for its
         batch-size histogram and flush-cause counters; ``None`` (the
         default) costs nothing.
+    pending:
+        Factory of an empty batch: a container with ``len()`` that the
+        caller appends rows to (default ``list``).
     """
 
     def __init__(
         self,
-        sink: Callable[[list], Awaitable[None]],
+        sink: Callable[..., Awaitable[None]],
         *,
         max_batch: int = 1,
         max_delay: float = 0.0,
         observer: Optional[Callable[[int, str], None]] = None,
+        pending: Callable[[], object] = list,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -71,31 +80,32 @@ class MicroBatcher:
         self.max_delay = max_delay
         self.observer = observer
         self.batches_flushed = 0
-        self.pieces = 0
-        self._pending: List = []
+        self.pieces = 0  #: rows flushed
+        self._new = pending
+        #: the batch rows are appended to until it flushes
+        self.pending = pending()
+        #: the size at which a batch is due (1 with batching off)
+        self.due = max_batch if max_delay else 1
         self._timer: Optional[asyncio.TimerHandle] = None
         self._flush_task: Optional[asyncio.Task] = None
         self._closed = False
 
     def __len__(self) -> int:
-        return len(self._pending)
+        return len(self.pending)
 
-    def add_nowait(self, work) -> bool:
-        """Buffer one piece of work without awaiting anything.
+    def added(self) -> bool:
+        """Note rows just appended to :attr:`pending`, without awaiting.
 
         Returns ``True`` when the batch is due (full, or batching off):
         the caller then awaits ``flush(cause="size")`` itself.  A caller
-        with many pieces at hand buffers them all this way and awaits
-        only on the flushes.
+        with many rows at hand adds them all this way and awaits only on
+        the flushes.  Otherwise the first row of a batch starts its age
+        timer, so a caller that knows the batch's size need call this
+        only for its first row and when it reaches :attr:`due`.
         """
         if self._closed:
             raise RuntimeError("batcher is closed")
-        self._pending.append(work)
-        self.pieces += 1
-        if (
-            len(self._pending) >= self.max_batch
-            or self.max_delay == 0.0
-        ):
+        if len(self.pending) >= self.due:
             return True
         if self._timer is None:
             loop = asyncio.get_running_loop()
@@ -105,7 +115,7 @@ class MicroBatcher:
     def _fire(self) -> None:
         """Timer callback: flush from a task (timers can't await)."""
         self._timer = None
-        if self._pending and self._flush_task is None:
+        if len(self.pending) and self._flush_task is None:
             self._flush_task = asyncio.get_running_loop().create_task(
                 self._timed_flush()
             )
@@ -121,12 +131,15 @@ class MicroBatcher:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        if not self._pending:
+        batch = self.pending
+        size = len(batch)
+        if not size:
             return
-        batch, self._pending = self._pending, []
+        self.pending = self._new()
         self.batches_flushed += 1
+        self.pieces += size
         if self.observer is not None:
-            self.observer(len(batch), cause)
+            self.observer(size, cause)
         await self.sink(batch)
 
     async def aclose(self) -> None:

@@ -1,18 +1,26 @@
 """Service/batch parity: the serving layer's caller of the one oracle.
 
-A single-shard :class:`~repro.serve.server.PlacementServer` fed an
-arrival-ordered trace must make **bit-identical decisions** to batch
-:func:`~repro.core.simulation.simulate`: protocol parsing,
-micro-batching, the queue and the shard worker may not perturb one.
-:func:`check_service_parity` serves one (algorithm, instance) cell over
-a real localhost TCP round-trip, ``advance``s past the last departure,
-and hands the replies, the final ``stats`` and the server's merged
-packing-metrics snapshot to
+A :class:`~repro.serve.server.PlacementServer` fed an arrival-ordered
+trace must make, on each shard, **bit-identical decisions** to batch
+:func:`~repro.core.simulation.simulate` of that shard's items:
+protocol parsing, routing, micro-batching, the queue and the shard
+worker may not perturb one.  :func:`check_service_parity` serves one
+(algorithm, instance) cell over a real localhost TCP round-trip,
+``advance``s past the last departure, and hands each shard's replies,
+its final ``stats`` and its packing-metrics snapshot to
 :func:`~repro.engine.parity.check_against_batch`, which compares the
 snapshot with a registry on the batch run, counters and histograms
 exactly.
+
+By default the server has one shard and the trace no tenants.  With
+``shards`` > 1 the items go round-robin to one shard-affine tenant per
+shard (:func:`~repro.serve.loadgen.shard_affine_tenants`), and with
+``advance_every`` k an ``advance`` to the latest arrival follows every
+k arrives: the benchmark's served shape, where one connection's rows
+are regrouped into per-shard batches.
 :func:`service_parity_suite` sweeps the engine sweep's cells; CI runs
-``python -m repro.serve.parity``.
+``python -m repro.serve.parity`` with and without batching, and with
+``--shards 4 --advance-every 64``.
 """
 
 from __future__ import annotations
@@ -41,37 +49,56 @@ async def _serve_instance(
     capacity: float,
     batch_max: int,
     batch_delay: float,
+    shards: int = 1,
+    advance_every: int = 0,
 ) -> Tuple[List[dict], dict]:
-    """Replay ``instance`` through a fresh single-shard server.
+    """Replay ``instance`` through a fresh server (see the module
+    docstring for ``shards`` and ``advance_every``).
 
     Returns the arrive replies in submission order plus the final stats
     reply (taken after advancing past the last departure, so every
     scheduled departure has been processed and the cost is final), with
     the server's merged packing-metrics snapshot of that moment added
-    under ``"metrics"`` (the wire reply has none).
+    under ``"metrics"``, each shard's under ``"shard_metrics"`` and the
+    replies to the interleaved ``advance`` requests under
+    ``"advances"`` (the wire reply has none of these).
     """
+    from .loadgen import shard_affine_tenants
+
     server = PlacementServer(ServeConfig(
-        shards=1, algorithm=algorithm, capacity=capacity,
+        shards=shards, algorithm=algorithm, capacity=capacity,
         batch_max=batch_max, batch_delay=batch_delay,
     ))
+    tenants = shard_affine_tenants(shards, shards) if shards > 1 else None
     await server.start()
     try:
         client = await PlacementClient.connect("127.0.0.1", server.port)
         try:
-            futures = [
-                client.submit({
+            futures, advances = [], []
+            for i, item in enumerate(instance):
+                request = {
                     "op": "arrive", "id": item.uid, "arrival": item.arrival,
                     "departure": item.departure, "size": item.size,
-                })
-                for item in instance
-            ]
+                }
+                if tenants is not None:
+                    request["tenant"] = tenants[i % shards]
+                futures.append(client.submit(request))
+                if advance_every and (i + 1) % advance_every == 0:
+                    advances.append(client.submit(
+                        {"op": "advance", "time": item.arrival}
+                    ))
             await client.drain_writes()
             replies = list(await asyncio.gather(*futures))
+            advanced = list(await asyncio.gather(*advances))
             await client.advance(
                 max((it.departure for it in instance), default=0.0)
             )
             stats = await client.stats()
             stats["metrics"] = server.merged_metrics().snapshot()
+            stats["shard_metrics"] = [
+                shard.engine.metrics.snapshot() for shard in server.shards
+            ]
+            stats["advances"] = advanced
         finally:
             await client.aclose()
     finally:
@@ -87,15 +114,30 @@ def check_service_parity(
     workload: str = "instance",
     batch_max: int = 1,
     batch_delay: float = 0.0,
+    shards: int = 1,
+    advance_every: int = 0,
 ) -> ParityReport:
-    """Serve ``instance`` over TCP and compare against ``simulate()``."""
+    """Serve ``instance`` over TCP and compare each shard against
+    ``simulate()`` of its items."""
     replies, stats = asyncio.run(_serve_instance(
         algorithm, instance, capacity=capacity, batch_max=batch_max,
-        batch_delay=batch_delay,
+        batch_delay=batch_delay, shards=shards, advance_every=advance_every,
     ))
+    bad = [r for r in stats["advances"] if not r.get("ok")]
+    problems = [f"{len(bad)} advance error replies (first: {bad[0]})"] \
+        if bad else []
+    items = list(instance)
+    for k in range(shards):  # shard k holds items k, k + shards, ...
+        found = served_problems(
+            replies[k::shards],
+            {"totals": stats["per_shard"][k],
+             "metrics": stats["shard_metrics"][k]},
+            algorithm, Instance(items[k::shards]), capacity,
+        )
+        problems += [f"shard {k}: {p}" for p in found] if shards > 1 \
+            else found
     return ParityReport(
-        "serve", algorithm, workload, len(instance),
-        served_problems(replies, stats, algorithm, instance, capacity),
+        "serve", algorithm, workload, len(instance), tuple(problems)
     )
 
 
@@ -133,12 +175,17 @@ def service_parity_suite(
     seed: int = 0,
     batch_max: int = 1,
     batch_delay: float = 0.0,
+    shards: int = 1,
+    advance_every: int = 0,
 ) -> List[ParityReport]:
     """One report per cell; ``batch_max``/``batch_delay`` exercise the
-    micro-batched path (decisions must not depend on batching)."""
+    micro-batched path (decisions must not depend on batching), and
+    ``shards``/``advance_every`` the regrouping of one connection's rows
+    into per-shard batches."""
     return [
         check_service_parity(name, inst, workload=wname,
-                             batch_max=batch_max, batch_delay=batch_delay)
+                             batch_max=batch_max, batch_delay=batch_delay,
+                             shards=shards, advance_every=advance_every)
         for name, wname, inst in (
             default_parity_cells(seed) if cells is None else cells
         )
@@ -151,9 +198,9 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="repro.serve.parity",
-        description="Replay every parity cell through a single-shard "
-        "placement server and exit non-zero on any mismatch with batch "
-        "simulate().",
+        description="Replay every parity cell through a placement "
+        "server and exit non-zero on any shard's mismatch with batch "
+        "simulate() of its items.",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
@@ -164,9 +211,23 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
         "--batch-delay", type=float, default=0.0,
         help="micro-batch age bound in seconds (0 = batching off)",
     )
+    parser.add_argument(
+        "--shards", type=int, default=1,
+        help="shards to serve with; more than 1 spreads the items "
+        "round-robin over one shard-affine tenant per shard",
+    )
+    parser.add_argument(
+        "--advance-every", type=int, default=0, metavar="K",
+        help="send an advance to the latest arrival after every K "
+        "arrives (0 = none)",
+    )
     args = parser.parse_args(argv)
+    if args.shards < 1 or args.advance_every < 0:
+        parser.error("--shards must be >= 1 and --advance-every >= 0")
     reports = service_parity_suite(
-        seed=args.seed, batch_max=args.batch_max, batch_delay=args.batch_delay
+        seed=args.seed, batch_max=args.batch_max,
+        batch_delay=args.batch_delay, shards=args.shards,
+        advance_every=args.advance_every,
     )
     return print_reports(reports, "service parity sweep")
 

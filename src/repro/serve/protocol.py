@@ -60,6 +60,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import List, Optional, Tuple, Union
 
 from ..core.errors import InvalidItemError
@@ -73,6 +74,7 @@ __all__ = [
     "ProtocolError",
     "Request",
     "parse_request",
+    "parse_chunk",
     "ok_reply",
     "error_reply",
     "encode",
@@ -308,7 +310,9 @@ def _parse_strict(line: Union[str, bytes]) -> Request:
 # ``trace``, ...), ``true``/``false``/``null``, ids or tenants that are
 # not strings or integers, the integer ``-0`` (which JSON reads as 0),
 # whitespace other than one space after ``:`` or ``,`` (``json.dumps``'s
-# default separators) or at the end, and values that fail validation.
+# default separators) or before the line's end, and values that fail
+# validation.  A match ends at its line's newline (or the text's end), so
+# matching at a line start in a chunk never runs into the next line.
 # Possessive quantifiers (``*+``) spare the matcher backtracking state.
 _INT = rb"(?:-?[1-9][0-9]*+|0)"
 #: a JSON number other than the integer ``-0``
@@ -318,11 +322,14 @@ _NUMBER = (
 )
 #: a string of printable ASCII without escapes, or an integer
 _IDENT = rb'(?:"([ !#-\[\]-~]*+)"|(' + _INT + rb"))"
-#: value pattern and groups (string, integer or number) per key
+#: the same, as one token: the quoted string or the integer, both of
+#: which name the value by the text between any quotes
+_TOKEN = rb'("[ !#-\[\]-~]*+"|' + _INT + rb")"
+#: value pattern and groups (string, integer, token or number) per key
 _ARRIVE_FIELDS = {
     b"op": (rb'"arrive"', ()),
-    b"id": (_IDENT, ("id", "id_int")),
-    b"tenant": (_IDENT, ("tenant", "tenant_int")),
+    b"id": (_TOKEN, ("id",)),
+    b"tenant": (_TOKEN, ("tenant",)),
     b"seq": (_IDENT, ("seq", "seq_int")),
     b"arrival": (_NUMBER, ("arrival",)),
     b"departure": (_NUMBER, ("departure",)),
@@ -331,11 +338,11 @@ _ARRIVE_FIELDS = {
 _ARRIVE_REQUIRED = frozenset((b"op", b"id", b"arrival", b"size"))
 #: the groups :func:`_parse_arrive` reads, in its order
 _ARRIVE_GROUPS = (
-    "id", "id_int", "tenant", "tenant_int", "seq", "seq_int", "arrival",
-    "departure", "size",
+    "id", "tenant", "seq", "seq_int", "arrival", "departure", "size",
 )
 #: the keys of a line, in order (a key is any quoted text before a colon)
 _KEYS = re.compile(rb'"([^"\\]*)"[ \t\r]*:')
+_INF = math.inf
 #: longer lines are parsed strictly: no integer in a shorter one reaches
 #: the digit limit past which ``json`` refuses to convert integers
 _FAST_MAX_LINE = 4096
@@ -345,11 +352,23 @@ _FAST_MAX_LINE = 4096
 _last_plan = None
 
 
+#: any one line: what :func:`parse_chunk` splits a chunk into when no
+#: plan applies
+_LINE = rb"[^\n]++\n?+|\n"
+_LINES = re.compile(_LINE)
+
+
 @lru_cache(maxsize=64)
 def _arrive_plan(keys: Tuple[bytes, ...]):
-    """``(regex, group numbers)`` for ``arrive`` lines with ``keys`` in
+    """``(regex, row getter)`` for ``arrive`` lines with ``keys`` in
     this order, or ``None`` when those keys are not a fast-path
-    ``arrive`` (unknown, duplicate or missing keys)."""
+    ``arrive`` (unknown, duplicate or missing keys).
+
+    The regex matches any one line, so ``finditer`` walks a chunk line
+    by line: group 1 is an ``arrive`` line it takes, the last group any
+    other line.  The getter picks from a match the whole line, the
+    groups of :data:`_ARRIVE_GROUPS` in that order, and the last
+    group."""
     fields = set(keys)
     if (
         len(fields) != len(keys)
@@ -360,15 +379,18 @@ def _arrive_plan(keys: Tuple[bytes, ...]):
     parts, number = [], {}
     for key in keys:
         pattern, groups = _ARRIVE_FIELDS[key]
-        parts.append(b'"' + key + b'": ?' + pattern)
-        for name in groups:
-            number[name] = len(number) + 1
-    # a last group that never takes part: where absent keys point
+        parts.append(b'"' + key + b'": ?+' + pattern)
+        for name in groups:  # inside group 1, so numbered from 2
+            number[name] = len(number) + 2
+    # after them, a group that never takes part: where absent keys point
+    absent = len(number) + 2
     regex = re.compile(
-        rb"\{" + b", ?".join(parts) + rb"\}[ \t\r\n]*+(?:()(?!))?"
+        rb"(\{" + b", ?+".join(parts) + rb"\}[ \t\r]*+(?:\n|\Z)(?:()(?!))?)"
+        rb"|(" + _LINE + b")"
     )
-    absent = len(number) + 1
-    return regex, tuple(number.get(name, absent) for name in _ARRIVE_GROUPS)
+    return regex, itemgetter(
+        0, *(number.get(name, absent) for name in _ARRIVE_GROUPS), absent + 1
+    )
 
 
 def _parse_arrive(line: bytes) -> Optional[Request]:
@@ -384,22 +406,19 @@ def _parse_arrive(line: bytes) -> Optional[Request]:
         return None
     plan = _last_plan
     match = plan[0].fullmatch(line) if plan is not None else None
-    if match is None:
+    if match is None or match[1] is None:
         plan = _arrive_plan(tuple(_KEYS.findall(line)))
         if plan is None:
             return None
         match = plan[0].fullmatch(line)
-        if match is None:
+        if match is None or match[1] is None:
             return None
         _last_plan = plan
-    (id_, id_int, tenant, tenant_int, seq, seq_int, arrival, departure,
-     size) = match.group(*plan[1])
-    if id_ is None:  # an integer id is named by its decimal form
-        id_ = id_int
-    if tenant is None:
-        tenant = tenant_int
-    if tenant is not None:
-        tenant = tenant.decode()
+    _, id_, tenant, seq, seq_int, arrival, departure, size, _ = plan[1](
+        match
+    )
+    if tenant is not None:  # an integer is named by its decimal form
+        tenant = tenant.strip(b'"').decode()
     if seq is not None:
         seq = seq.decode()
     elif seq_int is not None:
@@ -412,8 +431,51 @@ def _parse_arrive(line: bytes) -> Optional[Request]:
         validate_item_values(arrival, departure, size)
     except InvalidItemError:
         return None
-    return Request("arrive", seq, id_.decode(), tenant, arrival,
-                   departure, size)
+    return Request("arrive", seq, id_.strip(b'"').decode(), tenant,
+                   arrival, departure, size)
+
+
+def parse_chunk(chunk: bytes, stop: int, fast: bool = True):
+    """Split the lines of ``chunk[:stop]`` into requests, in order: the
+    chunk entry point beside :func:`parse_request`.
+
+    Yields ``(line, arrival, departure, size, seq, id, key)`` per line.
+    A canonical ``arrive`` line -- one the fast parse takes, with an
+    integer ``seq`` and a departure -- comes with the values
+    :func:`parse_request` would give it (``seq`` an int, ``id`` a str)
+    and the wire token of its routing key (the tenant's, else the id's:
+    quoted when a string).  Every other line comes with ``arrival``
+    ``None``, for the caller to hand to :func:`parse_request`; so does
+    every line when ``fast`` is false.
+
+    The chunk is matched line after line by one ``finditer``, with the
+    plan of the key order the fast parse took last before the chunk; a
+    line that plan does not take is left to :func:`parse_request`,
+    which may switch the plan for the next chunk.
+    """
+    plan = _last_plan if fast else None
+    if plan is None:
+        for line in _LINES.findall(chunk, 0, stop):
+            yield line, None, None, None, None, None, None
+        return
+    for (line, id_, tenant, _, seq, arrival, departure, size,
+         other) in map(plan[1], plan[0].finditer(chunk, 0, stop)):
+        if other is not None:
+            yield line, None, None, None, None, None, None
+            continue
+        if seq is not None and departure is not None and \
+                len(line) <= _FAST_MAX_LINE:
+            arrival = float(arrival)
+            departure = float(departure)
+            size = float(size)
+            # validate_item_values for a known departure (no JSON number
+            # reads as NaN); a failure is refused by the strict path
+            if -_INF < arrival < departure < _INF and 0.0 < size <= 1.0:
+                yield (line, arrival, departure, size, int(seq),
+                       id_.strip(b'"').decode(),
+                       id_ if tenant is None else tenant)
+                continue
+        yield line, None, None, None, None, None, None
 
 
 def ok_reply(op: str, *, seq=None, **fields) -> dict:

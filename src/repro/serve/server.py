@@ -5,19 +5,27 @@ Request path
 ``connection reader → parse → consistent-hash route → per-shard
 micro-batcher → bounded shard queue → shard worker (kernel) → reply``
 
-The path is paid per micro-batch where it can be.  The reader parses
-and routes every complete line the stream already holds before it
-yields (``readline`` does not suspend while a whole line is buffered);
-it awaits only where the route must (a due batcher flush, a full shard queue, a ``depart``'s enqueue
-or an ``advance`` broadcast).  A flushed micro-batch is one shard job:
-the worker applies it in one loop, writes canonical ``arrive`` ok
+The path is paid per micro-batch where it can be.  The reader takes
+every byte the stream already holds in one read, keeps a partial last
+line for the next, and parses the chunk's whole lines in one pass
+(:func:`~repro.serve.protocol.parse_chunk`).  A canonical ``arrive``
+line goes straight into its shard's pending item columns (an
+:class:`~repro.serve.shard.ArriveBatch`), with no
+:class:`~repro.serve.protocol.Request`; every other line takes the
+per-line path (:func:`~repro.serve.protocol.parse_request`, then
+:meth:`PlacementServer._route`).  The reader awaits only where the
+route must (a due batcher flush, a ``depart``'s enqueue or an
+``advance`` broadcast).  A flushed micro-batch is one shard job: the
+worker releases its columns as they are, writes canonical ``arrive`` ok
 replies straight to wire bytes, and completes it once through one
 :class:`_ReplySlot`, which queues one chunk per connection.
 
 Every stage is explicit about overload and failure:
 
 - a malformed line produces a structured error reply on the same
-  connection (the reader never raises out of a bad line);
+  connection (the reader never raises out of a bad line); a line
+  longer than :data:`MAX_LINE` bytes is answered ``bad-request`` and
+  closes the connection;
 - a **full shard queue** produces an immediate
   ``{"error": "overloaded", "retry_after": ...}`` reply instead of
   unbounded buffering — the client is told to back off, the server's
@@ -48,7 +56,6 @@ import pathlib
 import signal
 import time as _time
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Awaitable, Callable, Dict, List, Optional, Union
 
 from ..engine.metrics import EngineMetrics
@@ -62,11 +69,18 @@ from .protocol import (
     encode,
     error_reply,
     ok_reply,
+    parse_chunk,
     parse_request,
 )
-from .shard import HashRing, PlacementShard
+from .shard import ROUTE_MEMO_CAP, ArriveBatch, HashRing, PlacementShard
 
 __all__ = ["ServeConfig", "PlacementServer"]
+
+#: the longest line served, in bytes before its newline (asyncio's
+#: stream limit); a longer one is answered and closes its connection
+MAX_LINE = 1 << 16
+#: bytes asked of the stream per read: more than it ever buffers
+_READ_SIZE = 1 << 18
 
 
 @dataclass
@@ -98,10 +112,6 @@ class ServeConfig:
         if self.checkpoint_dir is None:
             raise ValueError("no checkpoint_dir configured")
         return pathlib.Path(self.checkpoint_dir) / f"shard-{shard_id}.ckpt"
-
-
-#: a micro-batch entry is ``(arrival, request, connection, ctx)``
-_ARRIVAL = itemgetter(0)
 
 
 @dataclass(eq=False)
@@ -141,7 +151,7 @@ class _ReplySlot:
 
     __slots__ = ("server", "shard", "conns", "ctxs", "_done")
 
-    def __init__(self, server, shard, conns: tuple, ctxs: tuple) -> None:
+    def __init__(self, server, shard, conns, ctxs) -> None:
         self.server = server
         self.shard = shard
         self.conns = conns  #: each request's connection
@@ -265,6 +275,8 @@ class PlacementServer:
         self._algorithm_factory = registry[config.algorithm]
         self.shards: List[PlacementShard] = []
         self.ring = HashRing(config.shards)
+        #: routing key token → shard, for the lines parse_chunk takes
+        self._routes: Dict[bytes, int] = {}
         self.batchers: List[MicroBatcher] = []
         self.requests = 0  #: wire lines parsed into requests
         self.errors = 0  #: error replies sent (any code)
@@ -322,6 +334,7 @@ class PlacementServer:
                     max_batch=cfg.batch_max,
                     max_delay=cfg.batch_delay,
                     observer=observer,
+                    pending=ArriveBatch,
                 )
             )
 
@@ -336,11 +349,12 @@ class PlacementServer:
     def _make_sink(self, shard: PlacementShard):
         telemetry = self.telemetry
 
-        async def sink(batch: list) -> None:
+        async def sink(batch: ArriveBatch) -> None:
             # simultaneous arrivals: stable sort by arrival inside the
             # micro-batch mirrors Instance order (ties keep submit order)
-            batch.sort(key=_ARRIVAL)
-            job = self._job(shard, batch)
+            batch.sort()
+            job = (batch, batch.ctxs,
+                   _ReplySlot(self, shard, batch.conns, batch.ctxs))
             if shard.crashed:
                 # the shard fail-stopped while this batch aged in the
                 # batcher: nobody will drain the queue, so answer here
@@ -348,17 +362,11 @@ class PlacementServer:
                 return
             if telemetry is not None:
                 t_queued = self._now()
-                for ctx in job[1]:
+                for ctx in batch.ctxs:
                     ctx.t_queued = t_queued
             await shard.queue.put(job)
 
         return sink
-
-    def _job(self, shard: PlacementShard, entries: list) -> tuple:
-        """A shard job from micro-batch entries: requests, contexts and
-        one reply slot."""
-        _, reqs, conns, ctxs = zip(*entries)
-        return reqs, ctxs, _ReplySlot(self, shard, conns, ctxs)
 
     async def start(self) -> None:
         """Bind the listening socket and start the shard workers."""
@@ -499,21 +507,25 @@ class PlacementServer:
         )
         cancelled = False
         try:
+            tail = b""  # a partial last line, completed by the next read
             while True:
                 try:
-                    line = await reader.readline()
-                except (ValueError, ConnectionError):
-                    # oversized line or reset: answer if we can, then close
+                    data = await reader.read(_READ_SIZE)
+                except ConnectionError:
+                    break  # reset: nobody is left to answer
+                if not data:
+                    if tail:  # a last line without its newline
+                        await self._serve_lines(tail, len(tail), conn)
+                    break
+                if tail:
+                    data = tail + data
+                stop = data.rfind(b"\n") + 1
+                tail = data[stop:]
+                if stop and not await self._serve_lines(data, stop, conn):
+                    break
+                if len(tail) > MAX_LINE:
                     conn.send(error_reply("bad-request", "line too long"))
                     break
-                if not line:
-                    break
-                # readline returns without suspending while a whole line
-                # is buffered, so every buffered line is routed before
-                # the loop yields, unless the route itself must wait
-                wait = self._dispatch(line, conn)
-                if wait is not None:
-                    await wait
         except asyncio.CancelledError:
             cancelled = True
             raise
@@ -572,6 +584,77 @@ class PlacementServer:
                 writer.close()
             except RuntimeError:  # pragma: no cover - loop shutdown race
                 pass
+
+    async def _serve_lines(
+        self, data: bytes, stop: int, conn: _Connection
+    ) -> bool:
+        """Parse and route the lines of ``data[:stop]``, in order;
+        ``False`` when one is too long and the connection must close.
+
+        A canonical ``arrive`` line joins its shard's pending columns
+        here, when the shard would take it: no shard that is down, no
+        full queue, no drain.  Those states change only while this
+        coroutine awaits, so they are read once per shard between
+        awaits.  Every other line, and a canonical one a shard would
+        refuse, takes the per-line path (:meth:`_dispatch`), which
+        answers it as it answers any line.
+        """
+        shards, batchers, routes = self.shards, self.batchers, self._routes
+        t_recv = self._now()
+        may_join = [None] * len(shards)  # per shard, until the next await
+        joined = 0  # rows joined since the counters were last brought up
+        for (line, arrival, departure, size, seq, id_,
+             key) in parse_chunk(data, stop, self.telemetry is None):
+            if arrival is not None:
+                shard_id = routes.get(key)
+                if shard_id is None:
+                    if len(routes) >= ROUTE_MEMO_CAP:
+                        routes.clear()
+                    shard_id = routes[key] = self.ring.shard_for(
+                        key.strip(b'"').decode()
+                    )
+                ok = may_join[shard_id]
+                if ok is None:
+                    shard = shards[shard_id]
+                    ok = may_join[shard_id] = not (
+                        self.draining or shard.crashed or shard.queue.full()
+                    )
+                if ok:
+                    shards[shard_id].inflight += 1
+                    batcher = batchers[shard_id]
+                    batch = batcher.pending
+                    batch.arrivals.append(arrival)
+                    batch.departures.append(departure)
+                    batch.sizes.append(size)
+                    batch.seqs.append(seq)
+                    batch.ids.append(id_)
+                    batch.conns.append(conn)
+                    batch.ctxs.append(t_recv)
+                    joined += 1
+                    rows = len(batch.seqs)
+                    if rows >= batcher.due:
+                        self.requests += joined
+                        conn.pending += joined
+                        joined = 0
+                        await batcher.flush(cause="size")
+                        may_join = [None] * len(shards)
+                    elif rows == 1:  # starts the batch's age timer
+                        batcher.added()
+                    continue
+            if joined:
+                self.requests += joined
+                conn.pending += joined
+                joined = 0
+            if len(line) > MAX_LINE + 1:  # longer than MAX_LINE + "\n"
+                conn.send(error_reply("bad-request", "line too long"))
+                return False
+            wait = self._dispatch(line, conn)
+            if wait is not None:
+                await wait
+                may_join = [None] * len(shards)
+        self.requests += joined
+        conn.pending += joined
+        return True
 
     def _dispatch(
         self, line: bytes, conn: _Connection
@@ -666,24 +749,28 @@ class PlacementServer:
             telemetry.shards[shard_id].queue_depth.set(shard.queue.qsize())
         shard.inflight += 1
         conn.pending += 1
-        entry = (req.arrival, req, conn, ctx)
         if op == "depart":
-            return self._enqueue_depart(shard, entry)
+            return self._enqueue_depart(shard, req, conn, ctx)
         if telemetry is not None:
             ctx.t_enqueued = self._now()
         batcher = self.batchers[shard_id]
-        if batcher.add_nowait(entry):
+        batcher.pending.add_request(req, conn, ctx)
+        if batcher.added():
             return batcher.flush(cause="size")
         return None
 
-    async def _enqueue_depart(self, shard: PlacementShard, entry) -> None:
+    async def _enqueue_depart(
+        self, shard: PlacementShard, req: Request, conn: _Connection, ctx
+    ) -> None:
         # ordering: a depart must see every arrival submitted before
         # it, so the shard's pending micro-batch flushes first
         await self.batchers[shard.shard_id].flush()
         if self.telemetry is not None:
-            ctx = entry[3]
             ctx.t_enqueued = ctx.t_queued = self._now()
-        await shard.queue.put(self._job(shard, [entry]))
+        ctxs = (ctx,)
+        await shard.queue.put(
+            ((req,), ctxs, _ReplySlot(self, shard, (conn,), ctxs))
+        )
 
     async def _broadcast_advance(
         self, req: Request, conn: _Connection

@@ -9,14 +9,18 @@ enqueue order** — the property that makes per-shard decision streams
 deterministic and lets the parity harness compare a single-shard server
 bit-for-bit against batch ``simulate()``.
 
-A job is one micro-batch: ``(requests, contexts, slot)``.  The worker
-runs it through :meth:`PlacementShard.apply_batch`, which applies each
-run of consecutive ``arrive`` requests with one
-:meth:`~repro.core.kernel.PlacementKernel.release_store` call over the
-shard's :class:`~repro.core.store.ItemStore` (refilled per run),
-encodes the replies from the kernel's decision columns (a canonical
-``arrive`` ok reply straight to its wire bytes), and hands the list of
-replies to ``slot`` once
+A job is ``(batch, contexts, slot)``.  A served micro-batch of
+``arrive`` rows is an :class:`ArriveBatch`: item columns the server
+filled straight from the wire, which :meth:`PlacementShard.apply_rows`
+releases as they are, one
+:meth:`~repro.core.kernel.PlacementKernel.release_store` call per run,
+and answers from the kernel's decision columns (canonical ``arrive`` ok
+replies straight to their wire bytes).  Any other job holds
+:class:`~repro.serve.protocol.Request` objects and goes through
+:meth:`PlacementShard.apply_batch`, which applies each run of
+consecutive ``arrive`` requests the same way over the shard's own
+:class:`~repro.core.store.ItemStore` (refilled per run).  Either hands
+the list of replies to ``slot`` once
 (``slot.done()``/``slot.set_result(replies)``, so an
 ``asyncio.Future`` serves as well).  A run of one is the kernel's
 per-item ``release``; ``depart`` and ``advance`` are applied one at a
@@ -50,6 +54,7 @@ from array import array
 from bisect import bisect_right
 from functools import lru_cache, partial
 from itertools import islice
+from operator import le
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from ..core.errors import ClairvoyanceError, PackingError, SimulationError
@@ -72,12 +77,16 @@ from .protocol import (
     ok_reply,
 )
 
-__all__ = ["HashRing", "PlacementShard", "stable_hash", "ROUTE_MEMO_CAP"]
+__all__ = [
+    "ArriveBatch", "HashRing", "PlacementShard", "stable_hash",
+    "ROUTE_MEMO_CAP",
+]
 
 #: sentinel that stops a shard worker (queue-ordered, after pending work)
 _STOP = object()
 
 _NAN = float("nan")
+_FLOATS = array("d")
 
 #: bound of the ``(client, seq) → reply`` retry-dedup cache, in entries
 #: (FIFO eviction; must exceed any client's in-flight × retry window)
@@ -131,6 +140,76 @@ def _ring_lookup(hashes: List[int], shards: List[int], key: str) -> int:
     """The shard owning the first ring point clockwise of ``key``'s hash."""
     i = bisect_right(hashes, stable_hash(key))
     return shards[i if i < len(hashes) else 0]
+
+
+class ArriveBatch(ItemStore):
+    """One served micro-batch of ``arrive`` rows, as columns: the job a
+    flushed batcher hands its shard (:meth:`PlacementShard.apply_rows`).
+
+    The item columns are the store's own (``uids`` is ``None`` until a
+    run of rows is released); ``seqs``, ``ids``, ``conns`` and ``ctxs``
+    run beside them.  A row parsed from a canonical wire line
+    (:func:`~repro.serve.protocol.parse_chunk`) is values only: an int
+    ``seq``, a known departure, no dedup key, a receive-time context.
+    A row that came through :func:`~repro.serve.protocol.parse_request`
+    keeps its :class:`~repro.serve.protocol.Request` in ``reqs`` (row →
+    request).
+    """
+
+    __slots__ = ("seqs", "ids", "conns", "ctxs", "reqs")
+
+    def __init__(self) -> None:
+        # one is made per flushed batch, so the root store's fields are
+        # set here, columns copied from an empty one, rather than
+        # through ItemStore.__init__
+        self.arrivals = _FLOATS[:]
+        self.departures = _FLOATS[:]
+        self.sizes = _FLOATS[:]
+        self.uids = None
+        self._start = 0
+        self._stop = None
+        self._uid_rows = None
+        self.seqs: list = []
+        self.ids: list = []
+        #: where each row's reply goes (the server's; opaque here)
+        self.conns: list = []
+        #: each row's receive time, or its telemetry context
+        self.ctxs: list = []
+        self.reqs: dict = {}
+
+    def __len__(self) -> int:
+        return len(self.seqs)
+
+    def add_request(self, req: Request, conn, ctx) -> None:
+        """Append a parsed ``arrive`` request as a row that keeps it."""
+        self.reqs[len(self.seqs)] = req
+        d = req.departure
+        self.arrivals.append(req.arrival)
+        self.departures.append(_NAN if d is None else d)
+        self.sizes.append(req.size)
+        self.seqs.append(req.seq)
+        self.ids.append(req.id)
+        self.conns.append(conn)
+        self.ctxs.append(ctx)
+
+    def sort(self) -> None:
+        """Order the rows by arrival, ties in submit order, as an
+        :class:`~repro.core.instance.Instance` orders simultaneous
+        items (a no-op on rows already in order, the common case)."""
+        arr = self.arrivals
+        if len(arr) < 2 or all(map(le, arr, islice(arr, 1, None))):
+            return
+        order = sorted(range(len(arr)), key=arr.__getitem__)
+        for name in ("arrivals", "departures", "sizes"):
+            column = getattr(self, name)
+            setattr(self, name, array("d", [column[r] for r in order]))
+        for name in ("seqs", "ids", "conns", "ctxs"):
+            column = getattr(self, name)
+            setattr(self, name, [column[r] for r in order])
+        reqs = self.reqs
+        self.reqs = {
+            row: reqs[r] for row, r in enumerate(order) if r in reqs
+        }
 
 
 class PlacementShard:
@@ -200,8 +279,10 @@ class PlacementShard:
         self.telemetry = None
         self._narrator = None
         self._adaptive_uids: dict[str, int] = {}  # live unknown-departure ids
-        #: a run's item columns and decision columns, reused run to run
-        self._columns = (ItemStore(), array("q"), bytearray())
+        #: the item columns of a run of requests, refilled run to run
+        self._store = ItemStore()
+        #: a run's decision columns (bin uids, opened flags), reused
+        self._decisions = (array("q"), bytearray())
         self._task: Optional[asyncio.Task] = None
         self._now = clock if clock is not None else _time.perf_counter
         #: at-most-once retry dedup: ``(client, seq) → ok reply``.  The
@@ -260,7 +341,7 @@ class PlacementShard:
             try:
                 if job is _STOP:
                     return
-                reqs, ctxs, slot = job
+                batch, ctxs, slot = job
                 if self._stall_until is not None:
                     try:
                         await self._maybe_stall()
@@ -271,7 +352,10 @@ class PlacementShard:
                         # (and the connection's drain) hang forever
                         self._fail_job(job)
                         raise
-                replies = self.apply_batch(reqs, ctxs)
+                replies = (
+                    self.apply_rows(batch) if type(batch) is ArriveBatch
+                    else self.apply_batch(batch, ctxs)
+                )
                 if not slot.done():
                     slot.set_result(replies)
                 if self.crashed:  # fail-stopped mid-batch (crash_after)
@@ -382,15 +466,19 @@ class PlacementShard:
 
     def _fail_job(self, job: tuple) -> None:
         """Answer every request of ``job`` with ``unavailable``."""
-        reqs, _, slot = job
+        batch, _, slot = job
         if not slot.done():
-            slot.set_result([self._unavailable(req) for req in reqs])
+            seqs = (
+                batch.seqs if type(batch) is ArriveBatch
+                else [req.seq for req in batch]
+            )
+            slot.set_result([self._unavailable(seq) for seq in seqs])
 
-    def _unavailable(self, req: Request) -> dict:
+    def _unavailable(self, seq) -> dict:
         return error_reply(
             "unavailable",
             f"shard {self.shard_id} is down — retry after recovery",
-            seq=req.seq, shard=self.shard_id,
+            seq=seq, shard=self.shard_id,
         )
 
     # ------------------------------------------------------------------ #
@@ -442,7 +530,8 @@ class PlacementShard:
                     j, canonical = i + 1, False
                 elif j == i + 1:
                     replies.append(
-                        self._one(reqs[i], ctx is not None, canonical)
+                        self._one_request(reqs[i], ctx is not None,
+                                          canonical)
                     )
                 else:
                     self._run(reqs, ctxs, i, j, canonical, replies)
@@ -457,7 +546,7 @@ class PlacementShard:
                 if self._run_end(reqs, None, i, j)[0] == i:
                     replies.append(self._apply(reqs[i]))
                 else:
-                    replies.append(self._one(reqs[i], False, False))
+                    replies.append(self._one_request(reqs[i], False, False))
                 ctx.t_kernel1 = now()
                 if narrator is not None:
                     narrator.active = False
@@ -466,41 +555,170 @@ class PlacementShard:
                     if type(reply) is dict:
                         reply.setdefault("shard", self.shard_id)
             if left is not None:
-                left -= j - i
-                self._crash_after_applies = left if left > 0 else None
-                if left <= 0:
-                    self._fail_stop()
+                self._count_applies(j - i)
             i = j
         if i < n:
-            replies += [self._unavailable(req) for req in islice(reqs, i, n)]
-        if ctxs is not None and i:
-            t_done = now()
-            observe = self.request_latency.observe
-            for ctx in islice(ctxs, i):
-                observe(t_done - (ctx if type(ctx) is float else ctx.t_recv))
+            replies += [self._unavailable(req.seq) for req in islice(reqs, i, n)]
+        if ctxs is not None:
+            self._observe(ctxs, 0, i)
         return replies
+
+    def apply_rows(self, batch: ArriveBatch) -> list:
+        """Execute a served micro-batch; one reply per row, in order.
+
+        Each run of rows that are values only is released straight from
+        the batch's columns (:meth:`_apply_columns`); each run of rows
+        that kept their :class:`Request` goes through
+        :meth:`apply_batch`.  The replies are those :meth:`apply_batch`
+        gives the same rows as requests.
+        """
+        n = len(batch.seqs)
+        reqs = batch.reqs
+        if not reqs:
+            return self._apply_columns(batch, 0, n)
+        replies = []
+        i = 0
+        while i < n:
+            kept = i in reqs
+            j = i + 1
+            while j < n and (j in reqs) is kept:
+                j += 1
+            if kept:
+                replies += self.apply_batch(
+                    [reqs[r] for r in range(i, j)], batch.ctxs[i:j]
+                )
+            else:
+                replies += self._apply_columns(batch, i, j)
+            i = j
+        return replies
+
+    def _apply_columns(self, batch: ArriveBatch, i: int, j: int) -> list:
+        """Apply rows ``[i, j)`` of ``batch``, all values only: one
+        kernel call (:meth:`_release`, or the per-item ``release`` for a
+        run of one) per run, canonical wire replies."""
+        replies = []
+        seqs, ids = batch.seqs, batch.ids
+        shard_id = self.shard_id
+        k = i
+        while k < j and not self.crashed:
+            left = self._crash_after_applies
+            stop = j if left is None else min(j, k + left)
+            if stop - k == 1:
+                placed = self._one(
+                    batch.arrivals[k], batch.departures[k], batch.sizes[k]
+                )
+                if len(placed) == 2:
+                    replies.append(self._refusal(seqs[k], ids[k], *placed))
+                else:
+                    uid, bin_, fresh, latency = placed
+                    replies.append(encode_arrive_ok(
+                        seqs[k], ids[k], uid, bin_, fresh, shard_id, latency
+                    ))
+            else:
+                uids = batch.uids
+                if uids is None:  # set run by run
+                    uids = batch.uids = array("q", bytes(8 * len(seqs)))
+                base = self.engine.arrivals  # uids are sequential per shard
+                uids[k:stop] = array("q", range(base, base + stop - k))
+                failed, latency = self._release(batch, k, stop, seqs, ids)
+                bins, opened = self._decisions
+                if not failed:
+                    replies += encode_arrive_oks(
+                        seqs[k:stop], ids[k:stop], uids[k:stop],
+                        bins, opened, shard_id, latency,
+                    )
+                else:
+                    d = 0  # decision row
+                    for r in range(k, stop):
+                        refused = failed.get(r - k)
+                        if refused is not None:
+                            replies.append(refused)
+                            continue
+                        replies.append(encode_arrive_ok(
+                            seqs[r], ids[r], uids[r], bins[d],
+                            opened[d] == 1, shard_id, latency,
+                        ))
+                        d += 1
+            if left is not None:
+                self._count_applies(stop - k)
+            k = stop
+        if k < j:
+            replies += [self._unavailable(seq) for seq in seqs[k:j]]
+        self._observe(batch.ctxs, i, k)
+        return replies
+
+    def _count_applies(self, n: int) -> None:
+        """``n`` more requests were applied under an armed
+        :meth:`crash_after`: fail-stop when its count is reached (a run
+        ends where the count does)."""
+        left = self._crash_after_applies - n
+        self._crash_after_applies = left if left > 0 else None
+        if left <= 0:
+            self._fail_stop()
+
+    def _observe(self, ctxs, i: int, j: int) -> None:
+        """Record the receive → reply latency of served rows ``[i, j)``."""
+        if j > i:
+            t_done = self._now()
+            observe = self.request_latency.observe
+            for ctx in islice(ctxs, i, j):
+                observe(t_done - (ctx if type(ctx) is float else ctx.t_recv))
+
+    def _release(self, store: ItemStore, i: int, j: int, seqs, ids):
+        """Release rows ``[i, j)`` of ``store`` (their uids set) with one
+        ``release_store`` call into the shard's decision columns.
+
+        A row that raises gets its error reply (its ``seq`` and ``id``
+        from ``seqs``/``ids``, indexed as the store), the rows before it
+        stand, and the run resumes after it; the later rows move up a
+        uid when the kernel did not place it.  Returns ``(refused,
+        latency_us)``: run row → error reply for each row that raised,
+        and the run's kernel time divided by its rows.
+        """
+        engine = self.engine
+        bins, opened = self._decisions
+        del bins[:], opened[:]
+        uids = store.uids
+        m = j - i
+        refused = {}
+        now = self._now
+        t0 = now()
+        k = 0
+        while k < m:
+            done, placed = len(bins), engine.arrivals
+            try:
+                engine.release_store(store, i + k, j, bins, opened)
+                break
+            except Exception as exc:  # noqa: BLE001 - answered per row
+                k += len(bins) - done  # the row that raised
+                # placed, then a listener raised: its uid is spent
+                spent = engine.arrivals - placed > len(bins) - done
+                r = i + k
+                refused[k] = self._refusal(seqs[r], ids[r], exc, spent)
+                if not spent:  # untouched: the later rows move up a uid
+                    for r in range(i + k + 1, j):
+                        uids[r] -= 1
+                k += 1
+        latency = round(1e6 * (now() - t0) / m, 3)
+        self.accepted += m - len(refused)
+        self.rejected += len(refused)
+        return refused, latency
 
     def _run(self, reqs, ctxs, i: int, j: int, canonical: bool,
              replies: list) -> None:
         """Apply ``reqs[i:j]``, a run of ``arrive`` requests that reach
-        the kernel (:meth:`_run_end`), with one ``release_store`` over
-        the shard's columns, and append their replies.
-
-        A row that raises gets its error reply, the rows before it
-        stand, and the run resumes after it.  Each reply's
-        ``latency_us`` is the run's kernel time divided by its rows.
-        """
+        the kernel (:meth:`_run_end`), with one :meth:`_release` over
+        the shard's own columns, and append their replies."""
         run = reqs[i:j]
         m = j - i
-        engine = self.engine
-        base = engine.arrivals  # uids are sequential per shard
+        base = self.engine.arrivals  # uids are sequential per shard
         # the shard's own columns, refilled per run (parse_request
         # already validated the values)
-        store, bins, opened = self._columns
+        store = self._store
         arr, dep, siz, uids = (
             store.arrivals, store.departures, store.sizes, store.uids
         )
-        del arr[:], dep[:], siz[:], uids[:], bins[:], opened[:]
+        del arr[:], dep[:], siz[:], uids[:]
         try:
             for req in run:
                 arr.append(req.arrival)
@@ -511,45 +729,26 @@ class PlacementShard:
             # a hand-built request the columns cannot hold: apply the
             # rows alone, which refuses the culprit
             for r, req in enumerate(run):
-                replies.append(self._one(
+                replies.append(self._one_request(
                     req, ctxs is not None and type(ctxs[i + r]) is float,
                     False,
                 ))
             return
         uids.extend(range(base, base + m))
-        failed = {}  # run row -> its error reply (the clock as it was)
-        now = self._now
-        t0 = now()
-        k = 0
-        while k < m:
-            done, placed = len(bins), engine.arrivals
-            try:
-                engine.release_store(store, k, m, bins, opened)
-                break
-            except Exception as exc:  # noqa: BLE001 - answered per row
-                k += len(bins) - done  # the row that raised
-                if engine.arrivals - placed > len(bins) - done:
-                    # placed, then a listener raised: its uid is spent
-                    failed[k] = self._internal(run[k], exc)
-                else:  # untouched: the later rows move up a uid
-                    failed[k] = self._rejection(run[k], exc)
-                    for r in range(k + 1, m):
-                        uids[r] -= 1
-                k += 1
-        latency = round(1e6 * (now() - t0) / m, 3)
-        self.accepted += m - len(failed)
-        self.rejected += len(failed)
-        if canonical and not failed:  # the served common case
+        seqs = [req.seq for req in run]
+        ids = [req.id for req in run]
+        refused, latency = self._release(store, 0, m, seqs, ids)
+        bins, opened = self._decisions
+        if canonical and not refused:  # the served common case
             replies += encode_arrive_oks(
-                [req.seq for req in run], [req.id for req in run],
-                uids, bins, opened, self.shard_id, latency,
+                seqs, ids, uids, bins, opened, self.shard_id, latency,
             )
             return
         wire = ctxs is not None
         d = 0  # decision row
         for r, req in enumerate(run):
-            if failed and r in failed:
-                replies.append(failed[r])
+            if r in refused:
+                replies.append(refused[r])
                 continue
             replies.append(self._arrive_ok(
                 req, uids[r], bins[d], opened[d] == 1, latency,
@@ -557,32 +756,40 @@ class PlacementShard:
             ))
             d += 1
 
-    def _one(self, req: Request, wire: bool, canonical: bool):
-        """Apply one ``arrive`` that reaches the kernel (a run of one)
-        with the kernel's per-item ``release``, which costs less than a
-        ``release_store`` call for one row.  ``canonical`` as
-        :meth:`_run_end` says it."""
+    def _one(self, arrival: float, departure: Optional[float],
+             size: float):
+        """Place one item with the kernel's per-item ``release``, which
+        costs less than a ``release_store`` call for one row.
+
+        Returns ``(uid, bin uid, opened, latency_us)``, or
+        ``(exception, placed)`` when the kernel or a listener raised.
+        """
         engine = self.engine
         uid = engine.arrivals  # sequential per shard
         opened_before = engine.bins_opened
         now = self._now
         t0 = now()
         try:
-            bin_ = engine.release(
-                item_view(req.arrival, req.departure, req.size, uid)
-            )
+            bin_ = engine.release(item_view(arrival, departure, size, uid))
         except Exception as exc:  # noqa: BLE001 - never kills the worker
             self.rejected += 1
-            if engine.arrivals != uid:  # placed, then a listener raised
-                return self._internal(req, exc)
-            return self._rejection(req, exc)
+            return exc, engine.arrivals != uid
         latency = round(1e6 * (now() - t0), 3)
         self.accepted += 1
-        opened = engine.bins_opened != opened_before
+        return uid, bin_.uid, engine.bins_opened != opened_before, latency
+
+    def _one_request(self, req: Request, wire: bool, canonical: bool):
+        """:meth:`_one` for an ``arrive`` request that reaches the
+        kernel, and its reply; ``canonical`` as :meth:`_run_end` says
+        it."""
+        placed = self._one(req.arrival, req.departure, req.size)
+        if len(placed) == 2:
+            return self._refusal(req.seq, req.id, *placed)
+        uid, bin_, opened, latency = placed
         if canonical:
-            return encode_arrive_ok(req.seq, req.id, uid, bin_.uid, opened,
+            return encode_arrive_ok(req.seq, req.id, uid, bin_, opened,
                                     self.shard_id, latency)
-        return self._arrive_ok(req, uid, bin_.uid, opened, latency, wire)
+        return self._arrive_ok(req, uid, bin_, opened, latency, wire)
 
     def _arrive_ok(self, req: Request, uid: int, bin_: int, opened: bool,
                    latency: float, wire: bool):
@@ -655,26 +862,23 @@ class PlacementShard:
             j += 1
         return j, canonical and keys is None and ids is None
 
-    def _rejection(self, req: Request, exc: Exception) -> dict:
-        """The error reply of an ``arrive`` the kernel refused."""
-        if isinstance(exc, ClairvoyanceError):
+    def _refusal(self, seq, id_, exc: Exception, placed: bool) -> dict:
+        """The error reply of an ``arrive`` the kernel raised on: its
+        refusal, or ``internal`` when it was ``placed`` (a listener
+        raised after placing it) or the exception is not the kernel's."""
+        if not placed and isinstance(exc, ClairvoyanceError):
             # an adaptive item needs a non-clairvoyant algorithm — a
             # client mistake, not a server fault
             return error_reply(
-                "bad-item", str(exc),
-                seq=req.seq, id=req.id, shard=self.shard_id,
+                "bad-item", str(exc), seq=seq, id=id_, shard=self.shard_id,
             )
-        if isinstance(exc, SimulationError):
+        if not placed and isinstance(exc, SimulationError):
             return error_reply(
                 "out-of-order", str(exc),
-                seq=req.seq, id=req.id, shard=self.shard_id,
-                clock=self._clock(),
+                seq=seq, id=id_, shard=self.shard_id, clock=self._clock(),
             )
-        return self._internal(req, exc)
-
-    def _internal(self, req: Request, exc: Exception) -> dict:
         return error_reply("internal", f"{type(exc).__name__}: {exc}",
-                           seq=req.seq, shard=self.shard_id)
+                           seq=seq, shard=self.shard_id)
 
     def _remember(self, key: tuple, reply: dict) -> None:
         """Cache ``reply`` for resends of ``key`` (FIFO eviction)."""
@@ -706,7 +910,7 @@ class PlacementShard:
                 raise PackingError(f"op {req.op!r} is not a shard op")
         except Exception as exc:  # a bad request must never kill the worker
             self.rejected += 1
-            return self._internal(req, exc)
+            return self._refusal(req.seq, req.id, exc, True)
         if key is not None and reply.get("ok", False):
             self._remember(key, reply)
         return reply

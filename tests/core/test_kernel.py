@@ -723,11 +723,14 @@ class TestListenerHooksBoundOnce:
         k.remove_listener(closes)  # a second detach is a no-op
 
     def test_a_fanout_called_directly_still_broadcasts(self):
+        # a fan-out dispatches through hook(): the open reaches only the
+        # member that overrides it, the close both members
         tape, closes = _Tape(), _Closes()
         fanout = ListenerFanout([tape, closes])
         bin_ = Bin(7, 1.0, 0.0)
-        fanout.on_open(bin_)
-        fanout.on_close(bin_, 2.0, 1.5, 0.5, 3)
+        assert fanout.hook("on_open") == tape.on_open
+        fanout.hook("on_open")(bin_)
+        fanout.hook("on_close")(bin_, 2.0, 1.5, 0.5, 3)
         assert closes.closes == [("close", 7, 2.0, 1.5, 0.5, 3)]
         assert _closes_of(tape.events) == closes.closes
         assert len(tape.events) == 2  # the open reached the tape too

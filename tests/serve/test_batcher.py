@@ -20,8 +20,10 @@ def collector():
 
 async def add(batcher, work):
     """Buffer one piece and flush when it makes the batch due, as the
-    server's connection loop does."""
-    if batcher.add_nowait(work):
+    server's connection loop does: append to the pending batch, then
+    note it."""
+    batcher.pending.append(work)
+    if batcher.added():
         await batcher.flush(cause="size")
 
 
@@ -98,8 +100,9 @@ def test_aclose_flushes_remainder_and_refuses_more():
         await add(batcher, "tail")
         await batcher.aclose()
         assert batches == [["tail"]]
+        batcher.pending.append("late")
         with pytest.raises(RuntimeError):
-            batcher.add_nowait("late")
+            batcher.added()
 
     asyncio.run(main())
 

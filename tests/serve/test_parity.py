@@ -134,3 +134,55 @@ class TestMetricsGate:
         assert not report.ok
         assert any(p.startswith("metrics histograms.bin_occupancy")
                    for p in report.problems), report.problems
+
+
+class TestShardedLeg:
+    """The benchmark's served shape: four shards, one connection, an
+    ``advance`` every 64 arrives, micro-batching on; each shard is
+    checked against batch ``simulate()`` of its own items."""
+
+    LEG = dict(batch_max=16, batch_delay=0.0005, shards=4,
+               advance_every=64)
+
+    def test_four_shards_match_their_batch_runs(self):
+        inst = uniform_random(300, 16.0, seed=8)
+        report = check_service_parity(
+            "HybridAlgorithm", inst, workload="uniform", **self.LEG
+        )
+        assert report.ok, str(report)
+
+    def test_a_misrouted_row_fails_the_leg(self, monkeypatch):
+        import repro.serve.server as server_module
+        from repro.serve.loadgen import shard_affine_tenants
+
+        tokens = [f'"{t}"'.encode() for t in shard_affine_tenants(4, 4)]
+        parse_chunk = server_module.parse_chunk
+
+        def misrouting(chunk, stop, fast=True):
+            for row in parse_chunk(chunk, stop, fast):
+                if row[4] == 100:  # one row, to its neighbour's shard
+                    key = tokens[(tokens.index(row[6]) + 1) % 4]
+                    row = row[:6] + (key,)
+                yield row
+
+        monkeypatch.setattr(server_module, "parse_chunk", misrouting)
+        inst = uniform_random(300, 16.0, seed=8)
+        report = check_service_parity(
+            "HybridAlgorithm", inst, workload="uniform", **self.LEG
+        )
+        assert not report.ok
+        assert any(p.startswith("shard ") for p in report.problems), (
+            report.problems
+        )
+
+    def test_cli_takes_the_leg(self, capsys):
+        from repro.serve.parity import _main
+
+        inst = uniform_random(40, 8.0, seed=9)
+        reports = service_parity_suite(
+            [("FirstFit", "uniform", inst)], shards=2, advance_every=8
+        )
+        assert all(r.ok for r in reports), "\n".join(map(str, reports))
+        with pytest.raises(SystemExit) as exc:
+            _main(["--shards", "0"])
+        assert exc.value.code == 2
