@@ -10,19 +10,17 @@ re-creates the batch: it holds incoming work until either
 - ``max_delay`` seconds have passed since the oldest pending piece
   arrived (**flush on age**),
 
-then hands the whole list to its ``sink`` in arrival order.  One queue
+then hands the whole batch to its ``sink`` in arrival order.  One queue
 slot then carries the whole burst, so a shard pays one scheduling
 round-trip per batch instead of per request.
 
-The pending batch is whatever container the ``pending`` factory makes
-(a list by default; the server's is a
-:class:`~repro.serve.shard.ArriveBatch` of item columns): the caller
-appends rows to :attr:`~MicroBatcher.pending` itself and then calls
-:meth:`~MicroBatcher.added`, so the batcher keeps no entry of its own
-per row.  Degenerate configurations short-circuit: ``max_batch=1`` or
-``max_delay=0`` means every :meth:`~MicroBatcher.added` reports the
-batch due at once (batching off — the default, and what the parity
-harness uses).
+The pending batch is a :class:`~repro.serve.shard.RequestBatch` of
+item columns: the caller appends rows to :attr:`~MicroBatcher.pending`
+itself and then calls :meth:`~MicroBatcher.added`, so the batcher keeps
+no entry of its own per row.  Degenerate configurations short-circuit:
+``max_batch=1`` or ``max_delay=0`` means every
+:meth:`~MicroBatcher.added` reports the batch due at once (batching
+off — the default, and what the parity harness uses).
 
 The batcher never reorders or drops work, and :meth:`aclose` flushes the
 remainder — the server's drain path calls it so a SIGTERM cannot strand
@@ -33,6 +31,8 @@ from __future__ import annotations
 
 import asyncio
 from typing import Awaitable, Callable, Optional
+
+from .shard import RequestBatch
 
 __all__ = ["MicroBatcher"]
 
@@ -57,9 +57,6 @@ class MicroBatcher:
         :meth:`aclose` calls).  The telemetry plane uses this for its
         batch-size histogram and flush-cause counters; ``None`` (the
         default) costs nothing.
-    pending:
-        Factory of an empty batch: a container with ``len()`` that the
-        caller appends rows to (default ``list``).
     """
 
     def __init__(
@@ -69,7 +66,6 @@ class MicroBatcher:
         max_batch: int = 1,
         max_delay: float = 0.0,
         observer: Optional[Callable[[int, str], None]] = None,
-        pending: Callable[[], object] = list,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -81,9 +77,8 @@ class MicroBatcher:
         self.observer = observer
         self.batches_flushed = 0
         self.pieces = 0  #: rows flushed
-        self._new = pending
         #: the batch rows are appended to until it flushes
-        self.pending = pending()
+        self.pending = RequestBatch()
         #: the size at which a batch is due (1 with batching off)
         self.due = max_batch if max_delay else 1
         self._timer: Optional[asyncio.TimerHandle] = None
@@ -135,7 +130,7 @@ class MicroBatcher:
         size = len(batch)
         if not size:
             return
-        self.pending = self._new()
+        self.pending = RequestBatch()
         self.batches_flushed += 1
         self.pieces += size
         if self.observer is not None:

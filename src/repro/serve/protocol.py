@@ -443,10 +443,10 @@ def parse_chunk(chunk: bytes, stop: int, fast: bool = True):
     A canonical ``arrive`` line -- one the fast parse takes, with an
     integer ``seq`` and a departure -- comes with the values
     :func:`parse_request` would give it (``seq`` an int, ``id`` a str)
-    and the wire token of its routing key (the tenant's, else the id's:
-    quoted when a string).  Every other line comes with ``arrival``
-    ``None``, for the caller to hand to :func:`parse_request`; so does
-    every line when ``fast`` is false.
+    and its :attr:`Request.routing_key` (the tenant, else the id).
+    Every other line comes with ``arrival`` ``None``, for the caller to
+    hand to :func:`parse_request`; so does every line when ``fast`` is
+    false.
 
     The chunk is matched line after line by one ``finditer``, with the
     plan of the key order the fast parse took last before the chunk; a
@@ -471,9 +471,9 @@ def parse_chunk(chunk: bytes, stop: int, fast: bool = True):
             # validate_item_values for a known departure (no JSON number
             # reads as NaN); a failure is refused by the strict path
             if -_INF < arrival < departure < _INF and 0.0 < size <= 1.0:
-                yield (line, arrival, departure, size, int(seq),
-                       id_.strip(b'"').decode(),
-                       id_ if tenant is None else tenant)
+                id_ = id_.strip(b'"').decode()
+                yield (line, arrival, departure, size, int(seq), id_,
+                       id_ if tenant is None else tenant.strip(b'"').decode())
                 continue
         yield line, None, None, None, None, None, None
 

@@ -10,7 +10,7 @@ every byte the stream already holds in one read, keeps a partial last
 line for the next, and parses the chunk's whole lines in one pass
 (:func:`~repro.serve.protocol.parse_chunk`).  A canonical ``arrive``
 line goes straight into its shard's pending item columns (an
-:class:`~repro.serve.shard.ArriveBatch`), with no
+:class:`~repro.serve.shard.RequestBatch`), with no
 :class:`~repro.serve.protocol.Request`; every other line takes the
 per-line path (:func:`~repro.serve.protocol.parse_request`, then
 :meth:`PlacementServer._route`).  The reader awaits only where the
@@ -72,7 +72,7 @@ from .protocol import (
     parse_chunk,
     parse_request,
 )
-from .shard import ROUTE_MEMO_CAP, ArriveBatch, HashRing, PlacementShard
+from .shard import HashRing, PlacementShard, RequestBatch
 
 __all__ = ["ServeConfig", "PlacementServer"]
 
@@ -275,8 +275,6 @@ class PlacementServer:
         self._algorithm_factory = registry[config.algorithm]
         self.shards: List[PlacementShard] = []
         self.ring = HashRing(config.shards)
-        #: routing key token → shard, for the lines parse_chunk takes
-        self._routes: Dict[bytes, int] = {}
         self.batchers: List[MicroBatcher] = []
         self.requests = 0  #: wire lines parsed into requests
         self.errors = 0  #: error replies sent (any code)
@@ -334,7 +332,6 @@ class PlacementServer:
                     max_batch=cfg.batch_max,
                     max_delay=cfg.batch_delay,
                     observer=observer,
-                    pending=ArriveBatch,
                 )
             )
 
@@ -349,7 +346,7 @@ class PlacementServer:
     def _make_sink(self, shard: PlacementShard):
         telemetry = self.telemetry
 
-        async def sink(batch: ArriveBatch) -> None:
+        async def sink(batch: RequestBatch) -> None:
             # simultaneous arrivals: stable sort by arrival inside the
             # micro-batch mirrors Instance order (ties keep submit order)
             batch.sort()
@@ -599,20 +596,15 @@ class PlacementServer:
         refuse, takes the per-line path (:meth:`_dispatch`), which
         answers it as it answers any line.
         """
-        shards, batchers, routes = self.shards, self.batchers, self._routes
+        shards, batchers = self.shards, self.batchers
+        shard_for = self.ring.shard_for
         t_recv = self._now()
         may_join = [None] * len(shards)  # per shard, until the next await
         joined = 0  # rows joined since the counters were last brought up
         for (line, arrival, departure, size, seq, id_,
              key) in parse_chunk(data, stop, self.telemetry is None):
             if arrival is not None:
-                shard_id = routes.get(key)
-                if shard_id is None:
-                    if len(routes) >= ROUTE_MEMO_CAP:
-                        routes.clear()
-                    shard_id = routes[key] = self.ring.shard_for(
-                        key.strip(b'"').decode()
-                    )
+                shard_id = shard_for(key)
                 ok = may_join[shard_id]
                 if ok is None:
                     shard = shards[shard_id]

@@ -9,19 +9,19 @@ enqueue order** — the property that makes per-shard decision streams
 deterministic and lets the parity harness compare a single-shard server
 bit-for-bit against batch ``simulate()``.
 
-A job is ``(batch, contexts, slot)``.  A served micro-batch of
-``arrive`` rows is an :class:`ArriveBatch`: item columns the server
-filled straight from the wire, which :meth:`PlacementShard.apply_rows`
-releases as they are, one
-:meth:`~repro.core.kernel.PlacementKernel.release_store` call per run,
-and answers from the kernel's decision columns (canonical ``arrive`` ok
-replies straight to their wire bytes).  Any other job holds
-:class:`~repro.serve.protocol.Request` objects and goes through
-:meth:`PlacementShard.apply_batch`, which applies each run of
-consecutive ``arrive`` requests the same way over the shard's own
-:class:`~repro.core.store.ItemStore` (refilled per run).  Either hands
-the list of replies to ``slot`` once
-(``slot.done()``/``slot.set_result(replies)``, so an
+A job is ``(batch, contexts, slot)``.  A served micro-batch is a
+:class:`RequestBatch`: item columns the server filled straight from the
+wire (rows that kept their :class:`~repro.serve.protocol.Request` ride
+along).  :meth:`PlacementShard.apply_rows` releases each run of
+consecutive ``arrive`` rows that reach the kernel from those columns as
+they are, with one
+:meth:`~repro.core.kernel.PlacementKernel.release_store` call, and
+answers from the kernel's decision columns (canonical ``arrive`` ok
+replies straight to their wire bytes).  A job of ``Request`` objects
+(a ``depart``, an ``advance`` broadcast) goes through
+:meth:`PlacementShard.apply_batch`, which makes them a
+:class:`RequestBatch` first.  Either hands the list of replies to
+``slot`` once (``slot.done()``/``slot.set_result(replies)``, so an
 ``asyncio.Future`` serves as well).  A run of one is the kernel's
 per-item ``release``; ``depart`` and ``advance`` are applied one at a
 time.  :meth:`PlacementShard.apply` is the one-request case, with a
@@ -78,7 +78,7 @@ from .protocol import (
 )
 
 __all__ = [
-    "ArriveBatch", "HashRing", "PlacementShard", "stable_hash",
+    "HashRing", "PlacementShard", "RequestBatch", "stable_hash",
     "ROUTE_MEMO_CAP",
 ]
 
@@ -87,6 +87,8 @@ _STOP = object()
 
 _NAN = float("nan")
 _FLOATS = array("d")
+#: the column values of a row that is not an item
+_NO_ITEM = (_NAN, _NAN, _NAN)
 
 #: bound of the ``(client, seq) → reply`` retry-dedup cache, in entries
 #: (FIFO eviction; must exceed any client's in-flight × retry window)
@@ -142,18 +144,20 @@ def _ring_lookup(hashes: List[int], shards: List[int], key: str) -> int:
     return shards[i if i < len(hashes) else 0]
 
 
-class ArriveBatch(ItemStore):
-    """One served micro-batch of ``arrive`` rows, as columns: the job a
-    flushed batcher hands its shard (:meth:`PlacementShard.apply_rows`).
+class RequestBatch(ItemStore):
+    """One shard job's requests as rows: what a flushed batcher hands
+    its shard (:meth:`PlacementShard.apply_rows`).
 
     The item columns are the store's own (``uids`` is ``None`` until a
     run of rows is released); ``seqs``, ``ids``, ``conns`` and ``ctxs``
     run beside them.  A row parsed from a canonical wire line
     (:func:`~repro.serve.protocol.parse_chunk`) is values only: an int
     ``seq``, a known departure, no dedup key, a receive-time context.
-    A row that came through :func:`~repro.serve.protocol.parse_request`
-    keeps its :class:`~repro.serve.protocol.Request` in ``reqs`` (row →
-    request).
+    A row added with :meth:`add_request` keeps its
+    :class:`~repro.serve.protocol.Request` in ``reqs`` (row → request)
+    for the shape of its reply; a request whose values the columns
+    cannot hold (any op but ``arrive``, a hand-built request) has NaN
+    there and is applied from the request alone.
     """
 
     __slots__ = ("seqs", "ids", "conns", "ctxs", "reqs")
@@ -173,7 +177,7 @@ class ArriveBatch(ItemStore):
         self.ids: list = []
         #: where each row's reply goes (the server's; opaque here)
         self.conns: list = []
-        #: each row's receive time, or its telemetry context
+        #: how each row was served (see :meth:`PlacementShard.apply_rows`)
         self.ctxs: list = []
         self.reqs: dict = {}
 
@@ -181,12 +185,24 @@ class ArriveBatch(ItemStore):
         return len(self.seqs)
 
     def add_request(self, req: Request, conn, ctx) -> None:
-        """Append a parsed ``arrive`` request as a row that keeps it."""
-        self.reqs[len(self.seqs)] = req
+        """Append ``req`` as a row that keeps it."""
+        row = len(self.seqs)
+        self.reqs[row] = req
+        arrivals, departures, sizes = self.arrivals, self.departures, self.sizes
         d = req.departure
-        self.arrivals.append(req.arrival)
-        self.departures.append(_NAN if d is None else d)
-        self.sizes.append(req.size)
+        arrival, departure, size = (
+            (req.arrival, _NAN if d is None else d, req.size)
+            if req.op == "arrive" else _NO_ITEM
+        )
+        try:
+            arrivals.append(arrival)
+            departures.append(departure)
+            sizes.append(size)
+        except (TypeError, ValueError, OverflowError):
+            del arrivals[row:], departures[row:], sizes[row:]
+            arrivals.append(_NAN)
+            departures.append(_NAN)
+            sizes.append(_NAN)
         self.seqs.append(req.seq)
         self.ids.append(req.id)
         self.conns.append(conn)
@@ -279,8 +295,6 @@ class PlacementShard:
         self.telemetry = None
         self._narrator = None
         self._adaptive_uids: dict[str, int] = {}  # live unknown-departure ids
-        #: the item columns of a run of requests, refilled run to run
-        self._store = ItemStore()
         #: a run's decision columns (bin uids, opened flags), reused
         self._decisions = (array("q"), bytearray())
         self._task: Optional[asyncio.Task] = None
@@ -353,7 +367,7 @@ class PlacementShard:
                         self._fail_job(job)
                         raise
                 replies = (
-                    self.apply_rows(batch) if type(batch) is ArriveBatch
+                    self.apply_rows(batch) if type(batch) is RequestBatch
                     else self.apply_batch(batch, ctxs)
                 )
                 if not slot.done():
@@ -469,7 +483,7 @@ class PlacementShard:
         batch, _, slot = job
         if not slot.done():
             seqs = (
-                batch.seqs if type(batch) is ArriveBatch
+                batch.seqs if type(batch) is RequestBatch
                 else [req.seq for req in batch]
             )
             slot.set_result([self._unavailable(seq) for seq in seqs])
@@ -494,182 +508,138 @@ class PlacementShard:
     def apply_batch(self, reqs: Sequence[Request], ctxs=None) -> list:
         """Execute ``reqs`` in order; one reply per request, in order.
 
-        ``ctxs`` holds one entry per request saying how it was served
-        (``None`` for all: internal calls, such as :meth:`apply` and the
-        ``advance`` broadcast):
+        ``ctxs`` holds one entry per request saying how it was served,
+        as :meth:`apply_rows` reads it (``None`` for all: internal
+        calls, such as :meth:`apply` and the ``advance`` broadcast).
+        The requests become the rows of a :class:`RequestBatch`.
+        """
+        batch = RequestBatch()
+        add = batch.add_request
+        for r, req in enumerate(reqs):
+            add(req, None, None if ctxs is None else ctxs[r])
+        return self.apply_rows(batch)
+
+    def apply_rows(self, batch: RequestBatch) -> list:
+        """Execute the rows of ``batch`` in order; one reply per row, in
+        order.
+
+        Each row's ``ctxs`` entry says how it was served:
 
         - ``None``: a dict reply, nothing recorded;
-        - a float, the receive time of an untraced served request: a
+        - a float, the receive time of an untraced served row: a
           canonical ``arrive`` ok reply (int ``seq``, no dedup key)
           comes back as its wire bytes, ready to write, every other
           reply as a dict with ``shard`` set; the receive → reply
           latency is recorded;
-        - a telemetry ``RequestContext``: a dict reply, and the
-          request's queue and kernel phases are stamped on the context.
+        - a telemetry ``RequestContext``: a dict reply, and the row's
+          queue and kernel phases are stamped on the context.
 
-        Each run of consecutive ``arrive`` requests that reach the
-        kernel is one kernel call (:meth:`_run`, or :meth:`_one` for a
-        run of one); a traced request is a run of one.  Requests
-        carrying a ``(client, seq)`` idempotency key are applied **at
-        most once**: a resend of an already-applied request returns the
-        original ok reply verbatim instead of touching the kernel, which
-        is what makes client retries after lost acks safe.
+        Each run of consecutive ``arrive`` rows that reach the kernel
+        is one kernel call (:meth:`_run`); a traced row is a run of
+        one.  Requests carrying a ``(client, seq)`` idempotency key are
+        applied **at most once**: a resend of an already-applied
+        request returns the original ok reply verbatim instead of
+        touching the kernel, which is what makes client retries after
+        lost acks safe.
         """
         replies = []
         now = self._now
-        n = len(reqs)
-        i = 0  # requests applied; once the shard fail-stops, the rest are refused
+        reqs, ctxs = batch.reqs, batch.ctxs
+        n = len(ctxs)
+        i = 0  # rows applied; once the shard fail-stops, the rest are refused
         while i < n and not self.crashed:
             left = self._crash_after_applies
             stop = n if left is None else min(n, i + left)
-            ctx = None if ctxs is None else ctxs[i]
-            if ctx is None or type(ctx) is float:
-                j, canonical = self._run_end(reqs, ctxs, i, stop)
-                if j == i:  # answered without the kernel
-                    replies.append(self._apply(reqs[i]))
-                    j, canonical = i + 1, False
-                elif j == i + 1:
-                    replies.append(
-                        self._one_request(reqs[i], ctx is not None,
-                                          canonical)
-                    )
-                else:
-                    self._run(reqs, ctxs, i, j, canonical, replies)
-            else:  # a telemetry RequestContext: a run of one, stamped
+            ctx = ctxs[i]
+            traced = ctx is not None and type(ctx) is not float
+            if traced:  # a telemetry RequestContext: a run of one, stamped
                 ctx.t_dequeued = now()
                 narrator = self._narrator
                 if narrator is not None and ctx.sampled:
                     narrator.active = True
                 ctx.t_kernel0 = now()
-                j = i + 1
-                canonical = False
-                if self._run_end(reqs, None, i, j)[0] == i:
-                    replies.append(self._apply(reqs[i]))
-                else:
-                    replies.append(self._one_request(reqs[i], False, False))
+                stop = i + 1
+            j, canonical = self._run_end(batch, i, stop)
+            if j == i:  # answered without the kernel
+                replies.append(self._apply(reqs[i]))
+                j, canonical = i + 1, False
+            else:
+                self._run(batch, i, j, canonical, replies)
+            if traced:
                 ctx.t_kernel1 = now()
                 if narrator is not None:
                     narrator.active = False
-            if ctxs is not None and not canonical:
+            if ctx is not None and not canonical:
                 for reply in islice(replies, i, j):
                     if type(reply) is dict:
                         reply.setdefault("shard", self.shard_id)
             if left is not None:
-                self._count_applies(j - i)
+                left -= j - i
+                self._crash_after_applies = left if left > 0 else None
+                if left <= 0:
+                    self._fail_stop()
             i = j
         if i < n:
-            replies += [self._unavailable(req.seq) for req in islice(reqs, i, n)]
-        if ctxs is not None:
-            self._observe(ctxs, 0, i)
-        return replies
-
-    def apply_rows(self, batch: ArriveBatch) -> list:
-        """Execute a served micro-batch; one reply per row, in order.
-
-        Each run of rows that are values only is released straight from
-        the batch's columns (:meth:`_apply_columns`); each run of rows
-        that kept their :class:`Request` goes through
-        :meth:`apply_batch`.  The replies are those :meth:`apply_batch`
-        gives the same rows as requests.
-        """
-        n = len(batch.seqs)
-        reqs = batch.reqs
-        if not reqs:
-            return self._apply_columns(batch, 0, n)
-        replies = []
-        i = 0
-        while i < n:
-            kept = i in reqs
-            j = i + 1
-            while j < n and (j in reqs) is kept:
-                j += 1
-            if kept:
-                replies += self.apply_batch(
-                    [reqs[r] for r in range(i, j)], batch.ctxs[i:j]
-                )
-            else:
-                replies += self._apply_columns(batch, i, j)
-            i = j
-        return replies
-
-    def _apply_columns(self, batch: ArriveBatch, i: int, j: int) -> list:
-        """Apply rows ``[i, j)`` of ``batch``, all values only: one
-        kernel call (:meth:`_release`, or the per-item ``release`` for a
-        run of one) per run, canonical wire replies."""
-        replies = []
-        seqs, ids = batch.seqs, batch.ids
-        shard_id = self.shard_id
-        k = i
-        while k < j and not self.crashed:
-            left = self._crash_after_applies
-            stop = j if left is None else min(j, k + left)
-            if stop - k == 1:
-                placed = self._one(
-                    batch.arrivals[k], batch.departures[k], batch.sizes[k]
-                )
-                if len(placed) == 2:
-                    replies.append(self._refusal(seqs[k], ids[k], *placed))
-                else:
-                    uid, bin_, fresh, latency = placed
-                    replies.append(encode_arrive_ok(
-                        seqs[k], ids[k], uid, bin_, fresh, shard_id, latency
-                    ))
-            else:
-                uids = batch.uids
-                if uids is None:  # set run by run
-                    uids = batch.uids = array("q", bytes(8 * len(seqs)))
-                base = self.engine.arrivals  # uids are sequential per shard
-                uids[k:stop] = array("q", range(base, base + stop - k))
-                failed, latency = self._release(batch, k, stop, seqs, ids)
-                bins, opened = self._decisions
-                if not failed:
-                    replies += encode_arrive_oks(
-                        seqs[k:stop], ids[k:stop], uids[k:stop],
-                        bins, opened, shard_id, latency,
-                    )
-                else:
-                    d = 0  # decision row
-                    for r in range(k, stop):
-                        refused = failed.get(r - k)
-                        if refused is not None:
-                            replies.append(refused)
-                            continue
-                        replies.append(encode_arrive_ok(
-                            seqs[r], ids[r], uids[r], bins[d],
-                            opened[d] == 1, shard_id, latency,
-                        ))
-                        d += 1
-            if left is not None:
-                self._count_applies(stop - k)
-            k = stop
-        if k < j:
-            replies += [self._unavailable(seq) for seq in seqs[k:j]]
-        self._observe(batch.ctxs, i, k)
-        return replies
-
-    def _count_applies(self, n: int) -> None:
-        """``n`` more requests were applied under an armed
-        :meth:`crash_after`: fail-stop when its count is reached (a run
-        ends where the count does)."""
-        left = self._crash_after_applies - n
-        self._crash_after_applies = left if left > 0 else None
-        if left <= 0:
-            self._fail_stop()
-
-    def _observe(self, ctxs, i: int, j: int) -> None:
-        """Record the receive → reply latency of served rows ``[i, j)``."""
-        if j > i:
-            t_done = self._now()
+            replies += [self._unavailable(seq) for seq in batch.seqs[i:]]
+        if i and ctxs[0] is not None:
+            t_done = now()
             observe = self.request_latency.observe
-            for ctx in islice(ctxs, i, j):
+            for ctx in islice(ctxs, i):
                 observe(t_done - (ctx if type(ctx) is float else ctx.t_recv))
+        return replies
 
-    def _release(self, store: ItemStore, i: int, j: int, seqs, ids):
-        """Release rows ``[i, j)`` of ``store`` (their uids set) with one
+    def _run(self, batch: RequestBatch, i: int, j: int, canonical: bool,
+             replies: list) -> None:
+        """Apply rows ``[i, j)`` of ``batch``, a run that reaches the
+        kernel (:meth:`_run_end`), and append their replies.
+
+        A run of one is the kernel's per-item ``release``, which costs
+        less than a ``release_store`` call for one row; a longer run is
+        one :meth:`_release` of the batch's columns.  Each reply's
+        ``latency_us`` is the run's kernel time divided by its rows.
+        """
+        seqs, ids = batch.seqs, batch.ids
+        if j - i == 1:
+            req = batch.reqs.get(i)
+            if req is None:
+                placed = self._one(
+                    batch.arrivals[i], batch.departures[i], batch.sizes[i]
+                )
+            else:  # its own values, which the columns may not hold
+                placed = self._one(req.arrival, req.departure, req.size)
+            if len(placed) == 2:
+                replies.append(self._refusal(seqs[i], ids[i], *placed))
+            else:
+                replies.append(self._arrive_ok(batch, i, *placed))
+            return
+        uids = batch.uids
+        if uids is None:  # set run by run
+            uids = batch.uids = array("q", bytes(8 * len(seqs)))
+        base = self.engine.arrivals  # uids are sequential per shard
+        uids[i:j] = array("q", range(base, base + j - i))
+        refused, latency = self._release(batch, i, j)
+        bins, opened = self._decisions
+        if canonical and not refused:  # the served common case
+            replies += encode_arrive_oks(
+                seqs[i:j], ids[i:j], uids[i:j], bins, opened,
+                self.shard_id, latency,
+            )
+            return
+        d = 0  # decision row
+        for r in range(i, j):
+            if r - i in refused:
+                replies.append(refused[r - i])
+                continue
+            replies.append(self._arrive_ok(
+                batch, r, uids[r], bins[d], opened[d] == 1, latency
+            ))
+            d += 1
+
+    def _release(self, batch: RequestBatch, i: int, j: int):
+        """Release rows ``[i, j)`` of ``batch`` (their uids set) with one
         ``release_store`` call into the shard's decision columns.
 
-        A row that raises gets its error reply (its ``seq`` and ``id``
-        from ``seqs``/``ids``, indexed as the store), the rows before it
+        A row that raises gets its error reply, the rows before it
         stand, and the run resumes after it; the later rows move up a
         uid when the kernel did not place it.  Returns ``(refused,
         latency_us)``: run row → error reply for each row that raised,
@@ -678,7 +648,7 @@ class PlacementShard:
         engine = self.engine
         bins, opened = self._decisions
         del bins[:], opened[:]
-        uids = store.uids
+        uids = batch.uids
         m = j - i
         refused = {}
         now = self._now
@@ -687,14 +657,16 @@ class PlacementShard:
         while k < m:
             done, placed = len(bins), engine.arrivals
             try:
-                engine.release_store(store, i + k, j, bins, opened)
+                engine.release_store(batch, i + k, j, bins, opened)
                 break
             except Exception as exc:  # noqa: BLE001 - answered per row
                 k += len(bins) - done  # the row that raised
                 # placed, then a listener raised: its uid is spent
                 spent = engine.arrivals - placed > len(bins) - done
                 r = i + k
-                refused[k] = self._refusal(seqs[r], ids[r], exc, spent)
+                refused[k] = self._refusal(
+                    batch.seqs[r], batch.ids[r], exc, spent
+                )
                 if not spent:  # untouched: the later rows move up a uid
                     for r in range(i + k + 1, j):
                         uids[r] -= 1
@@ -704,62 +676,9 @@ class PlacementShard:
         self.rejected += len(refused)
         return refused, latency
 
-    def _run(self, reqs, ctxs, i: int, j: int, canonical: bool,
-             replies: list) -> None:
-        """Apply ``reqs[i:j]``, a run of ``arrive`` requests that reach
-        the kernel (:meth:`_run_end`), with one :meth:`_release` over
-        the shard's own columns, and append their replies."""
-        run = reqs[i:j]
-        m = j - i
-        base = self.engine.arrivals  # uids are sequential per shard
-        # the shard's own columns, refilled per run (parse_request
-        # already validated the values)
-        store = self._store
-        arr, dep, siz, uids = (
-            store.arrivals, store.departures, store.sizes, store.uids
-        )
-        del arr[:], dep[:], siz[:], uids[:]
-        try:
-            for req in run:
-                arr.append(req.arrival)
-                d = req.departure
-                dep.append(_NAN if d is None else d)
-                siz.append(req.size)
-        except (TypeError, ValueError, OverflowError):
-            # a hand-built request the columns cannot hold: apply the
-            # rows alone, which refuses the culprit
-            for r, req in enumerate(run):
-                replies.append(self._one_request(
-                    req, ctxs is not None and type(ctxs[i + r]) is float,
-                    False,
-                ))
-            return
-        uids.extend(range(base, base + m))
-        seqs = [req.seq for req in run]
-        ids = [req.id for req in run]
-        refused, latency = self._release(store, 0, m, seqs, ids)
-        bins, opened = self._decisions
-        if canonical and not refused:  # the served common case
-            replies += encode_arrive_oks(
-                seqs, ids, uids, bins, opened, self.shard_id, latency,
-            )
-            return
-        wire = ctxs is not None
-        d = 0  # decision row
-        for r, req in enumerate(run):
-            if r in refused:
-                replies.append(refused[r])
-                continue
-            replies.append(self._arrive_ok(
-                req, uids[r], bins[d], opened[d] == 1, latency,
-                wire and type(ctxs[i + r]) is float,
-            ))
-            d += 1
-
     def _one(self, arrival: float, departure: Optional[float],
              size: float):
-        """Place one item with the kernel's per-item ``release``, which
-        costs less than a ``release_store`` call for one row.
+        """Place one item with the kernel's per-item ``release``.
 
         Returns ``(uid, bin uid, opened, latency_us)``, or
         ``(exception, placed)`` when the kernel or a listener raised.
@@ -778,30 +697,21 @@ class PlacementShard:
         self.accepted += 1
         return uid, bin_.uid, engine.bins_opened != opened_before, latency
 
-    def _one_request(self, req: Request, wire: bool, canonical: bool):
-        """:meth:`_one` for an ``arrive`` request that reaches the
-        kernel, and its reply; ``canonical`` as :meth:`_run_end` says
-        it."""
-        placed = self._one(req.arrival, req.departure, req.size)
-        if len(placed) == 2:
-            return self._refusal(req.seq, req.id, *placed)
-        uid, bin_, opened, latency = placed
-        if canonical:
-            return encode_arrive_ok(req.seq, req.id, uid, bin_, opened,
-                                    self.shard_id, latency)
-        return self._arrive_ok(req, uid, bin_, opened, latency, wire)
-
-    def _arrive_ok(self, req: Request, uid: int, bin_: int, opened: bool,
-                   latency: float, wire: bool):
-        """The ok reply of a placed ``arrive``: its wire bytes when
-        ``wire`` and canonical, else a dict (cached for resends when the
+    def _arrive_ok(self, batch: RequestBatch, r: int, uid: int, bin_: int,
+                   opened: bool, latency: float):
+        """The ok reply of placed row ``r``: its wire bytes when served
+        untraced and canonical, else a dict (cached for resends when the
         request carries a dedup key)."""
+        req = batch.reqs.get(r)
+        if req is None:  # values only: canonical
+            return encode_arrive_ok(batch.seqs[r], batch.ids[r], uid, bin_,
+                                    opened, self.shard_id, latency)
         if req.departure is None:
             self._adaptive_uids[req.id] = uid
         seq = req.seq
         keyed = self.dedup_enabled and req.client is not None \
             and seq is not None
-        if wire and not keyed and type(seq) is int:
+        if type(batch.ctxs[r]) is float and not keyed and type(seq) is int:
             return encode_arrive_ok(seq, req.id, uid, bin_, opened,
                                     self.shard_id, latency)
         reply = ok_reply(
@@ -818,33 +728,41 @@ class PlacementShard:
             self._remember((req.client, seq), reply)
         return reply
 
-    def _run_end(self, reqs, ctxs, i: int, stop: int):
-        """Where the kernel run starting at ``reqs[i]`` ends, and whether
-        every row of it gets a canonical wire reply (served, int
-        ``seq``, no dedup key, a known departure).
+    def _run_end(self, batch: RequestBatch, i: int, stop: int):
+        """Where the kernel run starting at row ``i`` ends, and whether
+        every row of it gets a canonical wire reply (served untraced,
+        int ``seq``, no dedup key, a known departure).
 
-        It ends (before ``stop``) at a request that is not an
-        ``arrive``, carries a telemetry context, or is answered without
-        the kernel: a dedup hit or a live adaptive id, or a dedup key or
-        adaptive id an earlier row of the run may make one.
+        A values-only row always joins the run.  A row that kept its
+        request ends it (before ``stop``) when it is not an ``arrive``,
+        is traced, or is answered without the kernel: a dedup hit or a
+        live adaptive id, or a dedup key or adaptive id an earlier row
+        of the run may make one.  A request the columns do not hold is
+        a run of its own.
         """
+        reqs, ctxs = batch.reqs, batch.ctxs
+        canonical = type(ctxs[i]) is float
+        if not reqs:
+            return stop, canonical
         cache = self._applied if self.dedup_enabled else None
         live = self._adaptive_uids
+        sizes = batch.sizes
         keys = ids = None
-        canonical = ctxs is not None
         j = i
         while j < stop:
-            req = reqs[j]
+            req = reqs.get(j)
+            if req is None:
+                j += 1
+                continue
             if req.op != "arrive":
                 break
-            if ctxs is not None:
-                ctx = ctxs[j]
-                if type(ctx) is not float:
-                    if ctx is not None:
-                        break
-                    canonical = False
-                if type(req.seq) is not int:
-                    canonical = False
+            ctx = ctxs[j]
+            if type(ctx) is not float:
+                if ctx is not None and j > i:
+                    break
+                canonical = False
+            if type(req.seq) is not int:
+                canonical = False
             if req.client is not None and req.seq is not None \
                     and cache is not None:
                 key = (req.client, req.seq)
@@ -859,6 +777,9 @@ class PlacementShard:
                 if ids is None:
                     ids = set()
                 ids.add(req.id)
+            if sizes[j] != sizes[j]:  # NaN: the columns do not hold it
+                j += j == i
+                break
             j += 1
         return j, canonical and keys is None and ids is None
 

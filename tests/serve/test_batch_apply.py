@@ -172,3 +172,52 @@ def test_a_listener_raising_after_placement_fails_only_its_row():
         assert batched.accepted == n - len(raising)
         assert batched.rejected == len(raising)
         assert batched.engine.arrivals == n
+
+
+def test_a_mixed_batch_is_one_kernel_call_per_run(monkeypatch):
+    # rows the chunk reader fills as values and rows that kept their
+    # Request share one run: one release_store call, and the replies
+    # are those the same requests get as a job of requests
+    from repro.engine.loop import Engine
+    from repro.serve.shard import RequestBatch
+
+    calls = []
+    release_store = Engine.release_store
+
+    def counted(self, store, start, stop, *columns):
+        calls.append((start, stop))
+        return release_store(self, store, start, stop, *columns)
+
+    reqs = _arrives(6)
+    batch = RequestBatch()
+    for row, req in enumerate(reqs):
+        if row in (1, 4):
+            batch.add_request(req, None, 0.0)
+            continue
+        batch.arrivals.append(req.arrival)
+        batch.departures.append(req.departure)
+        batch.sizes.append(req.size)
+        batch.seqs.append(req.seq)
+        batch.ids.append(req.id)
+        batch.conns.append(None)
+        batch.ctxs.append(0.0)
+    expected = _listened(()).apply_batch(reqs, (0.0,) * 6)
+    monkeypatch.setattr(Engine, "release_store", counted)
+    replies = _listened(()).apply_rows(batch)
+    assert calls == [(0, 6)]
+    assert [_masked(r) for r in replies] == [_masked(r) for r in expected]
+
+
+def test_a_request_the_columns_cannot_hold_is_applied_alone():
+    # a hand-built arrive whose arrival is not a number sits among
+    # canonical ones: it gets the refusal it gets alone, and the rows
+    # around it stand
+    reqs = list(_arrives(5))
+    reqs[2] = Request("arrive", 2, "2", "t", "soon", 6.0, 0.25)
+    batched = _listened(())
+    replies = batched.apply_batch(tuple(reqs), (0.0,) * 5)
+    single = _listened(())
+    one_by_one = [single.apply_batch((r,), (0.0,))[0] for r in reqs]
+    assert _outcome(batched, replies) == _outcome(single, one_by_one)
+    assert replies[2]["error"] == "internal"
+    assert batched.accepted == 4 and batched.rejected == 1

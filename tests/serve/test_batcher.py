@@ -7,22 +7,29 @@ import asyncio
 import pytest
 
 from repro.serve.batcher import MicroBatcher
+from repro.serve.protocol import Request
 
 
 def collector():
+    """A sink recording each flushed batch as the ``seq`` of its rows."""
     batches = []
 
     async def sink(batch):
-        batches.append(list(batch))
+        batches.append(list(batch.seqs))
 
     return batches, sink
 
 
+def row(work) -> Request:
+    """An ``arrive`` whose ``seq`` is ``work``."""
+    return Request("arrive", work, str(work), None, 0.0, 1.0, 0.5)
+
+
 async def add(batcher, work):
     """Buffer one piece and flush when it makes the batch due, as the
-    server's connection loop does: append to the pending batch, then
-    note it."""
-    batcher.pending.append(work)
+    server's connection loop does: append a row to the pending batch,
+    then note it."""
+    batcher.pending.add_request(row(work), None, None)
     if batcher.added():
         await batcher.flush(cause="size")
 
@@ -100,7 +107,7 @@ def test_aclose_flushes_remainder_and_refuses_more():
         await add(batcher, "tail")
         await batcher.aclose()
         assert batches == [["tail"]]
-        batcher.pending.append("late")
+        batcher.pending.add_request(row("late"), None, None)
         with pytest.raises(RuntimeError):
             batcher.added()
 

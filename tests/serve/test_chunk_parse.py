@@ -237,7 +237,7 @@ class TestNoRequestPerLine:
         assert built == [1]
 
     def test_the_batcher_holds_columns_not_entries(self):
-        from repro.serve.shard import ArriveBatch
+        from repro.serve.shard import RequestBatch
 
         async def main():
             net = SimNet()
@@ -263,15 +263,15 @@ class TestNoRequestPerLine:
             return state
 
         kind, rows, reqs, seqs, flushed = sim_run(main())
-        assert kind is ArriveBatch
+        assert kind is RequestBatch
         assert (rows, reqs, seqs, flushed) == (8, {}, list(range(33, 41)), 2)
 
 
-class TestArriveBatchOrder:
+class TestRequestBatchOrder:
     def test_sort_orders_rows_by_arrival_and_keeps_them_whole(self):
-        from repro.serve.shard import ArriveBatch
+        from repro.serve.shard import RequestBatch
 
-        batch = ArriveBatch()
+        batch = RequestBatch()
         kept = protocol.Request("arrive", 3, "3", None, 2.0, None, 0.5)
         for arrival, seq in [(2.0, 1), (1.0, 2), (2.0, 3), (1.0, 4)]:
             if seq == 3:  # a row that came through parse_request

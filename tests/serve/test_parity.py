@@ -155,13 +155,13 @@ class TestShardedLeg:
         import repro.serve.server as server_module
         from repro.serve.loadgen import shard_affine_tenants
 
-        tokens = [f'"{t}"'.encode() for t in shard_affine_tenants(4, 4)]
+        tenants = list(shard_affine_tenants(4, 4))
         parse_chunk = server_module.parse_chunk
 
         def misrouting(chunk, stop, fast=True):
             for row in parse_chunk(chunk, stop, fast):
                 if row[4] == 100:  # one row, to its neighbour's shard
-                    key = tokens[(tokens.index(row[6]) + 1) % 4]
+                    key = tenants[(tenants.index(row[6]) + 1) % 4]
                     row = row[:6] + (key,)
                 yield row
 
