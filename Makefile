@@ -17,11 +17,15 @@ bench:
 bench-report:
 	$(PYTHON) scripts/bench_report.py
 
-# Profile the baseline replay under the 97 Hz stack sampler and render
+# Profile a 20k-item replay under the CPU-time stack sampler and render
 # the flamegraph views (top-functions table + collapsed + speedscope
-# under benchmarks/output/).
+# under benchmarks/output/).  The bundled 1k trace replays in ~10 ms of
+# CPU, too little for more than a few samples.
 flame:
-	$(PYTHON) -m repro replay examples/traces/uniform_1k.jsonl \
+	$(PYTHON) -c "from repro.workloads import dump_jsonl, uniform_random; \
+	  dump_jsonl(uniform_random(20000, 16, seed=1), \
+	  'benchmarks/output/flame.trace.jsonl')"
+	$(PYTHON) -m repro replay benchmarks/output/flame.trace.jsonl \
 	  -a HybridAlgorithm --sample-hz 997 \
 	  --profile-out benchmarks/output/replay.prof.json --no-ledger
 	$(PYTHON) -m repro obs flame benchmarks/output/replay.prof.json \

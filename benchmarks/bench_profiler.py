@@ -4,10 +4,11 @@ Not a paper artifact.  This benchmark freezes the continuous-profiling
 contract: running the streaming replay of a 1e5-item Poisson trace with
 the :class:`repro.obs.prof.StackSampler` attached at its default 97 Hz
 must stay within **5%** of the sampler-off throughput
-(``profiler_on_ratio >= 0.95``).  The sampler only reads frames from a
-background thread — the replay loop itself is untouched — so anything
-worse than a few percent means the sampler has started contending for
-the GIL or allocating on the hot path.
+(``profiler_on_ratio >= 0.95``).  The sampler is a ``SIGPROF`` handler
+that runs on the replay's own thread once per ``1/97`` s of CPU time and
+walks one stack — the replay loop itself is untouched — so anything
+worse than a few percent means the handler has grown costly or started
+allocating per tick.
 
 Variants (replay frontend only — the sampler is frontend-agnostic):
 
@@ -164,9 +165,9 @@ def render(cells: dict, n_items: int, *, gate: bool = True) -> str:
         f"sampler-on throughput ratio: {ratio:.3f} "
         f"(bar: >= {MIN_ON_RATIO:.2f}; {cells['on']['samples']} samples "
         f"taken)",
-        "the sampler reads frames from its own thread; the replay loop "
-        "runs unmodified, so the only cost is brief GIL holds at each "
-        "sample tick.",
+        "the sampler is a SIGPROF handler on ITIMER_PROF; the replay "
+        "loop runs unmodified, so the only cost is one stack walk per "
+        "CPU-time tick.",
         "sampler-on agrees with sampler-off on cost bit-for-bit.",
         "",
     ]

@@ -26,7 +26,7 @@ this.  ``replay --invariants`` attaches the online theory-invariant
 monitors (capacity, cost identity, span ≤ cost, Table-1 ratio bounds).
 
 ``run``/``replay``/``serve`` accept ``--sample-hz HZ`` to attach the
-statistical stack sampler (:mod:`repro.obs.prof`): a profile artifact is
+CPU-time stack sampler (:mod:`repro.obs.prof`): a profile artifact is
 written at exit (``--profile-out``, default ``<trace>.prof.json``) and
 its summary rides in the run's ledger record under the never-gated
 ``profile`` section.  ``obs flame`` renders a profile as a top-functions
@@ -113,9 +113,9 @@ def _add_ledger_flags(parser) -> None:
 def _add_sampler_flags(parser) -> None:
     parser.add_argument(
         "--sample-hz", type=float, default=0.0, metavar="HZ",
-        help="attach the statistical stack sampler at HZ samples/s "
-        "(0 = off; 97 is a good default — prime, so it does not alias "
-        "with periodic work)",
+        help="attach the CPU-time stack sampler at HZ samples per CPU "
+        "second (0 = off; 97 is a good default — prime, so it does not "
+        "alias with periodic work)",
     )
     parser.add_argument(
         "--profile-out", metavar="OUT.prof.json", default=None,
@@ -158,7 +158,6 @@ def _finish_sampler(sampler, args, default_out: str):
 def _run(
     ids: Iterable[str],
     *,
-    profile: bool = False,
     ledger_dir=None,
     sampler=None,
     profile_info=None,
@@ -178,12 +177,8 @@ def _run(
             # any) is added by the caller once the run completes
             info = dict(profile_info or {})
             info["sampler"] = sampler.snapshot().stats()
-        result, report = run_experiment(
-            eid, profile=profile, ledger_dir=ledger_dir, profile_info=info
-        )
+        result = run_experiment(eid, ledger_dir=ledger_dir, profile_info=info)
         print(result.render())
-        if report is not None:
-            print(report.render())
         if not result.passed:
             failures += 1
     return failures
@@ -223,10 +218,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     sub.add_parser("list", help="list registered experiment ids")
     runp = sub.add_parser("run", help="run experiments by id")
     runp.add_argument("ids", nargs="+", metavar="EXPERIMENT_ID")
-    runp.add_argument(
-        "--profile", action="store_true",
-        help="profile each experiment (wall time, peak RSS, tracemalloc)",
-    )
     _add_sampler_flags(runp)
     _add_ledger_flags(runp)
     for group in _GROUPS:
@@ -324,10 +315,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--trace-capacity", type=_non_negative_int, metavar="N", default=0,
         help="trace ring-buffer capacity (default: 32768; oldest events "
         "are dropped beyond this)",
-    )
-    replayp.add_argument(
-        "--profile", action="store_true",
-        help="profile the replay (wall time, peak RSS, tracemalloc)",
     )
     replayp.add_argument(
         "--invariants", action="store_true",
@@ -635,7 +622,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             return _run(
                 args.ids,
-                profile=args.profile,
                 ledger_dir=_ledger_dir(args),
                 sampler=sampler,
                 profile_info=info,
@@ -743,11 +729,6 @@ def _replay(args) -> int:
         from .obs import DEFAULT_CAPACITY, Tracer, TracingListener
 
         tracer = Tracer(args.trace_capacity or DEFAULT_CAPACITY)
-    profiler = None
-    if args.profile:
-        from .obs import PhaseProfiler
-
-        profiler = PhaseProfiler(trace_malloc=True, top_allocations=3)
     monitor = None
     if args.invariants or args.strict_invariants:
         from .obs.invariants import InvariantMonitor
@@ -849,14 +830,8 @@ def _replay(args) -> int:
     t0 = _time.perf_counter()
     fed = 0
     try:
-        if profiler is not None:
-            with profiler.phase("replay"):
-                _feed_all()
-            with profiler.phase("drain"):
-                summary = engine.finish()
-        else:
-            _feed_all()
-            summary = engine.finish()
+        _feed_all()
+        summary = engine.finish()
     except (InvariantViolationError, InvalidInstanceError, OSError) as exc:
         if sampler is not None:
             sampler.stop()
@@ -888,8 +863,6 @@ def _replay(args) -> int:
         written = tracer.write_jsonl(args.trace_out)
         dropped = f" ({tracer.dropped} dropped)" if tracer.dropped else ""
         print(f"trace: {written} events -> {args.trace_out}{dropped}")
-    if profiler is not None:
-        print(profiler.report().render())
     if monitor is not None:
         verdicts = monitor.verdicts()
         n_checks = verdicts["checks"]
@@ -916,7 +889,6 @@ def _replay(args) -> int:
                 "format": args.format,
                 "resumed": bool(args.resume),
             },
-            profiler=profiler,
             invariants=monitor,
             wall_s=elapsed,
             profile_info=profile_info,

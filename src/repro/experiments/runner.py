@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import pathlib
+import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 __all__ = [
     "ExperimentResult",
@@ -99,56 +99,30 @@ def register(experiment_id: str):
 def run_experiment(
     experiment_id: str,
     *,
-    profile: bool = False,
-    profile_dir: Optional[Union[str, pathlib.Path]] = None,
     ledger_dir: Optional[Union[str, pathlib.Path]] = None,
     profile_info: Optional[Dict[str, Any]] = None,
-) -> Tuple[ExperimentResult, Optional["object"]]:
-    """Run one registered experiment, optionally under the profiler.
-
-    Returns ``(result, report)``; ``report`` is ``None`` unless
-    ``profile=True``, in which case it is a
-    :class:`~repro.obs.profile.ProfileReport` covering the experiment as
-    one phase (wall time, peak RSS, allocation delta/peak via
-    ``tracemalloc``).  With ``profile_dir`` set, the report is also
-    written as ``<id>.profile.json`` next to the experiment's other
-    output — this is what gives every experiment ID a timing/memory
-    record alongside its table.
+) -> ExperimentResult:
+    """Run one registered experiment and return its result.
 
     With ``ledger_dir`` set, a ``kind="experiment"`` run record (the
-    table plus pass/fail, see :mod:`repro.obs.ledger`) is written there;
-    ``None`` (the default) keeps library callers write-free.
+    table plus pass/fail, wall time and peak RSS, see
+    :mod:`repro.obs.ledger`) is written there; ``None`` (the default)
+    keeps library callers write-free.
 
-    ``profile_info`` merges extra entries (e.g. stack-sampler stats and
-    the profile artifact path from ``repro-dbp run --sample-hz``) into
-    the record's ``profile`` section — a never-gated field, so sampler
-    jitter cannot trip ``obs regress``.
+    ``profile_info`` (e.g. stack-sampler stats and the profile artifact
+    path from ``repro-dbp run --sample-hz``) becomes the record's
+    ``profile`` section — a never-gated field, so sampler jitter cannot
+    trip ``obs regress``.
     """
     fn = EXPERIMENTS.get(experiment_id)
     if fn is None:
         raise KeyError(f"unknown experiment id: {experiment_id}")
-    report = None
-    if profile:
-        from ..obs.profile import PhaseProfiler
-
-        prof = PhaseProfiler(trace_malloc=True, top_allocations=3)
-        with prof.phase(experiment_id):
-            result = fn()
-        report = prof.report()
-        if profile_dir is not None:
-            out_dir = pathlib.Path(profile_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            path = out_dir / f"{experiment_id}.profile.json"
-            path.write_text(json.dumps(report.to_dict(), indent=2))
-    else:
-        result = fn()
+    t0 = time.perf_counter()
+    result = fn()
+    wall = time.perf_counter() - t0
     if ledger_dir is not None:
-        from ..obs.ledger import RunRecord, git_sha
+        from ..obs.ledger import RunRecord, git_sha, peak_rss_kb
 
-        profile_section = report.to_dict() if report is not None else None
-        if profile_info:
-            profile_section = dict(profile_section or {})
-            profile_section.update(profile_info)
         record = RunRecord(
             kind="experiment",
             algorithm=experiment_id,
@@ -159,9 +133,10 @@ def run_experiment(
                 "rows": len(result.rows),
                 "columns": len(result.headers),
             },
-            profile=profile_section,
-            wall_s=report.total_wall_s if report is not None else None,
+            profile=dict(profile_info) if profile_info else None,
+            wall_s=wall,
+            peak_rss_kb=peak_rss_kb(),
             git=git_sha(),
         )
         record.write(ledger_dir)
-    return result, report
+    return result

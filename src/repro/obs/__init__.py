@@ -11,9 +11,7 @@ go", shared by every frontend:
   :class:`~repro.engine.metrics.EngineMetrics` (fed from the kernel's
   packing log: batch and streaming runs of a trace snapshot identically)
   and the serve layer's RED metrics;
-- :mod:`repro.obs.profile` — per-phase wall time / peak RSS /
-  ``tracemalloc`` **profiling** (``repro-dbp run --profile``);
-- :mod:`repro.obs.prof` — the **continuous profiling plane**: a
+- :mod:`repro.obs.prof` — the **profiling plane**: a CPU-time
   statistical stack sampler (``--sample-hz``), flamegraph/speedscope
   exporters (``repro-dbp obs flame``), and trace critical-path
   analytics (``repro-dbp obs critical-path``);
@@ -64,7 +62,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "StackSampler", "Profile", "CriticalReport", "analyze_trace",
         "render_top", "to_collapsed", "to_speedscope",
     ),
-    ".profile": ("PhaseProfiler", "PhaseStats", "ProfileReport", "profiled"),
     ".trace": (
         "DEFAULT_CAPACITY", "Tracer", "TraceEvent", "TracingListener",
         "read_trace",

@@ -10,8 +10,8 @@ ledger makes every run (``simulate``/``replay``/``experiment``/
 - **provenance** — git SHA, schema version, run kind, wall-clock stamp;
 - **identity** — algorithm, workload/generator, config dict and its
   SHA-256 hash, seed;
-- **measurements** — the deterministic metrics snapshot, optional
-  :class:`~repro.obs.profile.ProfileReport` numbers (wall/RSS), and the
+- **measurements** — the deterministic metrics snapshot, wall time and
+  peak RSS, the stack sampler's summary (if one ran), and the
   invariant verdicts from
   :class:`~repro.obs.invariants.InvariantMonitor`.
 
@@ -29,10 +29,10 @@ current record repeats under a different config).  ``repro-dbp obs
 diff`` / ``obs regress`` and
 the CI gate are thin wrappers over these functions.
 
-Wall-clock sections (``timings``, ``wall_s``, ``peak_rss_kb``, profile
-phases) are carried in records for humans but **never gated on** — only
-quantities that are pure functions of the event sequence participate in
-drift detection.
+Wall-clock sections (``timings``, ``wall_s``, ``peak_rss_kb``, the
+``profile`` section) are carried in records for humans but **never
+gated on** — only quantities that are pure functions of the event
+sequence participate in drift detection.
 """
 
 from __future__ import annotations
@@ -125,6 +125,15 @@ def git_sha(cwd: Union[str, pathlib.Path, None] = None) -> Optional[str]:
         return None
     sha = out.stdout.strip()
     return sha if out.returncode == 0 and sha else None
+
+
+def peak_rss_kb() -> Optional[float]:
+    """The process's high-water RSS in KiB on Linux, ``None`` off POSIX."""
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-POSIX platforms
+        return None
+    return float(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
 def _canonical(obj) -> str:
@@ -284,8 +293,8 @@ class LedgerSink:
     """A :class:`~repro.obs.export.MetricsSink` that writes run records.
 
     Construct with the run's identity; each ``emit(snapshot)`` wraps the
-    snapshot into a :class:`RunRecord` (stamping git SHA, wall time and
-    any attached profiler/invariant verdicts) and persists it.  The path
+    snapshot into a :class:`RunRecord` (stamping git SHA, wall time,
+    peak RSS and any invariant verdicts) and persists it.  The path
     of the most recent record is kept in :attr:`last_path`.
     """
 
@@ -298,7 +307,6 @@ class LedgerSink:
         config: Optional[dict] = None,
         seed: Optional[int] = None,
         ledger_dir: Union[str, pathlib.Path, None] = None,
-        profiler=None,
         invariants=None,
         wall_s: Optional[float] = None,
         profile_info: Optional[dict] = None,
@@ -309,7 +317,6 @@ class LedgerSink:
         self.config = dict(config or {})
         self.seed = seed
         self.ledger_dir = ledger_dir
-        self.profiler = profiler
         self.invariants = invariants
         self.wall_s = wall_s
         #: extra entries merged into the record's ``profile`` section —
@@ -321,23 +328,11 @@ class LedgerSink:
         self._t0 = time.perf_counter()
 
     def emit(self, snapshot: dict) -> None:
-        profile = None
         wall = (
             self.wall_s
             if self.wall_s is not None
             else time.perf_counter() - self._t0
         )
-        rss = None
-        if self.profiler is not None:
-            report = self.profiler.report()
-            profile = report.to_dict()
-            wall = report.total_wall_s or wall
-            for phase in report.phases:
-                if phase.peak_rss_kb is not None:
-                    rss = phase.peak_rss_kb
-        if self.profile_info:
-            profile = dict(profile or {})
-            profile.update(self.profile_info)
         verdicts = None
         if self.invariants is not None:
             verdicts = self.invariants.verdicts()
@@ -349,9 +344,9 @@ class LedgerSink:
             seed=self.seed,
             metrics=snapshot,
             invariants=verdicts,
-            profile=profile,
+            profile=self.profile_info or None,
             wall_s=wall,
-            peak_rss_kb=rss,
+            peak_rss_kb=peak_rss_kb(),
             git=git_sha(),
             created_unix=time.time(),
         )

@@ -2,9 +2,9 @@
 
 Three pure-stdlib modules:
 
-- :mod:`repro.obs.prof.sampler` — :class:`StackSampler`, a
-  background-thread statistical profiler over ``sys._current_frames``
-  (default 97 Hz) producing immutable :class:`Profile` aggregates with
+- :mod:`repro.obs.prof.sampler` — :class:`StackSampler`, a CPU-time
+  statistical profiler of the main thread on ``ITIMER_PROF`` (default
+  97 Hz) producing immutable :class:`Profile` aggregates with
   drop-free bounded memory;
 - :mod:`repro.obs.prof.flame` — exporters to collapsed-stack text,
   speedscope JSON, and a terminal top-functions table;

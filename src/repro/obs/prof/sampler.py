@@ -1,23 +1,34 @@
 """Statistical stack sampler: continuous, in-process CPU profiling.
 
-The production question PR 9's telemetry cannot answer is *which code*
-was on-CPU when a latency budget burned.  :class:`StackSampler` answers
-it with nothing but the stdlib: a daemon thread wakes at a fixed rate
-(default 97 Hz — prime, so it does not alias against 10 ms schedulers
-or 100 Hz timer interrupts), snapshots every thread's Python stack via
-``sys._current_frames()``, and folds each stack into an interned
-aggregate.  Memory is bounded and drop-free: past ``max_stacks`` unique
-stacks, further samples land in a synthetic ``(truncated)`` bucket so
-total sample weight is always conserved.
+The question the metrics and traces cannot answer is *which code* was
+on-CPU when a latency budget burned.  :class:`StackSampler` answers
+it with nothing but the stdlib: ``start()`` installs a ``SIGPROF``
+handler and arms ``ITIMER_PROF``, so the kernel signals the process
+once per ``1/hz`` seconds of CPU time it consumes (default 97 Hz —
+prime, so it does not alias against periodic work).  CPython runs the
+handler on the main thread between bytecodes and hands it the frame it
+interrupted; the handler folds that stack into an interned aggregate.
+Samples therefore follow CPU time, the clock ``items_per_ref_s`` is
+measured on: pure-Python work between I/O calls is seen, and a run
+that sleeps or blocks draws no samples.  Memory is bounded and
+drop-free: past ``max_stacks`` unique stacks, further samples land in a
+synthetic ``(truncated)`` bucket so total sample weight is always
+conserved.
 
-Cost model:
+Scope:
 
-- disabled (``enabled=False`` or never started): no thread, no lock,
-  ``stop()`` returns an empty profile — the serve hot path pays one
-  attribute check.
-- enabled: one stack walk per live thread per tick.  At 97 Hz and
-  ~20-frame stacks this is well under 1% of a core; the contract is
-  frozen by ``benchmarks/bench_profiler.py`` (``profiler_on_ratio``).
+- only the main thread is sampled (Python runs signal handlers there
+  and nowhere else);
+- one sampler may be armed per process, and ``start()`` must be called
+  on the main thread;
+- a C call (``bisect``, ``json`` decoding) counts as self time of the
+  Python frame that made it, and ticks that fall inside one C call fold
+  into one sample.
+
+Cost model: a sampler that is not running installs nothing.  A running
+one walks one stack per tick; at 97 Hz and ~20-frame stacks this is
+well under 1% of a core, and the contract is frozen by
+``benchmarks/bench_profiler.py`` (``profiler_on_ratio``).
 
 The aggregate is exposed as an immutable :class:`Profile` (frame table
 + weighted collapsed stacks) which ``repro.obs.prof.flame`` renders as
@@ -27,12 +38,11 @@ flamegraph inputs and ``repro-dbp obs flame`` serves from the CLI.
 from __future__ import annotations
 
 import json
-import sys
-import threading
+import signal
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "DEFAULT_HZ",
@@ -58,6 +68,12 @@ PROFILE_SCHEMA = 1
 
 #: Synthetic frame used for the overflow bucket.
 TRUNCATED_FRAME = ("(truncated)", "", 0)
+
+#: Thread name of every sampled stack: only the main thread is sampled.
+MAIN_THREAD = "MainThread"
+
+#: The sampler whose handler and timer are installed, if any.
+_armed: Optional["StackSampler"] = None
 
 
 @dataclass(frozen=True)
@@ -106,10 +122,10 @@ class Profile:
     """An immutable sampling aggregate.
 
     ``frames`` is the interned frame table; each :class:`Stack` holds
-    root-first indices into it.  ``samples`` counts sampling ticks that
-    captured at least one thread; ``missed`` counts ticks skipped when
-    the sampler fell behind its absolute schedule; ``truncated`` counts
-    samples folded into the overflow bucket.  Weight is conserved:
+    root-first indices into it.  ``samples`` counts captured ticks;
+    ``truncated`` counts samples folded into the overflow bucket.
+    ``missed`` is always 0 from :class:`StackSampler`; the field stays
+    so every schema-1 file reads unchanged.  Weight is conserved:
     ``sum(s.count for s in stacks)`` equals the number of captured
     (thread, tick) pairs, including truncated ones.
     """
@@ -200,7 +216,7 @@ class Profile:
 
 
 class StackSampler:
-    """Background-thread statistical profiler over ``sys._current_frames``.
+    """CPU-time statistical profiler on ``ITIMER_PROF``.
 
     Usage::
 
@@ -215,10 +231,9 @@ class StackSampler:
     without stopping — that is what the serve ``profile`` admin verb
     returns while the service is live.
 
-    The loop keeps an *absolute* schedule (tick ``k`` fires at
-    ``t0 + k / hz``): a slow sample does not shift every later tick,
-    and ticks the sampler could not honour are counted in ``missed``
-    rather than silently compressing the timeline.
+    ``start()`` must run on the main thread, and only one sampler may be
+    armed per process (there is one ``ITIMER_PROF``); either mistake
+    raises :class:`RuntimeError`.
     """
 
     def __init__(
@@ -226,8 +241,6 @@ class StackSampler:
         hz: float = DEFAULT_HZ,
         *,
         max_stacks: int = DEFAULT_MAX_STACKS,
-        enabled: bool = True,
-        clock: Optional[Callable[[], float]] = None,
     ) -> None:
         if hz <= 0:
             raise ValueError(f"sample rate must be positive, got {hz!r}")
@@ -235,11 +248,7 @@ class StackSampler:
             raise ValueError(f"max_stacks must be >= 1, got {max_stacks!r}")
         self.hz = float(hz)
         self.max_stacks = int(max_stacks)
-        self.enabled = bool(enabled)
-        self._clock = clock or time.perf_counter
-        self._lock = threading.Lock()
-        self._stop_event = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        self._previous_handler = None
         self._started_at: Optional[float] = None
         self._stopped_after: float = 0.0
         # Interning tables.  Keys hold code objects alive, which is the
@@ -247,9 +256,7 @@ class StackSampler:
         self._frame_index: Dict[object, int] = {}
         self._frames: List[Tuple[str, str, int]] = []
         self._counts: Dict[Tuple[str, Tuple[int, ...]], int] = {}
-        self._thread_names: Dict[int, str] = {}
         self._samples = 0
-        self._missed = 0
         self._truncated_count = 0
         self.profile: Optional[Profile] = None
 
@@ -257,29 +264,46 @@ class StackSampler:
 
     @property
     def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
+        return _armed is self
 
     def start(self) -> "StackSampler":
-        if not self.enabled or self.running:
+        global _armed
+        if _armed is self:
             return self
-        self._stop_event.clear()
-        self._started_at = self._clock()
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-prof-sampler", daemon=True
-        )
-        self._thread.start()
+        if _armed is not None:
+            raise RuntimeError(
+                "a StackSampler is already armed in this process; "
+                "ITIMER_PROF allows one at a time"
+            )
+        try:
+            previous = signal.signal(signal.SIGPROF, self._on_tick)
+        except ValueError:  # signal.signal refuses other threads
+            raise RuntimeError(
+                "StackSampler.start() must be called from the main thread"
+            ) from None
+        # restart interrupted system calls instead of failing them
+        signal.siginterrupt(signal.SIGPROF, False)
+        self._previous_handler = previous
+        _armed = self
+        self._started_at = time.perf_counter()
+        interval = 1.0 / self.hz
+        signal.setitimer(signal.ITIMER_PROF, interval, interval)
         return self
 
     def stop(self) -> Profile:
         """Stop sampling (idempotent) and return the final profile."""
-        thread = self._thread
-        if thread is not None:
-            self._stop_event.set()
-            thread.join(timeout=5.0)
-            self._thread = None
-            if self._started_at is not None:
-                self._stopped_after = self._clock() - self._started_at
-                self._started_at = None
+        global _armed
+        if _armed is self:
+            signal.setitimer(signal.ITIMER_PROF, 0.0, 0.0)
+            previous = self._previous_handler
+            # None: the prior handler was not installed from Python
+            signal.signal(
+                signal.SIGPROF,
+                signal.SIG_DFL if previous is None else previous,
+            )
+            _armed = None
+            self._stopped_after = time.perf_counter() - self._started_at
+            self._started_at = None
         self.profile = self.snapshot()
         return self.profile
 
@@ -291,55 +315,22 @@ class StackSampler:
 
     # -- sampling ------------------------------------------------------
 
-    def _loop(self) -> None:
-        interval = 1.0 / self.hz
-        clock = self._clock
-        t0 = clock()
-        tick = 1
-        while True:
-            deadline = t0 + tick * interval
-            delay = deadline - clock()
-            if self._stop_event.wait(delay if delay > 0 else 0):
-                return
-            self._sample()
-            tick += 1
-            now = clock()
-            behind = now - (t0 + tick * interval)
-            if behind > 0:
-                skipped = int(behind / interval) + 1
-                with self._lock:
-                    self._missed += skipped
-                tick += skipped
-
-    def _sample(self) -> None:
-        own_ids = {threading.get_ident()}
-        frames_by_tid = sys._current_frames()
-        names = self._thread_names
-        unseen = [tid for tid in frames_by_tid if tid not in names]
-        if unseen:
-            live = {t.ident: t.name for t in threading.enumerate()}
-            for tid in unseen:
-                names[tid] = live.get(tid, f"thread-{tid}")
-        with self._lock:
-            captured = False
-            for tid, frame in frames_by_tid.items():
-                if tid in own_ids:
-                    continue
-                stack = self._collapse(frame)
-                if not stack:
-                    continue
-                captured = True
-                key = (names[tid], stack)
-                if key in self._counts:
-                    self._counts[key] += 1
-                elif len(self._counts) < self.max_stacks:
-                    self._counts[key] = 1
-                else:
-                    overflow = (names[tid], (self._intern_truncated(),))
-                    self._counts[overflow] = self._counts.get(overflow, 0) + 1
-                    self._truncated_count += 1
-            if captured:
-                self._samples += 1
+    def _on_tick(self, signum, frame) -> None:
+        """The ``SIGPROF`` handler: fold the interrupted main-thread
+        stack into the aggregate."""
+        if frame is None:
+            return
+        key = (MAIN_THREAD, self._collapse(frame))
+        counts = self._counts
+        if key in counts:
+            counts[key] += 1
+        elif len(counts) < self.max_stacks:
+            counts[key] = 1
+        else:
+            overflow = (MAIN_THREAD, (self._intern_truncated(),))
+            counts[overflow] = counts.get(overflow, 0) + 1
+            self._truncated_count += 1
+        self._samples += 1
 
     def _collapse(self, frame) -> Tuple[int, ...]:
         """Walk a frame chain leaf->root, returning root-first indices."""
@@ -371,25 +362,28 @@ class StackSampler:
     # -- export --------------------------------------------------------
 
     def snapshot(self) -> Profile:
-        """An immutable copy of the aggregate so far (safe while live)."""
-        with self._lock:
-            frames = tuple(Frame(n, f, ln) for n, f, ln in self._frames)
-            items = sorted(self._counts.items())
-            samples = self._samples
-            missed = self._missed
-            truncated = self._truncated_count
+        """An immutable copy of the aggregate so far (safe while live).
+
+        A tick runs between bytecodes, never inside a C-level copy, so
+        ``dict(...)`` and ``list(...)`` read a consistent table; the
+        frame list is copied after the counts, so it covers every index
+        they hold."""
+        samples = self._samples
+        truncated = self._truncated_count
+        counts = dict(self._counts)
+        frames = tuple(Frame(n, f, ln) for n, f, ln in list(self._frames))
         if self._started_at is not None:
-            duration = self._clock() - self._started_at
+            duration = time.perf_counter() - self._started_at
         else:
             duration = self._stopped_after
         stacks = tuple(
             Stack(thread=thread, frames=stack, count=count)
-            for (thread, stack), count in items
+            for (thread, stack), count in sorted(counts.items())
         )
         return Profile(
             hz=self.hz,
             samples=samples,
-            missed=missed,
+            missed=0,
             truncated=truncated,
             duration_s=duration,
             frames=frames,

@@ -81,6 +81,9 @@ __all__ = ["ServeConfig", "PlacementServer"]
 MAX_LINE = 1 << 16
 #: bytes asked of the stream per read: more than it ever buffers
 _READ_SIZE = 1 << 18
+#: how long a drain waits for its connections' handlers to finish (a
+#: client that stops reading can hold a reply flush forever)
+_CLOSE_GRACE_S = 5.0
 
 
 @dataclass
@@ -119,6 +122,8 @@ class _Connection:
     """Book-keeping for one client connection."""
 
     writer: asyncio.StreamWriter
+    reader: asyncio.StreamReader
+    handler: asyncio.Task  #: the task running ``_handle_connection``
     #: encoded replies for the writer: ``bytes`` (one or more lines),
     #: ``(bytes, telemetry contexts)``, or ``None`` to close
     out: asyncio.Queue = field(default_factory=asyncio.Queue)
@@ -444,8 +449,17 @@ class PlacementServer:
             and self.telemetry.trace_path is not None
         ):
             self.telemetry.write_trace()
+        # close each connection once its replies are flushed: the writer
+        # sentinel flushes and closes, EOF ends the handler's read, and
+        # the handlers return before the loop ends (a handler cancelled
+        # at loop teardown makes asyncio print a traceback)
+        handlers = []
         for conn in list(self._connections):
-            conn.out.put_nowait(None)  # writer sentinel → close
+            conn.out.put_nowait(None)
+            conn.reader.feed_eof()
+            handlers.append(conn.handler)
+        if handlers:
+            await asyncio.wait(handlers, timeout=_CLOSE_GRACE_S)
         self.drained.set()
 
     def _write_ledger(self) -> None:
@@ -497,7 +511,9 @@ class PlacementServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        conn = _Connection(writer=writer)
+        conn = _Connection(
+            writer=writer, reader=reader, handler=asyncio.current_task()
+        )
         self._connections.add(conn)
         writer_task = asyncio.get_running_loop().create_task(
             self._write_replies(conn)

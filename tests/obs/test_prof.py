@@ -3,6 +3,8 @@ the statistical stack sampler, the flamegraph exporters, and the
 trace critical-path analytics."""
 
 import json
+import signal
+import socket
 import threading
 import time
 
@@ -50,9 +52,35 @@ STACKS = (
 )
 
 
-def _busy_thread(stop):
-    while not stop.is_set():
-        sum(range(200))
+def _spin(n=2000):
+    """Pure-Python CPU work, no I/O."""
+    total = 0
+    for k in range(n):
+        total += k * k
+    return total
+
+
+def _spin_other(n=2000):
+    total = 0
+    for k in range(n):
+        total -= k
+    return total
+
+
+def _burn(cpu_s, *work):
+    """Run ``work`` in turn until ``cpu_s`` of process CPU time is spent."""
+    work = work or (_spin,)
+    deadline = time.process_time() + cpu_s
+    while time.process_time() < deadline:
+        for fn in work:
+            fn()
+
+
+def _leaf_weight(profile, name):
+    return sum(
+        s.count for s in profile.stacks
+        if profile.frames[s.frames[-1]].name == name
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -68,28 +96,42 @@ class TestStackSampler:
             StackSampler(97.0, max_stacks=0)
 
     def test_samples_a_busy_thread(self):
-        stop = threading.Event()
-        worker = threading.Thread(
-            target=_busy_thread, args=(stop,), name="busy", daemon=True
-        )
-        worker.start()
-        try:
-            sampler = StackSampler(500.0)
-            sampler.start()
-            time.sleep(0.25)
-            profile = sampler.stop()
-        finally:
-            stop.set()
-            worker.join()
+        # the main thread: the only one a SIGPROF handler runs on
+        with StackSampler(500.0) as sampler:
+            _burn(0.25)
+        profile = sampler.profile
         assert profile.samples > 0
-        assert profile.total_weight >= profile.samples
-        assert "busy" in profile.threads
-        names = {
-            profile.frames[s.frames[-1]].name
-            for s in profile.stacks
-            if s.thread == "busy"
-        }
-        assert "_busy_thread" in names
+        assert profile.total_weight == profile.samples
+        assert profile.threads == ("MainThread",)
+        assert _leaf_weight(profile, "_spin") > 0
+
+    def test_cpu_work_between_socket_round_trips_draws_the_samples(self):
+        # pure-Python work interleaved with tiny non-blocking I/O: the
+        # samples must follow the CPU time, which is nearly all in _spin,
+        # not land only where the loop calls into the socket layer
+        a, b = socket.socketpair()
+        a.setblocking(False)
+        b.setblocking(False)
+        try:
+            with StackSampler(997.0) as sampler:
+                deadline = time.process_time() + 0.5
+                while time.process_time() < deadline:
+                    _spin()
+                    a.send(b"x")
+                    b.recv(1)
+        finally:
+            a.close()
+            b.close()
+        profile = sampler.profile
+        # ITIMER_PROF fires at the kernel's tick granularity, so 997 Hz
+        # may yield only 100-250 samples per CPU second
+        assert profile.samples >= 20
+        assert _leaf_weight(profile, "_spin") >= 0.6 * profile.total_weight
+
+    def test_sleeping_draws_no_samples(self):
+        with StackSampler(997.0) as sampler:
+            time.sleep(0.05)
+        assert sampler.profile.samples <= 2  # entry and exit CPU only
 
     def test_stop_is_idempotent_and_sets_profile(self):
         sampler = StackSampler(200.0)
@@ -100,13 +142,54 @@ class TestStackSampler:
         assert sampler.profile is second
         assert second.samples == first.samples
 
+    def test_stop_disarms_the_timer_and_restores_the_handler(self):
+        def prior(signum, frame):
+            pass
+
+        old = signal.signal(signal.SIGPROF, prior)
+        try:
+            sampler = StackSampler(500.0).start()
+            assert signal.getitimer(signal.ITIMER_PROF) != (0.0, 0.0)
+            assert signal.getsignal(signal.SIGPROF) is not prior
+            sampler.stop()
+            assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+            assert signal.getsignal(signal.SIGPROF) is prior
+        finally:
+            signal.signal(signal.SIGPROF, old)
+
+    def test_a_second_armed_sampler_is_refused(self):
+        with StackSampler(200.0) as first:
+            second = StackSampler(200.0)
+            with pytest.raises(RuntimeError, match="already armed"):
+                second.start()
+            assert first.running and not second.running
+        # once the first is stopped the slot is free again
+        with StackSampler(200.0) as third:
+            assert third.running
+
+    def test_start_off_the_main_thread_is_refused(self):
+        errors = []
+
+        def body():
+            try:
+                StackSampler(200.0).start()
+            except RuntimeError as exc:
+                errors.append(str(exc))
+
+        worker = threading.Thread(target=body)
+        worker.start()
+        worker.join()
+        assert errors and "main thread" in errors[0]
+        assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+
     def test_disabled_sampler_is_a_no_op(self):
-        sampler = StackSampler(97.0, enabled=False)
-        assert sampler.start() is sampler
+        # never started: nothing installed, an empty profile on stop()
+        sampler = StackSampler(97.0)
         assert not sampler.running
         profile = sampler.stop()
         assert profile.samples == 0
         assert profile.stacks == ()
+        assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
 
     def test_context_manager(self):
         with StackSampler(200.0) as sampler:
@@ -117,37 +200,24 @@ class TestStackSampler:
 
     def test_snapshot_while_running_is_safe(self):
         with StackSampler(500.0) as sampler:
-            time.sleep(0.05)
+            _burn(0.05)
             snap = sampler.snapshot()
             assert sampler.running  # snapshot does not stop
+            _burn(0.05)
+        assert 0 < snap.samples <= sampler.profile.samples
         assert snap.duration_s <= sampler.profile.duration_s
+        Profile.from_dict(snap.to_dict())  # frame indices all in range
 
     def test_overflow_folds_into_truncated_bucket(self):
-        # white-box: saturate the unique-stack budget, then sample a
-        # live thread — its new stack must land in (truncated), and
-        # total weight must still be conserved
-        sampler = StackSampler(97.0, max_stacks=1)
-        sampler._counts[("synthetic", (0,))] = 7
-        sampler._frames.append(("synthetic_root", "", 0))
-        stop = threading.Event()
-        worker = threading.Thread(
-            target=_busy_thread, args=(stop,), name="busy", daemon=True
-        )
-        worker.start()
-        try:
-            time.sleep(0.02)
-            sampler._sample()
-        finally:
-            stop.set()
-            worker.join()
-        profile = sampler.snapshot()
+        # a one-stack budget with two alternating leaf functions: every
+        # stack after the first lands in (truncated), and total weight
+        # must still be conserved
+        with StackSampler(997.0, max_stacks=1) as sampler:
+            _burn(0.2, _spin, _spin_other)
+        profile = sampler.profile
         assert profile.truncated >= 1
-        truncated = [
-            s for s in profile.stacks
-            if profile.frames[s.frames[-1]].name == "(truncated)"
-        ]
-        assert truncated
-        assert profile.total_weight == 7 + profile.truncated
+        assert _leaf_weight(profile, "(truncated)") == profile.truncated
+        assert profile.total_weight == profile.samples
 
 
 class TestProfileSerialization:

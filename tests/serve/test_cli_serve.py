@@ -116,6 +116,26 @@ class TestServeLifecycle:
         finally:
             stop_server(proc)
 
+    def test_sigterm_with_a_client_connected_is_clean(self):
+        # the client pings and keeps its socket open through the drain:
+        # the server must close it after flushing, not leave the reader
+        # task to be cancelled at loop teardown (an asyncio traceback)
+        proc, port, _ = start_server("-a", "FirstFit")
+        sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+        try:
+            stream = sock.makefile("rwb")
+            stream.write(b'{"op": "ping", "seq": 1}\n')
+            stream.flush()
+            assert json.loads(stream.readline())["ok"]
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=20)
+            assert stream.readline() == b""  # the server closed the socket
+        finally:
+            sock.close()
+        assert proc.returncode == 0, err
+        assert "drained:" in out
+        assert "Traceback" not in err, err
+
     def test_unknown_algorithm_fails_fast(self):
         result = subprocess.run(
             [sys.executable, "-m", "repro.cli", "serve",

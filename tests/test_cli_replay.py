@@ -274,10 +274,21 @@ class TestReplayObservability:
         assert "dropped" in capsys.readouterr().out
         assert len(out.read_text().splitlines()) == 64
 
-    def test_profile_report_printed(self, jsonl_path, capsys):
-        assert main(["replay", jsonl_path, "--profile"]) == 0
-        out = capsys.readouterr().out
-        assert "replay" in out and "drain" in out and "total:" in out
+    def test_sample_hz_writes_a_profile(self, tmp_path, capsys):
+        from repro.obs.prof import Profile
+
+        # enough items for the replay to span several CPU-time ticks
+        trace = tmp_path / "big.jsonl"
+        dump_jsonl(uniform_random(8000, 16, seed=0), trace)
+        out = tmp_path / "replay.prof.json"
+        assert main(
+            ["replay", str(trace), "--sample-hz", "997",
+             "--profile-out", str(out), "--no-ledger"]
+        ) == 0
+        assert f"-> {out}" in capsys.readouterr().out
+        profile = Profile.read(out)
+        assert profile.hz == 997.0
+        assert profile.samples > 0
 
     def test_trace_survives_resume(self, jsonl_path, tmp_path, capsys):
         ckpt = tmp_path / "engine.ckpt"
