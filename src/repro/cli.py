@@ -148,8 +148,10 @@ def _finish_sampler(sampler, args, default_out: str):
     out = pathlib.Path(getattr(args, "profile_out", None) or default_out)
     profile.write(out)
     stats = profile.stats()
+    delivered = profile.delivered_hz or 0.0
     print(
         f"profile: {stats['samples']} samples @ {profile.hz:g} Hz "
+        f"requested, {delivered:.0f} Hz delivered "
         f"({stats['unique_stacks']} unique stacks) -> {out}"
     )
     return {"sampler": stats, "artifact": str(out)}

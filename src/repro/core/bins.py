@@ -69,7 +69,9 @@ class Bin:
     def fits(self, item: Item) -> bool:
         """Whether ``item`` fits right now (momentary load check).
 
-        :func:`first_fit_choice` inlines this test; change both together.
+        Inlined where it runs per placement: :meth:`_add`,
+        :func:`first_fit_choice` and the kernel's ``best_fit`` and
+        ``worst_fit``; change them together.
         """
         return self._load + item.size <= self.capacity + LOAD_EPS
 
@@ -82,31 +84,22 @@ class Bin:
             f"n={len(self._contents)})"
         )
 
-    # -- mutation (simulator only) --------------------------------------- #
+    # -- mutation (simulator only; the kernel's departure loop removes
+    # -- items in place) ----------------------------------------------- #
     def _add(self, item: Item) -> None:
         if item.uid in self._contents:
             raise PackingError(f"item {item.uid} already in bin {self.uid}")
-        if not self.fits(item):
+        load = self._load + item.size
+        if not load <= self.capacity + LOAD_EPS:  # fits(), inlined
             raise CapacityExceededError(
                 f"item {item} (size {item.size}) does not fit in bin "
                 f"{self.uid} (load {self._load:.6g}/{self.capacity})"
             )
         self._contents[item.uid] = item
-        load = self._load + item.size
         self._load = load
         if load > self.peak_load:
             self.peak_load = load
         self.items_held += 1
-
-    def _remove(self, uid: int) -> Item:
-        try:
-            item = self._contents.pop(uid)
-        except KeyError:
-            raise PackingError(f"item {uid} not in bin {self.uid}") from None
-        self._load -= item.size
-        if not self._contents:
-            self._load = 0.0  # kill floating residue on empty
-        return item
 
 
 def first_fit_choice(bins: Iterable[Bin], item: Item) -> Optional[Bin]:

@@ -96,7 +96,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right
 from typing import Hashable, List, Optional, Tuple
 
 from ..algorithms.base import algorithm_name
@@ -268,9 +268,13 @@ class OpenBinIndex:
     The index reads the kernel's ``uid -> Bin`` table of open bins,
     which is in opening order, and keeps up to two structures over it:
 
-    - ``_sorted``: ``(residual, uid)`` pairs in ascending order, backing
-      O(log n) best-fit (leftmost residual ≥ size) and worst-fit (the
-      max-residual group's smallest uid) queries;
+    - ``_sorted`` and ``_uids``: two parallel lists, the open bins'
+      residuals in ascending order and their uids, ascending inside each
+      run of equal residuals (the order of the ``(residual, uid)``
+      pairs).  They back O(log n) best-fit (leftmost residual ≥ size)
+      and worst-fit (the max-residual run's smallest uid) queries.
+      Parallel lists instead of one list of pairs: a ``bisect`` then
+      compares floats, not tuples, and an update allocates no tuple;
     - a max-residual **segment tree** over *slots* (one per bin, in
       opening order), backing O(log n) first-fit (leftmost fitting slot)
       and last-fit (rightmost fitting slot) queries.  Closed bins leave
@@ -288,7 +292,7 @@ class OpenBinIndex:
     query's answer.
 
     Thresholds use the same ``LOAD_EPS`` tolerance as :meth:`Bin.fits`;
-    the kernel re-verifies every returned candidate with ``fits()`` so a
+    the kernel re-verifies every returned candidate with that test so a
     one-ulp disagreement between ``load + size ≤ capacity + eps`` and
     ``residual ≥ size - eps`` can never overfill a bin.
     """
@@ -297,8 +301,9 @@ class OpenBinIndex:
 
     def __init__(self, open_bins: dict[int, Bin]) -> None:
         self._open = open_bins  # the kernel's table, shared, not copied
-        self._sorted: Optional[List[Tuple[float, int]]] = None
-        self._key: dict[int, float] = {}  # uid -> key currently in _sorted
+        self._sorted: Optional[List[float]] = None  # residuals, ascending
+        self._uids: List[int] = []  # parallel to _sorted
+        self._key: dict[int, float] = {}  # uid -> residual in _sorted
         self._tree: Optional[List[float]] = None
         self._slots: List[Optional[Bin]] = []
         self._slot_of: dict[int, int] = {}  # uid -> slot (opening order)
@@ -306,12 +311,22 @@ class OpenBinIndex:
         self._dead = 0
 
     # -- maintenance: called right after the kernel changes the open-bin
-    # -- table or a bin's load, so the table already shows the change
+    # -- table or a bin's load, so the table already shows the change.
+    # -- A bin's pair sits at the start of its residual's run when the
+    # -- run holds one bin (nearly always); only inside a longer run does
+    # -- a uid ``bisect`` bounded to the run place it
     def add(self, bin_: Bin) -> None:
-        if self._sorted is not None:
-            res = bin_.residual()
-            insort(self._sorted, (res, bin_.uid))
-            self._key[bin_.uid] = res
+        sorted_ = self._sorted
+        res = bin_.capacity - bin_._load
+        if sorted_ is not None:
+            uid = bin_.uid
+            uids = self._uids
+            i = bisect_left(sorted_, res)
+            if i < len(sorted_) and sorted_[i] == res:
+                i = bisect_left(uids, uid, i, bisect_right(sorted_, res, i))
+            sorted_.insert(i, res)
+            uids.insert(i, uid)
+            self._key[uid] = res
         if self._tree is not None:
             if len(self._slots) == self._size:
                 self._build_tree()  # the table already holds bin_
@@ -319,26 +334,40 @@ class OpenBinIndex:
             slot = len(self._slots)
             self._slots.append(bin_)
             self._slot_of[bin_.uid] = slot
-            self._set_leaf(slot, bin_.residual())
+            self._set_leaf(slot, res)
 
     def update(self, bin_: Bin) -> None:
         sorted_ = self._sorted
+        new = bin_.capacity - bin_._load
         if sorted_ is not None:
             uid = bin_.uid
-            old = self._key[uid]
-            new = bin_.residual()
+            key = self._key
+            old = key[uid]
             if new != old:
-                del sorted_[bisect_left(sorted_, (old, uid))]
-                insort(sorted_, (new, uid))
-                self._key[uid] = new
+                uids = self._uids
+                i = bisect_left(sorted_, old)
+                if uids[i] != uid:
+                    i = bisect_left(uids, uid, i, bisect_right(sorted_, old, i))
+                del sorted_[i], uids[i]
+                i = bisect_left(sorted_, new)
+                if i < len(sorted_) and sorted_[i] == new:
+                    i = bisect_left(uids, uid, i, bisect_right(sorted_, new, i))
+                sorted_.insert(i, new)
+                uids.insert(i, uid)
+                key[uid] = new
         if self._tree is not None:
-            self._set_leaf(self._slot_of[bin_.uid], bin_.residual())
+            self._set_leaf(self._slot_of[bin_.uid], new)
 
     def remove(self, bin_: Bin) -> None:
         uid = bin_.uid
-        if self._sorted is not None:
+        sorted_ = self._sorted
+        if sorted_ is not None:
             old = self._key.pop(uid)
-            del self._sorted[bisect_left(self._sorted, (old, uid))]
+            uids = self._uids
+            i = bisect_left(sorted_, old)
+            if uids[i] != uid:
+                i = bisect_left(uids, uid, i, bisect_right(sorted_, old, i))
+            del sorted_[i], uids[i]
         if self._tree is not None:
             slot = self._slot_of.pop(uid)
             self._slots[slot] = None
@@ -381,25 +410,27 @@ class OpenBinIndex:
         sorted_ = self._sorted
         if sorted_ is None:
             sorted_ = self._build_sorted()
-        i = bisect_left(sorted_, (threshold,))
+        i = bisect_left(sorted_, threshold)
         if i == len(sorted_):
             return None
-        return self._open[sorted_[i][1]]
+        return self._open[self._uids[i]]
 
     def worst_fit(self, threshold: float) -> Optional[Bin]:
         """Emptiest fitting bin; ties broken to the earliest-opened."""
         sorted_ = self._sorted
         if sorted_ is None:
             sorted_ = self._build_sorted()
-        if not sorted_ or sorted_[-1][0] < threshold:
+        if not sorted_ or sorted_[-1] < threshold:
             return None
-        return self._open[sorted_[bisect_left(sorted_, (sorted_[-1][0],))][1]]
+        return self._open[self._uids[bisect_left(sorted_, sorted_[-1])]]
 
     # -- internals ------------------------------------------------------ #
-    def _build_sorted(self) -> List[Tuple[float, int]]:
-        key = {uid: b.residual() for uid, b in self._open.items()}
+    def _build_sorted(self) -> List[float]:
+        key = {uid: b.capacity - b._load for uid, b in self._open.items()}
+        pairs = sorted((res, uid) for uid, res in key.items())
         self._key = key
-        self._sorted = sorted((res, uid) for uid, res in key.items())
+        self._uids = [uid for _, uid in pairs]
+        self._sorted = [res for res, _ in pairs]
         return self._sorted
 
     def _build_tree(self) -> List[float]:
@@ -414,7 +445,7 @@ class OpenBinIndex:
         self._dead = 0
         tree = [_NEG_INF] * (2 * size)
         for k, b in enumerate(live):
-            tree[size + k] = b.residual()
+            tree[size + k] = b.capacity - b._load
         for i in range(size - 1, 0, -1):
             left, right = tree[2 * i], tree[2 * i + 1]
             tree[i] = left if left >= right else right
@@ -699,34 +730,34 @@ class PlacementKernel:
 
     def best_fit(self, item: Item, lane: Hashable = None) -> Optional[Bin]:
         """Fullest fitting bin (of ``lane``; ties to the earliest-opened)."""
+        size = item.size
         if lane is None and self._indexed:
-            b = (self._index or self._make_index()).best_fit(
-                item.size - LOAD_EPS
-            )
-            if b is None or b.fits(item):
+            b = (self._index or self._make_index()).best_fit(size - LOAD_EPS)
+            # Bin.fits, inlined here and below (docs/performance.md,
+            # "Replay hot path")
+            if b is None or b._load + size <= b.capacity + LOAD_EPS:
                 return b
         best: Optional[Bin] = None
         best_res = math.inf
         for b in self._lane_bins(lane):
-            r = b.residual()
+            r = b.capacity - b._load
             # opening order is uid order: strict < keeps the smaller uid
-            if r < best_res and b.fits(item):
+            if r < best_res and b._load + size <= b.capacity + LOAD_EPS:
                 best, best_res = b, r
         return best
 
     def worst_fit(self, item: Item, lane: Hashable = None) -> Optional[Bin]:
         """Emptiest fitting bin (of ``lane``; ties to the earliest-opened)."""
+        size = item.size
         if lane is None and self._indexed:
-            b = (self._index or self._make_index()).worst_fit(
-                item.size - LOAD_EPS
-            )
-            if b is None or b.fits(item):
+            b = (self._index or self._make_index()).worst_fit(size - LOAD_EPS)
+            if b is None or b._load + size <= b.capacity + LOAD_EPS:
                 return b
         best: Optional[Bin] = None
         best_res = _NEG_INF
         for b in self._lane_bins(lane):
-            r = b.residual()
-            if r > best_res and b.fits(item):
+            r = b.capacity - b._load
+            if r > best_res and b._load + size <= b.capacity + LOAD_EPS:
                 best, best_res = b, r
         return best
 
@@ -921,9 +952,11 @@ class PlacementKernel:
                 f"item {uid} has a scheduled departure; only adaptive items "
                 "may be departed explicitly"
             )
-        self._advance(time)
         self._adaptive.discard(uid)
-        self._do_departure(uid, time)
+        # due after every departure already scheduled at ``time``
+        heapq.heappush(self._departures, (time, self._seq, uid))
+        self._seq += 1
+        self._advance(time)
 
     def run_until(self, time: float) -> None:
         """Advance the clock to ``time``, processing scheduled departures."""
@@ -973,48 +1006,62 @@ class PlacementKernel:
     # Internals — the one copy of the event semantics
     # ------------------------------------------------------------------ #
     def _advance(self, until: float) -> None:
-        """Process scheduled departures ≤ ``until``, then move the clock."""
+        """Process scheduled departures ≤ ``until``, then move the clock.
+
+        The one departure loop; it takes each item out of its bin in
+        place (the bin's load snaps to 0.0 when it empties).  What an
+        algorithm hook or a listener may change mid-loop (the index,
+        created by a first whole-table query; the listener callbacks) is
+        read once per departure.  The index learns a departure before
+        the algorithm's departure hook runs, so a query the hook makes
+        gets the answer a linear scan gives.
+        """
         dq = self._departures
-        while dq:
-            t, _, uid = dq[0]
-            if t > until:
-                break
-            heapq.heappop(dq)
-            self._do_departure(uid, t)
+        pop = heapq.heappop
+        item_bin = self._item_bin
+        dep_hook = self._dep_hook
+        record = self.record
+        while dq and dq[0][0] <= until:
+            t, _, uid = pop(dq)
+            if t > self.time:
+                if self.time != _NEG_INF:
+                    self.util_area += self.load * (t - self.time)
+                if self._on_advance is not None:
+                    self._on_advance(t)
+                self.time = t
+            bin_ = item_bin.pop(uid, None)
+            if bin_ is None:
+                continue  # already departed (duplicate schedule), ignore
+            contents = bin_._contents
+            removed = contents.pop(uid)
+            if contents:
+                bin_._load -= removed.size
+            else:
+                bin_._load = 0.0  # kill floating residue on empty
+            self.departures += 1
+            self.load -= removed.size
+            if not item_bin:
+                self.load = 0.0  # kill floating residue when idle
+            if record:
+                self._departed_at[uid] = t
+            if dep_hook is not None:
+                if self._index is not None:
+                    # the hook's whole-table queries see this departure
+                    self._index.update(bin_)
+                dep_hook(removed, bin_, self)
+            closed = not contents
+            if closed:
+                self._close(bin_, t)
+            elif dep_hook is None and self._index is not None:
+                self._index.update(bin_)
+            if self._on_departure is not None:
+                self._on_departure(uid, removed, bin_, t, closed)
         if until > self.time:
             if self.time != _NEG_INF:
                 self.util_area += self.load * (until - self.time)
             if self._on_advance is not None:
                 self._on_advance(until)
             self.time = until
-
-    def _do_departure(self, uid: int, t: float) -> None:
-        if t > self.time:
-            if self.time != _NEG_INF:
-                self.util_area += self.load * (t - self.time)
-            if self._on_advance is not None:
-                self._on_advance(t)
-            self.time = t
-        bin_ = self._item_bin.pop(uid, None)
-        if bin_ is None:
-            return  # already departed (duplicate schedule), ignore
-        removed = bin_._remove(uid)
-        self.departures += 1
-        self.load -= removed.size
-        if not self._item_bin:
-            self.load = 0.0  # kill floating residue when idle
-        if self.record:
-            self._departed_at[uid] = t
-        hook = self._dep_hook
-        if hook is not None:
-            hook(removed, bin_, self)
-        closed = not bin_._contents
-        if closed:
-            self._close(bin_, t)
-        elif self._index is not None:
-            self._index.update(bin_)
-        if self._on_departure is not None:
-            self._on_departure(uid, removed, bin_, t, closed)
 
     def _close(self, bin_: Bin, t: float) -> None:
         del self._open[bin_.uid]

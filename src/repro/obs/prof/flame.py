@@ -143,8 +143,14 @@ def top_functions(
 def render_top(profile: Profile, *, top: int = 20) -> str:
     """A terminal top-functions table (self vs cumulative weight)."""
     total = profile.total_weight
+    rate = f"{profile.hz:g} Hz"
+    if profile.delivered_hz is not None:
+        rate += (
+            f" requested, {profile.delivered_hz:.0f} Hz delivered "
+            f"({profile.cpu_s:.2f}s CPU)"
+        )
     header = (
-        f"{profile.samples:,} samples at {profile.hz:g} Hz over "
+        f"{profile.samples:,} samples at {rate} over "
         f"{profile.duration_s:.2f}s across {len(profile.threads)} thread(s)"
     )
     extras = []

@@ -125,7 +125,12 @@ class Profile:
     root-first indices into it.  ``samples`` counts captured ticks;
     ``truncated`` counts samples folded into the overflow bucket.
     ``missed`` is always 0 from :class:`StackSampler`; the field stays
-    so every schema-1 file reads unchanged.  Weight is conserved:
+    so every schema-1 file reads unchanged.  ``cpu_s`` is the process
+    CPU time the sampler was armed for (the clock ``ITIMER_PROF``
+    counts), so :attr:`delivered_hz` is the rate the kernel actually
+    delivered, which may fall well short of ``hz``: Linux fires the
+    timer on its scheduler tick.  Files written before the field read
+    it as 0 (rate unknown).  Weight is conserved:
     ``sum(s.count for s in stacks)`` equals the number of captured
     (thread, tick) pairs, including truncated ones.
     """
@@ -137,6 +142,12 @@ class Profile:
     duration_s: float
     frames: Tuple[Frame, ...]
     stacks: Tuple[Stack, ...]
+    cpu_s: float = 0.0
+
+    @property
+    def delivered_hz(self) -> Optional[float]:
+        """Samples per sampled CPU second (``None`` when ``cpu_s`` is 0)."""
+        return self.samples / self.cpu_s if self.cpu_s > 0 else None
 
     @property
     def total_weight(self) -> int:
@@ -157,6 +168,7 @@ class Profile:
             "missed": self.missed,
             "truncated": self.truncated,
             "duration_s": self.duration_s,
+            "cpu_s": self.cpu_s,
             "frames": [frame.to_dict() for frame in self.frames],
             "stacks": [stack.to_dict() for stack in self.stacks],
         }
@@ -186,6 +198,7 @@ class Profile:
             duration_s=float(data.get("duration_s", 0.0)),
             frames=frames,
             stacks=stacks,
+            cpu_s=float(data.get("cpu_s", 0.0)),
         )
 
     def write(self, path) -> Path:
@@ -210,6 +223,7 @@ class Profile:
             "missed": self.missed,
             "truncated": self.truncated,
             "duration_s": round(self.duration_s, 6),
+            "cpu_s": round(self.cpu_s, 6),
             "unique_stacks": len(self.stacks),
             "threads": len(self.threads),
         }
@@ -251,6 +265,8 @@ class StackSampler:
         self._previous_handler = None
         self._started_at: Optional[float] = None
         self._stopped_after: float = 0.0
+        self._cpu_started_at = 0.0
+        self._cpu_after = 0.0  # CPU seconds armed, as of the last stop()
         # Interning tables.  Keys hold code objects alive, which is the
         # point: identity stays valid for the run's duration.
         self._frame_index: Dict[object, int] = {}
@@ -286,6 +302,7 @@ class StackSampler:
         self._previous_handler = previous
         _armed = self
         self._started_at = time.perf_counter()
+        self._cpu_started_at = time.process_time()
         interval = 1.0 / self.hz
         signal.setitimer(signal.ITIMER_PROF, interval, interval)
         return self
@@ -303,6 +320,7 @@ class StackSampler:
             )
             _armed = None
             self._stopped_after = time.perf_counter() - self._started_at
+            self._cpu_after = time.process_time() - self._cpu_started_at
             self._started_at = None
         self.profile = self.snapshot()
         return self.profile
@@ -374,8 +392,9 @@ class StackSampler:
         frames = tuple(Frame(n, f, ln) for n, f, ln in list(self._frames))
         if self._started_at is not None:
             duration = time.perf_counter() - self._started_at
+            cpu = time.process_time() - self._cpu_started_at
         else:
-            duration = self._stopped_after
+            duration, cpu = self._stopped_after, self._cpu_after
         stacks = tuple(
             Stack(thread=thread, frames=stack, count=count)
             for (thread, stack), count in sorted(counts.items())
@@ -388,6 +407,7 @@ class StackSampler:
             duration_s=duration,
             frames=frames,
             stacks=stacks,
+            cpu_s=cpu,
         )
 
 
@@ -429,4 +449,5 @@ def merge_profiles(profiles: Sequence[Profile]) -> Profile:
         duration_s=sum(p.duration_s for p in profiles),
         frames=tuple(frames),
         stacks=stacks,
+        cpu_s=sum(p.cpu_s for p in profiles),
     )

@@ -402,7 +402,8 @@ def _parse_arrive(line: bytes) -> Optional[Request]:
     validated item values included.
     """
     global _last_plan
-    if len(line) > _FAST_MAX_LINE:
+    # every fast-path plan matches the literal op value
+    if len(line) > _FAST_MAX_LINE or b'"arrive"' not in line:
         return None
     plan = _last_plan
     match = plan[0].fullmatch(line) if plan is not None else None

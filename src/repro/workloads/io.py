@@ -39,6 +39,7 @@ import io
 import json
 import pathlib
 import sys
+from itertools import islice
 from typing import Iterator, Union
 
 from ..core.errors import InvalidInstanceError, InvalidItemError
@@ -127,13 +128,12 @@ def _decode_obj(obj: dict, lineno: int):
 def _parse_jsonl_batch(batch):
     """Parse non-blank ``(lineno, text)`` JSONL lines into objects.
 
-    Fast path: one C-level ``json.loads`` over the lines joined as a
-    JSON array — an order of magnitude fewer interpreter round-trips
-    than line-at-a-time decoding.  Any failure (or an element-count
-    mismatch, which catches lines holding several comma-separated
-    values that the array join would silently flatten) falls back to
-    per-line parsing so errors carry the exact offending line number
-    and message.
+    The careful path's parse: one ``json.loads`` over the lines joined
+    as a JSON array, which a block with blank lines still takes.  Any
+    failure (or an element-count mismatch, which catches lines holding
+    several comma-separated values that the array join would silently
+    flatten) falls back to per-line parsing so errors carry the exact
+    offending line number and message.
     """
     try:
         objs = json.loads("[" + ",".join(text for _, text in batch) + "]")
@@ -172,10 +172,20 @@ def _append_objs(objs, batch, append, uid=None):
     return uid
 
 
+def _obj_columns(objs):
+    """Parsed JSONL objects as ``(arrivals, departures, sizes)`` lists;
+    raises ``KeyError``/``TypeError``/``ValueError``/``OverflowError``
+    on a row that does not decode."""
+    arrivals = [float(o["arrival"]) for o in objs]
+    departures = [d if (d := o["departure"]) is None else float(d) for o in objs]
+    sizes = [float(o["size"]) for o in objs]
+    return arrivals, departures, sizes
+
+
 def _extend_objs(objs, batch, store: ItemStore, uid=None):
     """Bulk-decode parsed JSONL objects into store columns.
 
-    The fast path: three list comprehensions plus one
+    The careful path's fast path: :func:`_obj_columns` plus one
     :meth:`ItemStore.extend_columns` call per batch.  Any decode
     failure falls back to the row-at-a-time :func:`_append_objs` so the
     error carries the exact line number and message; a validation
@@ -183,19 +193,52 @@ def _extend_objs(objs, batch, store: ItemStore, uid=None):
     Returns the next uid when ``uid`` is given.
     """
     try:
-        arrivals = [float(o["arrival"]) for o in objs]
-        departures = [
-            d if (d := o["departure"]) is None else float(d) for o in objs
-        ]
-        sizes = [float(o["size"]) for o in objs]
+        columns = _obj_columns(objs)
     except (KeyError, TypeError, ValueError, OverflowError):
         return _append_objs(objs, batch, store.append, uid)
     try:
-        store.extend_columns(arrivals, departures, sizes, uid_start=uid)
+        store.extend_columns(*columns, uid_start=uid)
     except InvalidItemError as exc:
         lineno = batch[getattr(exc, "row", 0)][0]
         raise InvalidInstanceError(f"line {lineno}: {exc}") from exc
     return None if uid is None else uid + len(objs)
+
+
+def _decode_block(lines, first: int, store: ItemStore, uid=None):
+    """Decode a block of raw JSONL ``lines`` into ``store``; ``lines[0]``
+    is line ``first`` of the source.  Returns the next uid when ``uid``
+    is given.
+
+    Fast path: one C-level ``json.loads`` over the lines joined as a
+    JSON array (a line's ``\\n`` is JSON whitespace, so nothing is
+    stripped; the brackets ride on the end lines, so the block is
+    copied into one string, not three), :func:`_obj_columns` and one
+    :meth:`ItemStore.extend_columns` call, which validates the whole
+    block before any column grows.  Anything else -- a blank line, a
+    line holding several comma-separated values (the element count then
+    differs from the line count), a bad row -- falls back to the careful
+    path, which numbers the non-blank lines, so the error names the
+    offending line with the line-at-a-time loaders' message.
+    """
+    edges = lines[0], lines[-1]
+    lines[0] = "[" + lines[0]
+    lines[-1] += "]"
+    text = ",".join(lines)
+    lines[0], lines[-1] = edges
+    try:
+        objs = json.loads(text)
+        del text  # free the block's copy before the columns are built
+        if len(objs) == len(lines):
+            store.extend_columns(*_obj_columns(objs), uid_start=uid)
+            return None if uid is None else uid + len(objs)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
+    batch = [
+        (lineno, stripped)
+        for lineno, line in enumerate(lines, start=first)
+        if (stripped := line.strip())
+    ]
+    return _extend_objs(_parse_jsonl_batch(batch), batch, store, uid)
 
 
 def dumps_jsonl(instance: Instance) -> str:
@@ -206,17 +249,9 @@ def dumps_jsonl(instance: Instance) -> str:
 def loads_jsonl(text: str) -> Instance:
     """Parse JSON Lines text into an :class:`Instance` (re-sorted, stable)."""
     store = ItemStore()
-    append = store.append
-    batch = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if line:
-            batch.append((lineno, line))
-            if len(batch) >= CHUNK_ROWS:
-                _extend_objs(_parse_jsonl_batch(batch), batch, store)
-                batch.clear()
-    if batch:
-        _extend_objs(_parse_jsonl_batch(batch), batch, store)
+    lines = text.splitlines()
+    for start in range(0, len(lines), CHUNK_ROWS):
+        _decode_block(lines[start:start + CHUNK_ROWS], start + 1, store)
     store.sort_by_arrival()
     return Instance.from_store(store)
 
@@ -242,7 +277,8 @@ def iter_jsonl_stores(
     """Stream a JSONL trace as bounded :class:`ItemStore` chunks.
 
     File order, sequential uids (starting at ``uid_start``), constant
-    memory — at most ``chunk_rows`` rows are resident per chunk.
+    memory — a chunk holds the rows of ``chunk_rows`` lines (fewer when
+    some are blank), decoded as one block.
     Feeding every chunk to
     :meth:`Engine.feed_store <repro.engine.loop.Engine.feed_store>`
     replays the trace with the exact decisions of ``simulate()`` on the
@@ -251,23 +287,14 @@ def iter_jsonl_stores(
     if chunk_rows < 1:
         raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
     uid = uid_start
-    batch = []
+    first = 1  # the line number of the block's first line
     with pathlib.Path(path).open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line:
-                batch.append((lineno, line))
-                if len(batch) >= chunk_rows:
-                    store = ItemStore()
-                    uid = _extend_objs(
-                        _parse_jsonl_batch(batch), batch, store, uid
-                    )
-                    batch.clear()
-                    yield store
-    if batch:
-        store = ItemStore()
-        _extend_objs(_parse_jsonl_batch(batch), batch, store, uid)
-        yield store
+        while lines := list(islice(fh, chunk_rows)):
+            store = ItemStore()
+            uid = _decode_block(lines, first, store, uid)
+            first += len(lines)
+            if len(store):  # an all-blank block gives no chunk
+                yield store
 
 
 def iter_csv_stores(

@@ -4,13 +4,26 @@ import math
 
 import pytest
 
+from repro.algorithms import FirstFit
 from repro.core.bins import Bin, BinRecord
 from repro.core.errors import CapacityExceededError, PackingError
 from repro.core.item import Item
+from repro.core.kernel import KernelListener, PlacementKernel
 
 
 def make_bin(capacity=1.0, tag=None):
     return Bin(uid=0, capacity=capacity, opened_at=0.0, tag=tag)
+
+
+class _Departures(KernelListener):
+    """Each departure's item, bin load and item count, and whether the
+    bin closed."""
+
+    def __init__(self):
+        self.seen = []
+
+    def on_departure(self, uid, removed, bin_, t, closed):
+        self.seen.append((removed.uid, bin_.load, bin_.n_items, closed))
 
 
 class TestBin:
@@ -58,26 +71,31 @@ class TestBin:
         b._add(Item(0, 1, 0.3, uid=0))
         assert math.isclose(b.residual(), 0.7)
 
+    # removal is inlined in the kernel's departure loop: drive it there
     def test_remove(self):
-        b = make_bin()
-        b._add(Item(0, 1, 0.5, uid=1))
-        removed = b._remove(1)
-        assert removed.uid == 1
-        assert b.load == 0.0
-        assert b.n_items == 0
+        tape = _Departures()
+        k = PlacementKernel(FirstFit(), listener=tape)
+        k.release(Item(0, 1, 0.5, uid=1))
+        k.drain()
+        assert tape.seen == [(1, 0.0, 0, True)]
 
     def test_remove_unknown_rejected(self):
-        with pytest.raises(PackingError):
-            make_bin()._remove(99)
+        k = PlacementKernel(FirstFit(clairvoyant=False))
+        k.release(Item(0, None, 0.5, uid=1))
+        with pytest.raises(PackingError, match="item 99 is not active"):
+            k.depart(99, 1.0)
 
     def test_empty_bin_load_snaps_to_zero(self):
-        b = make_bin()
-        # accumulate float noise then empty
+        # accumulate float noise (ten 0.1s leave 2.8e-17 behind), then empty
+        tape = _Departures()
+        sim = PlacementKernel(FirstFit(), listener=tape)
         for k in range(10):
-            b._add(Item(0, 1, 0.1, uid=k))
-        for k in range(10):
-            b._remove(k)
-        assert b.load == 0.0
+            sim.release(Item(0, k + 1, 0.1, uid=k))
+        sim.drain()
+        assert sim.bins_opened == 1
+        assert [closed for *_, closed in tape.seen] == [False] * 9 + [True]
+        assert tape.seen[-1] == (9, 0.0, 0, True)
+        assert tape.seen[-2][1] > 0.0
 
     def test_custom_capacity(self):
         b = make_bin(capacity=2.0)

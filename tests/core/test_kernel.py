@@ -28,6 +28,7 @@ from repro.core.errors import (
     SimulationError,
 )
 from repro.core.bins import Bin
+from repro.core.instance import Instance
 from repro.core.item import Item
 from repro.core.kernel import (
     KernelListener,
@@ -403,9 +404,10 @@ def _check_structures(index, bins):
     """White-box: every built structure holds each live bin exactly once,
     at its current residual, in opening order."""
     if index._sorted is not None:
-        assert index._sorted == sorted(
+        assert list(zip(index._sorted, index._uids)) == sorted(
             (b.residual(), u) for u, b in bins.items()
         )
+        assert len(index._sorted) == len(index._uids)
     if index._tree is not None:
         slots = index._slots
         assert [b.uid for b in slots if b is not None] == list(bins)
@@ -624,6 +626,99 @@ class TestListener:
             "close", "departure",
         ]
         assert len(tape.events) == 3  # the original heard only its own
+
+
+# ---------------------------------------------------------------------- #
+# The departure loop and the flat BestFit index
+# ---------------------------------------------------------------------- #
+def _quarter_trace(n, seed):
+    """Sizes in exact quarters on an integer clock: equal residuals,
+    so best- and worst-fit ties, and many departures per time step."""
+    rng = random.Random(seed)
+    items, t = [], 0.0
+    for _ in range(n):
+        t += rng.choice((0.0, 0.0, 1.0))
+        items.append(Item(t, t + rng.randint(1, 6), rng.randint(1, 4) / 4))
+    return Instance(items)
+
+
+class QueriesOnDeparture(OnlineAlgorithm):
+    """Packs by lane walks, which use no index; its departure hook asks
+    whole-table queries, so the kernel creates its index in the middle
+    of a departure loop."""
+
+    name = "QueriesOnDeparture"
+
+    def reset(self):
+        self.answers = []
+
+    def place(self, item, sim):
+        return sim.first_fit(item, lane="L") or sim.open_bin(tag="L")
+
+    def notify_departure(self, item, bin_, sim):
+        for size in (0.25, 0.5, 0.75, 1.0):
+            probe = Item(sim.time, sim.time + 1.0, size)
+            for query in (sim.best_fit, sim.worst_fit, sim.first_fit,
+                          sim.last_fit):
+                found = query(probe)
+                self.answers.append(None if found is None else found.uid)
+
+
+class TestDepartureLoop:
+    @pytest.mark.parametrize("factory", [BestFit, WorstFit])
+    def test_quarter_ties_go_to_the_smallest_uid(self, factory):
+        from repro.testkit import reference_run
+
+        for seed in range(3):
+            inst = _quarter_trace(600, seed)
+            fast = simulate(factory(), inst, indexed=True)
+            slow = simulate(factory(), inst, indexed=False)
+            ref = reference_run(factory(), inst)
+            assert fast.assignment == slow.assignment == ref.assignment
+            assert fast.cost == slow.cost == ref.cost
+
+    def test_index_created_by_a_departure_hook_stays_exact(self):
+        from repro.testkit import reference_run
+
+        inst = _quarter_trace(400, 5)
+        runs = []
+        for indexed in (True, False):
+            k = PlacementKernel(QueriesOnDeparture(), indexed=indexed)
+            k.release(inst[0])
+            assert k._index is None
+            for item in inst[1:]:
+                k.release(item)
+            k.drain()
+            runs.append(k.algorithm.answers)
+        assert k._index is None  # the linear run never built one
+        assert len(runs[0]) > 1000 and runs[0] == runs[1]
+        assert reference_run(QueriesOnDeparture(), inst).algorithm.answers \
+            == runs[0]
+
+    def test_depart_follows_the_departures_due_at_its_time(self):
+        tape = _Tape()
+        k = PlacementKernel(FirstFit(clairvoyant=False), listener=tape)
+        k.release(Item(0.0, 2.0, 0.5, uid=0))
+        k.release(Item(0.0, None, 0.25, uid=1))  # adaptive
+        k.release(Item(1.0, 2.0, 0.25, uid=2))
+        del tape.events[:]
+        k.depart(1, 2.0)
+        assert tape.events == [
+            ("advance", 2.0),
+            ("departure", 0, 2.0, False),
+            ("departure", 2, 2.0, False),
+            ("close", 0, 2.0, 2.0, 1.0, 3),
+            ("departure", 1, 2.0, True),
+        ]
+        # nothing due: the clock moves, then the item leaves
+        k.release(Item(3.0, 5.0, 0.5, uid=3))
+        k.release(Item(3.0, None, 0.25, uid=4))
+        del tape.events[:]
+        k.depart(4, 4.0)
+        assert tape.events == [
+            ("advance", 4.0), ("departure", 4, 4.0, False),
+        ]
+        assert k.departures == 4 and k.time == 4.0
 
 
 class _Closes(KernelListener):

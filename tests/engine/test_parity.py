@@ -5,7 +5,6 @@ algorithm on every workload-generator family, including on random
 reference; and every leg of the gate must fail on a known defect."""
 
 import dataclasses
-import heapq
 import inspect
 import textwrap
 
@@ -157,8 +156,9 @@ class TestParitySweep:
         from repro.engine.parity import _main
 
         kernel = kernel_mod.PlacementKernel
+        advance = kernel._advance  # the unmutated loop, for drain()
         for method, old, new in (
-            ("_advance", "if t > until:", "if t >= until:"),
+            ("_advance", "dq[0][0] <= until", "dq[0][0] < until"),
             ("release_store", "dq[0][0] <= arrival", "dq[0][0] < arrival"),
         ):
             source = textwrap.dedent(inspect.getsource(getattr(kernel, method)))
@@ -174,10 +174,9 @@ class TestParitySweep:
         def drain(self):
             # the mutant _advance never departs an item due exactly at
             # ``until``, so drain()'s advance-to-the-next-departure loop
-            # would spin forever; pop the remaining departures instead
+            # would spin forever; drain through the unmutated loop
             while self._departures:
-                t, _, uid = heapq.heappop(self._departures)
-                self._do_departure(uid, t)
+                advance(self, self._departures[0][0])
 
         monkeypatch.setattr(kernel, "drain", drain)
         assert _main(["--seed", "0"]) == 1

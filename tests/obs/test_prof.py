@@ -105,6 +105,18 @@ class TestStackSampler:
         assert profile.threads == ("MainThread",)
         assert _leaf_weight(profile, "_spin") > 0
 
+    def test_records_the_sampled_cpu_seconds(self):
+        c0 = time.process_time()
+        with StackSampler(997.0) as sampler:
+            _burn(0.25)
+        spent = time.process_time() - c0
+        profile = sampler.profile
+        assert 0.25 <= profile.cpu_s <= spent
+        # the delivered rate is what the samples show, not what was asked
+        assert profile.delivered_hz == profile.samples / profile.cpu_s
+        assert 0 < profile.delivered_hz <= 1.1 * 997.0
+        assert Profile.from_dict(profile.to_dict()).cpu_s == profile.cpu_s
+
     def test_cpu_work_between_socket_round_trips_draws_the_samples(self):
         # pure-Python work interleaved with tiny non-blocking I/O: the
         # samples must follow the CPU time, which is nearly all in _spin,
@@ -234,6 +246,17 @@ class TestProfileSerialization:
         profile.write(path)
         assert path.read_text() == text
 
+    def test_file_without_cpu_seconds_still_loads(self, tmp_path):
+        # a schema-1 profile written before the cpu_s field
+        data = _profile(STACKS, FRAMES).to_dict()
+        del data["cpu_s"]
+        path = tmp_path / "old.prof.json"
+        path.write_text(json.dumps(data))
+        profile = Profile.read(path)
+        assert profile == _profile(STACKS, FRAMES)
+        assert profile.cpu_s == 0.0 and profile.delivered_hz is None
+        assert "delivered" not in render_top(profile)
+
     def test_rejects_unknown_schema(self):
         with pytest.raises(ValueError, match="schema"):
             Profile.from_dict({"schema": 99})
@@ -340,10 +363,17 @@ class TestFlame:
 
     def test_render_top_table(self):
         text = render_top(_profile(STACKS, FRAMES, missed=3), top=2)
-        assert "10 samples at 97 Hz" in text
+        assert "10 samples at 97 Hz over 1.00s" in text
         assert "3 ticks missed" in text
         assert "leaf" in text and "work" in text
         assert "main" not in text.split("\n", 1)[1]  # cut by top=2
+
+    def test_render_top_names_both_rates(self):
+        text = render_top(_profile(STACKS, FRAMES, cpu_s=0.04))
+        assert text.startswith(
+            "10 samples at 97 Hz requested, 250 Hz delivered (0.04s CPU) "
+            "over 1.00s"
+        )
 
     def test_render_top_empty_profile(self):
         text = render_top(_profile([], []))

@@ -577,3 +577,29 @@ class TestFastArriveParse:
         assert outcome(parse_request, line) == outcome(
             protocol._parse_strict, line
         )
+
+    def test_other_ops_skip_the_plan_lookup(self, monkeypatch):
+        """A line without the literal ``"arrive"`` is declined before
+        any plan match or key scan."""
+        calls = []
+        plan = protocol._arrive_plan
+
+        def counted(keys):
+            calls.append(keys)
+            return plan(keys)
+
+        monkeypatch.setattr(protocol, "_arrive_plan", counted)
+        for op, line in (
+            ("advance", b'{"op":"advance","time":5.0,"seq":3}\n'),
+            ("depart", b'{"op":"depart","id":1,"time":2.0}\n'),
+            ("stats", b'{"op":"stats"}\n'),
+        ):
+            assert protocol._parse_arrive(line) is None
+            assert parse_request(line).op == op
+        assert calls == []
+        # an arrive line the last plan does not take still looks one up
+        monkeypatch.setattr(protocol, "_last_plan", None)
+        assert protocol._parse_arrive(
+            b'{"op":"arrive","id":1,"arrival":0,"size":0.5}'
+        ) is not None
+        assert len(calls) == 1

@@ -212,3 +212,71 @@ class TestErrors:
     def test_invalid_item_reports_line_number(self):
         with pytest.raises(InvalidInstanceError, match="line 2"):
             loads_csv("arrival,departure,size\n5,2,0.5\n")  # dep < arr
+
+
+class TestJsonlBlocks:
+    """Both JSONL entry points decode blocks of raw lines; a block the
+    one-``json.loads`` fast path cannot take falls back to numbering its
+    non-blank lines, so errors name the same line either way."""
+
+    ROW = '{{"arrival": {k}.0, "departure": {d}.0, "size": 0.25}}'
+    #: the bad row's line: inside the second 4096-line block
+    BAD_LINE = 4103
+
+    def _text(self, bad):
+        lines = [self.ROW.format(k=k, d=k + 3) for k in range(4110)]
+        lines[9] = ""  # blank lines in the first block ...
+        lines[4098] = ""  # ... and in the second
+        lines[20] = " \t "  # a whitespace-only line
+        lines[4099] = "   "
+        if bad is not None:
+            lines[self.BAD_LINE - 1] = bad
+        return "\n".join(lines) + "\n"
+
+    def _errors(self, text, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(text)
+        messages = []
+        for load in (
+            lambda: loads_jsonl(text),
+            lambda: list(iter_jsonl_stores(path)),
+            lambda: list(iter_jsonl_stores(path, chunk_rows=7)),
+        ):
+            with pytest.raises(InvalidInstanceError) as info:
+                load()
+            messages.append(str(info.value))
+        return messages
+
+    @pytest.mark.parametrize("bad, message", [
+        ('{"arrival": 1.0, "departure": 2.0, "size": 2.5}',
+         "size must lie in (0, 1], got 2.5"),
+        ("{not json}", "Expecting property name enclosed in double quotes: "
+                       "line 1 column 2 (char 1)"),
+        ('{"arrival": 1.0, "size": 0.5}', "missing field 'departure'"),
+        ("[1, 2, 0.5]", "expected a JSON object, got list"),
+        ('{"arrival": 1.0, "departure": 2.0, "size": 0.5}, 7',
+         "Extra data: line 1 column 48 (char 47)"),
+        # the array join would take both rows: only the count tells
+        ('{"arrival": 1.0, "departure": 2.0, "size": 0.5}, '
+         '{"arrival": 1.0, "departure": 2.0, "size": 0.5}',
+         "Extra data: line 1 column 48 (char 47)"),
+    ], ids=["bad-size", "bad-json", "missing-field", "list", "two-values",
+            "two-rows"])
+    def test_bad_row_in_the_second_block(self, bad, message, tmp_path):
+        expected = f"line {self.BAD_LINE}: {message}"
+        assert self._errors(self._text(bad), tmp_path) == [expected] * 3
+
+    def test_blank_lines_are_skipped_through_both_entry_points(
+        self, tmp_path
+    ):
+        text = self._text(None)
+        path = tmp_path / "t.jsonl"
+        path.write_text(text)
+        loaded = loads_jsonl(text)
+        assert len(loaded) == 4106
+        for rows in (4096, 7):
+            chunks = list(iter_jsonl_stores(path, chunk_rows=rows))
+            streamed = [it for chunk in chunks for it in chunk]
+            assert [it.uid for it in streamed] == list(range(4106))
+            assert [(it.arrival, it.departure, it.size) for it in streamed] \
+                == [(it.arrival, it.departure, it.size) for it in loaded]
